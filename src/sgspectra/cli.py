@@ -13,13 +13,10 @@ import sys
 from . import fileio
 from .errors import (
     ArgMismatch,
-    BadOrder,
-    ConfigInvalid,
     DuplicateEdge,
     LengthMismatch,
     NoSuchEdge,
     NotAllowable,
-    ParseError,
     SameVertex,
     SelfLoop,
     SgError,
@@ -39,9 +36,9 @@ from .graphs import (
 from .matrices import adjacency, laplacian, net_laplacian, normalized_net_laplacian
 from .surgery import add_edge, contract, delete_edge, delete_vertex
 from .verify import (
-    ARG_KINDS,
     CHECK_IDS,
     CHECKERS,
+    CHECKS,
     CampaignConfig,
     campaign_to_csv,
     campaign_to_json,
@@ -102,36 +99,32 @@ def cmd_check(args) -> int:
     if theorem not in CHECK_IDS:
         raise ArgMismatch(f"unknown check id {theorem!r}; choose from {', '.join(CHECK_IDS)}")
     g = fileio.read_sg(args.file)
-    kind = ARG_KINDS[theorem]
-    checker = CHECKERS[theorem]
-    tol = args.tol
-
+    rec = CHECKS[theorem]
+    kind = rec.kind.name
     if kind == "vertex":
         if args.vertex is None:
             raise ArgMismatch(f"{theorem} needs --vertex")
-        report = checker(g, args.vertex, tol)
+        arg = (g, args.vertex)
     elif kind == "edge":
         if args.edge is None:
             raise ArgMismatch(f"{theorem} needs --edge U,V")
-        u, v = _parse_pair(args.edge, "--edge")
-        report = checker(g, u, v, tol)
+        arg = (g, *_parse_pair(args.edge, "--edge"))
     elif kind == "pair":
         if args.pair is None:
             raise ArgMismatch(f"{theorem} needs --pair A,B")
-        a, b = _parse_pair(args.pair, "--pair")
-        report = checker(g, a, b, tol)
+        arg = (g, *_parse_pair(args.pair, "--pair"))
     elif kind == "cycle":
         if args.sign_last is None:
             raise ArgMismatch(f"{theorem} needs --sign-last")
-        _require_family(g, "cycle", theorem)
-        sig1 = [g.sign(i, i + 1) for i in range(g.n - 1)] + [g.sign(0, g.n - 1)]
-        report = checker(g.n - 1, sig1, parse_sign(args.sign_last), tol)
+        _require_family(g, rec.family, theorem)
+        sig1 = [g.sign(u, v) for u, v in family_edge_pairs(rec.family, g.n)]
+        arg = (g.n - 1, sig1, parse_sign(args.sign_last))
     elif kind == "seeded":
-        family = "cycle" if theorem == "C2.5" else ("path" if theorem == "C2.8" else "star")
-        _require_family(g, family, theorem)
-        report = checker(g.n - 1, args.seed, tol)
+        _require_family(g, rec.family, theorem)
+        arg = (g.n - 1, args.seed)
     else:  # whole-graph checks
-        report = checker(g, tol)
+        arg = (g,)
+    report = CHECKERS[theorem](*arg, args.tol)
 
     print(json.dumps(report_to_dict(report), indent=2))
     if not report.hypothesis_met:
@@ -294,23 +287,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ArgMismatch, ConfigInvalid, BadOrder) as exc:
+    except (SgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _SURGERY_ERRORS as exc:
-        if args.cmd == "surgery":
-            print(f"error: {exc}", file=sys.stderr)
+        if args.cmd == "surgery" and isinstance(exc, _SURGERY_ERRORS):
             return EXIT_SURGERY
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -56,12 +56,6 @@ from .graphs import (
 from .matrices import laplacian, net_laplacian, normalized_net_laplacian
 from .surgery import contract, delete_edge, delete_vertex, disjoint_open_neighborhoods
 
-CHECK_IDS = (
-    "T2.1", "C2.2", "L2.3", "T2.4", "C2.5", "T2.7", "C2.8", "C2.9",
-    "L3.1", "T3.2", "T3.3", "T3.4", "C3.5", "C3.6", "C3.7",
-    "B4", "T4.1", "T4.2", "T4.3",
-)
-
 _INF = math.inf
 
 
@@ -128,10 +122,6 @@ def _verdict(margins: Sequence[float], tol: float):
     return bool(worst >= -tol), float(worst), witness
 
 
-def _spec_list(arr) -> list:
-    return [float(x) for x in arr]
-
-
 def _lap_spectrum(g: SignedGraph) -> np.ndarray:
     return eigenvalues(laplacian(g).astype(np.float64))
 
@@ -144,24 +134,87 @@ def _norm_spectrum(g: SignedGraph) -> np.ndarray:
     return eigenvalues(normalized_net_laplacian(g))
 
 
-def _chain_report(theorem, g_str, surgery, spectra, lower, mid, upper, tol,
-                  links_skipped=(), note="", info=None) -> InterlacingReport:
-    tol_val = tol if tol is not None else default_tol(*spectra.values())
-    margins = _chain_margins(lower, mid, upper)
+# --- the check table ---------------------------------------------------------
+#
+# One Check record per id; _run evaluates any record.  CHECKERS, ARG_KINDS,
+# the public check_* names, the CLI's argument handling and the campaign
+# samplers are derived from the table.  Records reach the eigensolver, the
+# matrices and the surgeries through this module's globals at call time, so a
+# tracer that rebinds those names sees every call.
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One hypothesis condition and the note a report carries when it fails.
+
+    `holds` takes the graph and, unless `whole`, the check's argument; the
+    note is formatted with the argument and `deg`, its vertices' degrees.
+    """
+
+    holds: Callable[..., bool]
+    note: str
+    whole: bool = False
+
+
+@dataclass(frozen=True)
+class ArgKind:
+    """What a check takes besides tol; for a graph argument, how it is
+    validated, applied and drawn in campaigns."""
+
+    name: str
+    params: tuple
+    surgery: Callable | None = None  # (g, *arg) -> surgery entries; raises on a bad argument
+    cut: Callable | None = None  # (g, *arg) -> (derived graph, surgery entries)
+    pool: Callable | None = None  # g -> campaign candidates, in draw order
+    empty: str = ""  # skip note when a campaign graph has no candidate
+    fallback: Callable | None = None  # (g, rng) -> argument when no candidate meets the stages
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check id.
+
+    `spectra` maps the input graph (alpha) and the derived graph (beta, mu)
+    to spectra; `chain(surgery, alpha, beta[, mu])` returns (lower, mid,
+    upper) triples, and the verdict takes the per-position minimum of their
+    margins.  Family checks have `build(family, m, ...) -> (graph string,
+    surgery, alpha graph, beta graph)` in place of a graph and stages.
+    """
+
+    id: str
+    name: str
+    kind: ArgKind
+    spectra: tuple
+    chain: Callable
+    doc: str
+    stages: tuple = ()
+    params: Callable | None = None  # g -> surgery entries, once the hypothesis is met
+    skipped: Callable | None = None  # positions -> links_skipped
+    info: Callable | None = None  # (alpha, tol) -> info flags
+    note: str = ""
+    family: str | None = None
+    build: Callable | None = None
+    min_m: int = 0
+
+
+def _chain_report(rec: Check, graph: str, surgery: dict, spectra: list, tol) -> InterlacingReport:
+    tol_val = tol if tol is not None else default_tol(*spectra)
+    triples = rec.chain(surgery, *spectra)
+    margins = [min(ms) for ms in zip(*(_chain_margins(*t) for t in triples))]
     holds, worst, witness = _verdict(margins, tol_val)
     return InterlacingReport(
-        theorem=theorem,
+        theorem=rec.id,
         holds=holds,
         hypothesis_met=True,
         worst_slack=worst,
         witness_position=witness,
         tol=float(tol_val),
-        spectra=spectra,
-        graph=g_str,
+        spectra={k: [float(x) for x in s] for k, s in zip(("alpha", "beta", "mu"), spectra)},
+        graph=graph,
         surgery=surgery,
-        links_skipped=list(links_skipped),
-        note=note,
-        info=dict(info or {}),
+        links_skipped=rec.skipped(len(margins)) if rec.skipped else [],
+        note=rec.note,
+        info=rec.info(spectra[0], tol_val) if rec.info else {},
     )
 
 
@@ -180,116 +233,332 @@ def _skipped_report(theorem, g_str, surgery, note, tol) -> InterlacingReport:
     )
 
 
-# --- Laplacian checks -------------------------------------------------------
+def _narrow(rec: Check, g: SignedGraph, pool: list):
+    """Filter candidate arguments through rec's stages in order.
 
-def check_vertex_deletion_laplacian(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
-    """T2.1: deleting any vertex, alpha_p <= beta_p + 1 <= alpha_{p+1} + 1."""
+    Returns the last non-empty pool and the first stage that would have
+    emptied it, or None when every stage kept some candidate.
+    """
+    for stage in rec.stages:
+        if stage.whole:
+            kept = pool if stage.holds(g) else []
+        else:
+            kept = [x for x in pool if stage.holds(g, *x)]
+        if not kept:
+            return pool, stage
+        pool = kept
+    return pool, None
+
+
+def _run(rec: Check, tol, *args) -> InterlacingReport:
+    if rec.build is not None:
+        if args[0] < rec.min_m:
+            what = "cycle" if rec.family == "cycle" else "tree"
+            raise BadOrder(f"{what} comparison needs m >= {rec.min_m}, got {args[0]}")
+        graph, surgery, g, sub = rec.build(rec.family, *args)
+    else:
+        g, *arg = args
+        surgery = rec.kind.surgery(g, *arg)
+        graph = to_edge_string(g)
+        _, failed = _narrow(rec, g, [tuple(arg)])
+        if failed is not None:
+            note = failed.note.format(*arg, deg=[g.degree(x) for x in arg])
+            return _skipped_report(rec.id, graph, surgery, note, tol)
+        if rec.params is not None:
+            surgery.update(rec.params(g))
+        sub, entries = rec.kind.cut(g, *arg)
+        surgery.update(entries)
+    spectra = [spectrum(h) for spectrum, h in zip(rec.spectra, (g, sub, sub))]
+    return _chain_report(rec, graph, surgery, spectra, tol)
+
+
+def _checker(rec: Check) -> Callable:
+    """rec's public checker: the kind's arguments, then an optional tol."""
+    arity = len(rec.kind.params)
+
+    def check(*args, tol=None):
+        if len(args) > arity:
+            *args, tol = args
+        return _run(rec, tol, *args)
+
+    check.__name__ = check.__qualname__ = rec.name
+    check.__doc__ = rec.doc
+    return check
+
+
+# --- argument kinds ------------------------------------------------------------
+
+def _vertex_surgery(g: SignedGraph, v: int) -> dict:
     g._check_vertex(v)
-    surgery = {"vertex": v}
-    if g.n < 2:
-        return _skipped_report("T2.1", to_edge_string(g), surgery, "graph has fewer than 2 vertices", tol)
-    alpha = _lap_spectrum(g)
-    sub, _ = delete_vertex(g, v)
-    beta = _lap_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    return _chain_report("T2.1", to_edge_string(g), surgery, spectra,
-                         alpha[:-1], beta + 1.0, alpha[1:] + 1.0, tol)
+    return {"vertex": v}
 
 
-def check_dominating_vertex_deletion(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
-    """C2.2: deleting a vertex adjacent to all others tightens the upper link."""
-    g._check_vertex(v)
-    surgery = {"vertex": v}
-    if g.n < 2 or g.degree(v) != g.n - 1:
-        return _skipped_report("C2.2", to_edge_string(g), surgery,
-                               f"vertex {v} is not adjacent to all remaining vertices", tol)
-    alpha = _lap_spectrum(g)
-    sub, _ = delete_vertex(g, v)
-    beta = _lap_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    return _chain_report("C2.2", to_edge_string(g), surgery, spectra,
-                         alpha[:-1], beta + 1.0, alpha[1:], tol)
-
-
-def check_edge_deletion_laplacian(g: SignedGraph, u: int, v: int, tol=None) -> InterlacingReport:
-    """L2.3: deleting any edge, beta_p <= alpha_p <= beta_p + 2."""
+def _edge_surgery(g: SignedGraph, u: int, v: int) -> dict:
     if not g.has_edge(u, v):
         raise NoSuchEdge(f"no edge ({u}, {v})")
-    sub, removed = delete_edge(g, u, v)
-    alpha = _lap_spectrum(g)
-    beta = _lap_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    surgery = {"edge": [min(u, v), max(u, v)], "sign": sign_char(removed)}
-    return _chain_report("L2.3", to_edge_string(g), surgery, spectra,
-                         beta, alpha, beta + 2.0, tol)
+    return {"edge": [min(u, v), max(u, v)], "sign": sign_char(g.sign(u, v))}
 
 
-def check_cycle_shrink(m: int, sig1: Sequence[int], sign_last: int, tol=None) -> InterlacingReport:
-    """T2.4: a signed (m+1)-cycle against the m-cycle sharing its path edges.
+def _contract(g: SignedGraph, a: int, b: int):
+    sub, _, merged = contract(g, a, b)
+    return sub, {"merged_vertex": merged, "contracted_graph": to_edge_string(sub)}
+
+
+def _any_pair(g: SignedGraph, rng: random.Random):
+    a = _rand_below(rng, g.n)
+    b = _rand_below(rng, g.n - 1)
+    return (a, b if b < a else b + 1)
+
+
+_GRAPH = ArgKind("graph", ("g",), surgery=lambda g: {}, cut=lambda g: (g, {}))
+_VERTEX = ArgKind("vertex", ("g", "v"), _vertex_surgery, lambda g, v: (delete_vertex(g, v)[0], {}),
+                  pool=lambda g: [(v,) for v in range(g.n)])
+_EDGE = ArgKind("edge", ("g", "u", "v"), _edge_surgery, lambda g, u, v: (delete_edge(g, u, v)[0], {}),
+                pool=lambda g: [(u, v) for u, v, _ in g.edges], empty="graph has no usable edge")
+_PAIR = ArgKind("pair", ("g", "a", "b"), lambda g, a, b: {"pair": [min(a, b), max(a, b)]}, _contract,
+                pool=lambda g: [(a, b) for a in range(g.n) for b in range(a + 1, g.n)],
+                empty="no contractible pair", fallback=_any_pair)
+_CYCLE = ArgKind("cycle", ("m", "sig1", "sign_last"))
+_SEEDED = ArgKind("seeded", ("m", "seed"))
+
+
+# --- hypothesis stages -----------------------------------------------------------
+
+def _complete_coregular(g: SignedGraph) -> bool:
+    # one degree and one net degree everywhere, hence one negative degree
+    co = co_regularity(g)
+    return co is not None and co.complete
+
+
+_TWO = Stage(lambda g: g.n >= 2, "graph has fewer than 2 vertices", whole=True)
+_NO_ISOLATED = Stage(lambda g: all(g.degree(x) for x in range(g.n)), "graph has an isolated vertex",
+                     whole=True)
+_NEGATIVE = Stage(lambda g, u, v: g.sign(u, v) == MINUS, "edge ({0}, {1}) is positive")
+_POSITIVE = Stage(lambda g, u, v: g.sign(u, v) == PLUS, "edge ({0}, {1}) is negative")
+# With no isolated vertex, deleting uv isolates one exactly when u or v has degree 1.
+_KEEPS_DEGREE = Stage(lambda g, u, v: g.degree(u) >= 2 and g.degree(v) >= 2, "deletion isolates a vertex")
+
+
+# --- chains, parameters and family builders ------------------------------------------
+
+def _interlace(s, a, b):
+    return [(a[:-1], b, a[1:])]
+
+
+def _cycle_chain(s, a, b):
+    return [(a[:-1] - 1.0, b, a[1:] + 2.0)]
+
+
+def _coregular_chain(s, a, b, mu):
+    """beta_p + 2s <= alpha_p <= mu_p + (1-2s) <= alpha_{p+1} <= beta_{p+1} + 2s."""
+    k = 2.0 * s["uniform_neg_degree"]
+    mid = mu + (1.0 - k)
+    return [(b + k, a[:-1], mid), (mid, a[1:], np.append(b[1:] + k, _INF))]
+
+
+def _neg_degree_range(g: SignedGraph) -> dict:
+    if g.n == 0:
+        raise EmptyGraph("comparison needs at least one vertex")
+    dmin, dmax = min_max_neg_degree(g)
+    return {"delta_minus": dmin, "Delta_minus": dmax}
+
+
+def _bound_flags(a, tol: float) -> dict:
+    if not a.size:
+        return {}
+    return {"attains_upper_bound": bool(abs(a[-1] - 2.0) <= tol),
+            "attains_lower_bound": bool(abs(a[0] + 2.0) <= tol)}
+
+
+def _random_signs(rng: random.Random, k: int, q: float = 0.5) -> list[int]:
+    return [MINUS if rng.random() < q else PLUS for _ in range(k)]
+
+
+def _cycle_pair(family: str, m: int, sig1, sign_last: int):
+    """The (m+1)-cycle signed sig1 against the m-cycle sharing its first m-1
+    edges and closed by sign_last."""
+    big = generate(family, m + 1, sig1)
+    small = generate(family, m, list(sig1[: m - 1]) + [sign_last])
+    surgery = {"small_graph": to_edge_string(small), "closing_sign": sign_char(sign_last)}
+    return to_edge_string(big), surgery, big, small
+
+
+def _random_cycle_pair(family: str, m: int, seed: int):
+    rng = random.Random(seed)
+    sig1 = _random_signs(rng, m + 1)
+    sig2 = _random_signs(rng, m)
+    big = generate(family, m + 1, sig1)
+    small = generate(family, m, sig2)
+    canon1 = [PLUS] * m + [PLUS if is_balanced(big) else MINUS]
+    closing2 = PLUS if is_balanced(small) else MINUS
+    surgery = {"small_graph": to_edge_string(small), "seed": seed,
+               "canonical_closing_large": sign_char(canon1[-1]),
+               "canonical_closing_small": sign_char(closing2)}
+    return (to_edge_string(big), surgery) + _cycle_pair(family, m, canon1, closing2)[2:]
+
+
+def _tree_pair(family: str, m: int, seed: int):
+    rng = random.Random(seed)
+    sig_big = _random_signs(rng, m)
+    sig_small = _random_signs(rng, m - 1)
+    big = generate(family, m + 1, sig_big)
+    small = generate(family, m, sig_small)
+    surgery = {"small_graph": to_edge_string(small), "seed": seed, "kind": family}
+    return (to_edge_string(big), surgery,
+            apply_switching(big, balancing_switch(big)), apply_switching(small, balancing_switch(small)))
+
+
+_LAP = (_lap_spectrum, _lap_spectrum)
+_NET = (_net_spectrum, _net_spectrum)
+_NORM = (_norm_spectrum, _norm_spectrum)
+
+_TABLE = (
+    # Laplacian
+    Check("T2.1", "check_vertex_deletion_laplacian", _VERTEX, _LAP,
+          lambda s, a, b: [(a[:-1], b + 1.0, a[1:] + 1.0)], stages=(_TWO,),
+          doc="""T2.1: deleting any vertex, alpha_p <= beta_p + 1 <= alpha_{p+1} + 1."""),
+    Check("C2.2", "check_dominating_vertex_deletion", _VERTEX, _LAP,
+          lambda s, a, b: [(a[:-1], b + 1.0, a[1:])],
+          stages=(Stage(lambda g, v: g.n >= 2 and g.degree(v) == g.n - 1,
+                        "vertex {0} is not adjacent to all remaining vertices"),),
+          doc="""C2.2: deleting a vertex adjacent to all others tightens the upper link."""),
+    Check("L2.3", "check_edge_deletion_laplacian", _EDGE, _LAP, lambda s, a, b: [(b, a, b + 2.0)],
+          doc="""L2.3: deleting any edge, beta_p <= alpha_p <= beta_p + 2."""),
+    Check("T2.4", "check_cycle_shrink", _CYCLE, _LAP, _cycle_chain,
+          family="cycle", build=_cycle_pair, min_m=3,
+          doc="""T2.4: a signed (m+1)-cycle against the m-cycle sharing its path edges.
 
     sig1 lists the large cycle's signs in canonical edge order (closing edge
     last); the small cycle copies the first m-1 of them and closes with
     sign_last.  Chain: alpha_p - 1 <= beta_p <= alpha_{p+1} + 2.
-    """
-    if m < 3:
-        raise BadOrder(f"cycle comparison needs m >= 3, got {m}")
-    big = generate("cycle", m + 1, sig1)
-    small_signs = list(sig1[: m - 1]) + [sign_last]
-    small = generate("cycle", m, small_signs)
-    alpha = _lap_spectrum(big)
-    beta = _lap_spectrum(small)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    surgery = {"small_graph": to_edge_string(small), "closing_sign": sign_char(sign_last)}
-    return _chain_report("T2.4", to_edge_string(big), surgery, spectra,
-                         alpha[:-1] - 1.0, beta, alpha[1:] + 2.0, tol)
-
-
-def check_cycle_shrink_random(m: int, seed: int, tol=None) -> InterlacingReport:
-    """C2.5: the cycle comparison holds for independently random signatures.
+    """),
+    Check("C2.5", "check_cycle_shrink_random", _SEEDED, _LAP, _cycle_chain,
+          note="compared via switching to balance-class canonical forms",
+          family="cycle", build=_random_cycle_pair, min_m=3,
+          doc="""C2.5: the cycle comparison holds for independently random signatures.
 
     Both cycles are reduced by switching to their balance-class canonical
     form (all-positive, or a single negative closing edge), whose spectra
     equal the drawn ones, and the T2.4 chain is verified there.
-    """
-    if m < 3:
-        raise BadOrder(f"cycle comparison needs m >= 3, got {m}")
-    rng = random.Random(seed)
-    sig1 = [MINUS if rng.random() < 0.5 else PLUS for _ in range(m + 1)]
-    sig2 = [MINUS if rng.random() < 0.5 else PLUS for _ in range(m)]
-    big = generate("cycle", m + 1, sig1)
-    small = generate("cycle", m, sig2)
-    canon1 = [PLUS] * m + [PLUS if is_balanced(big) else MINUS]
-    closing2 = PLUS if is_balanced(small) else MINUS
-    inner = check_cycle_shrink(m, canon1, closing2, tol)
-    return InterlacingReport(
-        theorem="C2.5",
-        holds=inner.holds,
-        hypothesis_met=True,
-        worst_slack=inner.worst_slack,
-        witness_position=inner.witness_position,
-        tol=inner.tol,
-        spectra=inner.spectra,
-        graph=to_edge_string(big),
-        surgery={"small_graph": to_edge_string(small), "seed": seed,
-                 "canonical_closing_large": sign_char(canon1[-1]),
-                 "canonical_closing_small": sign_char(closing2)},
-        note="compared via switching to balance-class canonical forms",
-    )
+    """),
+    Check("T2.7", "check_pendant_deletion", _VERTEX, _LAP, _interlace,
+          stages=(Stage(lambda g, v: g.degree(v) == 1, "vertex {0} has degree {deg[0]}, not 1"),),
+          doc="""T2.7: deleting a degree-1 vertex, alpha_p <= beta_p <= alpha_{p+1}."""),
+    Check("C2.8", "check_tree_shrink", _SEEDED, _LAP, _interlace,
+          note="both trees switched to all-positive before comparing",
+          family="path", build=_tree_pair, min_m=2,
+          doc="""C2.8: check_tree_shrink on paths."""),
+    Check("C2.9", "check_tree_shrink", _SEEDED, _LAP, _interlace,
+          note="both trees switched to all-positive before comparing",
+          family="star", build=_tree_pair, min_m=2,
+          doc="""C2.9: check_tree_shrink on stars."""),
+    # net-Laplacian
+    Check("L3.1", "check_laplacian_net_gap", _GRAPH, (_lap_spectrum, _net_spectrum),
+          lambda s, a, b: [(b + 2.0 * s["delta_minus"], a, b + 2.0 * s["Delta_minus"])],
+          params=_neg_degree_range,
+          doc="""L3.1: beta_p + 2*min(d-) <= alpha_p <= beta_p + 2*max(d-), same graph."""),
+    Check("T3.2", "check_negative_edge_deletion_net", _EDGE, _NET,
+          lambda s, a, b: [(a, b, np.append(a[1:], float(len(a))))], stages=(_NEGATIVE,),
+          doc="""T3.2: deleting a negative edge, alpha_p <= beta_p <= alpha_{p+1} with
+    the top position capped by the vertex count."""),
+    Check("T3.3", "check_positive_edge_deletion_net", _EDGE, _NET,
+          lambda s, a, b: [(np.append(-float(len(a)), a[:-1]), b, a)], stages=(_POSITIVE,),
+          doc="""T3.3: deleting a positive edge, alpha_{p-1} <= beta_p <= alpha_p with
+    the bottom position floored at minus the vertex count."""),
+    Check("T3.4", "check_vertex_deletion_net", _VERTEX, _NET,
+          lambda s, a, b: [(a[:-1] - 1.0, b, a[1:] + 1.0)],
+          stages=(_TWO, Stage(lambda g: is_connected(g), "graph is not connected", whole=True)),
+          doc="""T3.4: deleting a vertex of a connected graph,
+    alpha_p - 1 <= beta_p <= alpha_{p+1} + 1."""),
+    Check("C3.5", "check_negfree_vertex_deletion", _VERTEX, _NET,
+          lambda s, a, b: [(a[:-1] - 1.0, b, a[1:])],
+          stages=(_TWO, Stage(lambda g, v: all(s == PLUS for _, s in g.neighbors(v)),
+                              "vertex {0} has a negative edge")),
+          doc="""C3.5: deleting a vertex with no negative edges,
+    alpha_p - 1 <= beta_p <= alpha_{p+1}."""),
+    Check("C3.6", "check_posfree_vertex_deletion", _VERTEX, _NET,
+          lambda s, a, b: [(a[:-1], b, a[1:] + 1.0)],
+          stages=(_TWO, Stage(lambda g, v: all(s == MINUS for _, s in g.neighbors(v)),
+                              "vertex {0} has a positive edge")),
+          doc="""C3.6: deleting a vertex with no positive edges,
+    alpha_p <= beta_p <= alpha_{p+1} + 1."""),
+    Check("C3.7", "check_complete_coregular_deletion", _VERTEX, _NET + (_lap_spectrum,),
+          _coregular_chain,
+          stages=(_TWO, Stage(_complete_coregular,
+                              "graph is not complete co-regular with uniform negative degree", whole=True)),
+          params=lambda g: {"uniform_neg_degree": degree_profile(g).neg_degree[0]},
+          skipped=lambda m: [f"upper p={m}"],
+          doc="""C3.7: in a complete co-regular graph with uniform negative degree s,
+    chain beta_p + 2s <= alpha_p <= mu_p + (1-2s) <= alpha_{p+1} <= beta_{p+1} + 2s
+    (alpha: net spectrum, beta/mu: net/plain spectra after deleting v).
+    The final link has no partner at p = m and is skipped.
+    """),
+    # normalized net-Laplacian
+    Check("B4", "check_normalized_spectrum_bounds", _GRAPH, (_norm_spectrum,),
+          lambda s, a: [(np.full(a.shape, -2.0), a, np.full(a.shape, 2.0))], info=_bound_flags,
+          doc="""B4: every normalized net-Laplacian eigenvalue lies in [-2, 2].
 
+    The info flags mark whether either bound is attained (within tol);
+    attainment characterizes all-positive / all-negative bipartite components.
+    """),
+    Check("T4.1", "check_negative_edge_deletion_normalized", _EDGE, _NORM,
+          lambda s, a, b: [(a, b, np.append(a[2:], [_INF, _INF]))],
+          stages=(_NEGATIVE, _NO_ISOLATED, _KEEPS_DEGREE),
+          skipped=lambda m: [f"upper p={p}" for p in range(max(1, m - 1), m + 1)],
+          doc="""T4.1: deleting a negative edge (no isolated vertices before or after),
+    alpha_p <= beta_p <= alpha_{p+2}; positions without an upper partner are
+    skipped and recorded."""),
+    Check("T4.2", "check_positive_edge_deletion_normalized", _EDGE, _NORM,
+          lambda s, a, b: [(np.append(-_INF, a[:-1]), b, np.append(a[1:], _INF))],
+          stages=(_POSITIVE, _NO_ISOLATED, _KEEPS_DEGREE),
+          skipped=lambda m: ["lower p=1", f"upper p={m}"],
+          doc="""T4.2: deleting a positive edge (no isolated vertices before or after),
+    alpha_{p-1} <= beta_p <= alpha_{p+1}; boundary links without a partner
+    are skipped and recorded."""),
+    Check("T4.3", "check_contraction_normalized", _PAIR, _NORM,
+          lambda s, a, b: [(np.append(-2.0, a[:-2]), b, a[1:])],
+          stages=(Stage(lambda g, a, b: disjoint_open_neighborhoods(g, a, b),
+                        "vertices {0} and {1} share a neighbor"),
+                  _NO_ISOLATED,
+                  # with no isolated vertex, only the merged vertex can end up isolated
+                  Stage(lambda g, a, b: any(w not in (a, b) for x in (a, b) for w, _ in g.neighbors(x)),
+                        "contraction isolates a vertex")),
+          doc="""T4.3: contracting two vertices with disjoint open neighborhoods,
+    alpha_{p-1} <= beta_p <= alpha_{p+1} with alpha_0 = -2.
 
-def check_pendant_deletion(g: SignedGraph, u: int, tol=None) -> InterlacingReport:
-    """T2.7: deleting a degree-1 vertex, alpha_p <= beta_p <= alpha_{p+1}."""
-    g._check_vertex(u)
-    surgery = {"vertex": u}
-    if g.degree(u) != 1:
-        return _skipped_report("T2.7", to_edge_string(g), surgery,
-                               f"vertex {u} has degree {g.degree(u)}, not 1", tol)
-    alpha = _lap_spectrum(g)
-    sub, _ = delete_vertex(g, u)
-    beta = _lap_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    return _chain_report("T2.7", to_edge_string(g), surgery, spectra,
-                         alpha[:-1], beta, alpha[1:], tol)
+    Adjacent pairs pass the gate (an edge between a and b leaves their open
+    neighborhoods disjoint) and are contracted with that edge dropped.
+    Every violation seen in campaigns is on such an adjacent pair; for a
+    non-adjacent pair degrees are preserved and the chain follows from
+    restricting the (net-Laplacian, degree) pencil to {x_a = x_b}.
+    """),
+)
+
+CHECKS: dict[str, Check] = {rec.id: rec for rec in _TABLE}
+CHECK_IDS = tuple(CHECKS)
+CHECKERS: dict[str, Callable] = {rec.id: _checker(rec) for rec in _TABLE}
+# argument the CLI / campaign must supply for each check
+ARG_KINDS: dict[str, str] = {rec.id: rec.kind.name for rec in _TABLE}
+
+check_vertex_deletion_laplacian = CHECKERS["T2.1"]
+check_dominating_vertex_deletion = CHECKERS["C2.2"]
+check_edge_deletion_laplacian = CHECKERS["L2.3"]
+check_cycle_shrink = CHECKERS["T2.4"]
+check_cycle_shrink_random = CHECKERS["C2.5"]
+check_pendant_deletion = CHECKERS["T2.7"]
+check_laplacian_net_gap = CHECKERS["L3.1"]
+check_negative_edge_deletion_net = CHECKERS["T3.2"]
+check_positive_edge_deletion_net = CHECKERS["T3.3"]
+check_vertex_deletion_net = CHECKERS["T3.4"]
+check_negfree_vertex_deletion = CHECKERS["C3.5"]
+check_posfree_vertex_deletion = CHECKERS["C3.6"]
+check_complete_coregular_deletion = CHECKERS["C3.7"]
+check_normalized_spectrum_bounds = CHECKERS["B4"]
+check_negative_edge_deletion_normalized = CHECKERS["T4.1"]
+check_positive_edge_deletion_normalized = CHECKERS["T4.2"]
+check_contraction_normalized = CHECKERS["T4.3"]
+
+_TREES = {rec.family: rec for rec in _TABLE if rec.build is _tree_pair}
 
 
 def check_tree_shrink(kind: str, m: int, seed: int, tol=None) -> InterlacingReport:
@@ -298,340 +567,20 @@ def check_tree_shrink(kind: str, m: int, seed: int, tol=None) -> InterlacingRepo
     Trees are balanced, so both graphs are switched to all-positive before
     comparing; the chain is the pendant-deletion one.
     """
-    if kind not in ("path", "star"):
+    if kind not in _TREES:
         raise BadOrder(f"kind must be 'path' or 'star', got {kind!r}")
-    if m < 2:
-        raise BadOrder(f"tree comparison needs m >= 2, got {m}")
-    theorem = "C2.8" if kind == "path" else "C2.9"
-    rng = random.Random(seed)
-    sig_big = [MINUS if rng.random() < 0.5 else PLUS for _ in range(m)]
-    sig_small = [MINUS if rng.random() < 0.5 else PLUS for _ in range(m - 1)]
-    big = generate(kind, m + 1, sig_big)
-    small = generate(kind, m, sig_small)
-    big_pos = apply_switching(big, balancing_switch(big))
-    small_pos = apply_switching(small, balancing_switch(small))
-    alpha = _lap_spectrum(big_pos)
-    beta = _lap_spectrum(small_pos)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    surgery = {"small_graph": to_edge_string(small), "seed": seed, "kind": kind}
-    return _chain_report(theorem, to_edge_string(big), surgery, spectra,
-                         alpha[:-1], beta, alpha[1:], tol,
-                         note="both trees switched to all-positive before comparing")
-
-
-def check_path_shrink(m: int, seed: int, tol=None) -> InterlacingReport:
-    return check_tree_shrink("path", m, seed, tol)
-
-
-def check_star_shrink(m: int, seed: int, tol=None) -> InterlacingReport:
-    return check_tree_shrink("star", m, seed, tol)
-
-
-# --- net-Laplacian checks ---------------------------------------------------
-
-def check_laplacian_net_gap(g: SignedGraph, tol=None) -> InterlacingReport:
-    """L3.1: beta_p + 2*min(d-) <= alpha_p <= beta_p + 2*max(d-), same graph."""
-    if g.n == 0:
-        raise EmptyGraph("comparison needs at least one vertex")
-    dmin, dmax = min_max_neg_degree(g)
-    alpha = _lap_spectrum(g)
-    beta = _net_spectrum(g)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    surgery = {"delta_minus": dmin, "Delta_minus": dmax}
-    return _chain_report("L3.1", to_edge_string(g), surgery, spectra,
-                         beta + 2.0 * dmin, alpha, beta + 2.0 * dmax, tol)
-
-
-def check_negative_edge_deletion_net(g: SignedGraph, u: int, v: int, tol=None) -> InterlacingReport:
-    """T3.2: deleting a negative edge, alpha_p <= beta_p <= alpha_{p+1} with
-    the top position capped by the vertex count."""
-    if not g.has_edge(u, v):
-        raise NoSuchEdge(f"no edge ({u}, {v})")
-    surgery = {"edge": [min(u, v), max(u, v)], "sign": sign_char(g.sign(u, v))}
-    if g.sign(u, v) != MINUS:
-        return _skipped_report("T3.2", to_edge_string(g), surgery,
-                               f"edge ({u}, {v}) is positive", tol)
-    sub, _ = delete_edge(g, u, v)
-    alpha = _net_spectrum(g)
-    beta = _net_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    upper = np.append(alpha[1:], float(g.n))
-    return _chain_report("T3.2", to_edge_string(g), surgery, spectra,
-                         alpha, beta, upper, tol)
-
-
-def check_positive_edge_deletion_net(g: SignedGraph, u: int, v: int, tol=None) -> InterlacingReport:
-    """T3.3: deleting a positive edge, alpha_{p-1} <= beta_p <= alpha_p with
-    the bottom position floored at minus the vertex count."""
-    if not g.has_edge(u, v):
-        raise NoSuchEdge(f"no edge ({u}, {v})")
-    surgery = {"edge": [min(u, v), max(u, v)], "sign": sign_char(g.sign(u, v))}
-    if g.sign(u, v) != PLUS:
-        return _skipped_report("T3.3", to_edge_string(g), surgery,
-                               f"edge ({u}, {v}) is negative", tol)
-    sub, _ = delete_edge(g, u, v)
-    alpha = _net_spectrum(g)
-    beta = _net_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    lower = np.append(-float(g.n), alpha[:-1])
-    return _chain_report("T3.3", to_edge_string(g), surgery, spectra,
-                         lower, beta, alpha, tol)
-
-
-def check_vertex_deletion_net(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
-    """T3.4: deleting a vertex of a connected graph,
-    alpha_p - 1 <= beta_p <= alpha_{p+1} + 1."""
-    g._check_vertex(v)
-    surgery = {"vertex": v}
-    if g.n < 2:
-        return _skipped_report("T3.4", to_edge_string(g), surgery, "graph has fewer than 2 vertices", tol)
-    if not is_connected(g):
-        return _skipped_report("T3.4", to_edge_string(g), surgery, "graph is not connected", tol)
-    alpha = _net_spectrum(g)
-    sub, _ = delete_vertex(g, v)
-    beta = _net_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    return _chain_report("T3.4", to_edge_string(g), surgery, spectra,
-                         alpha[:-1] - 1.0, beta, alpha[1:] + 1.0, tol)
-
-
-def check_negfree_vertex_deletion(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
-    """C3.5: deleting a vertex with no negative edges,
-    alpha_p - 1 <= beta_p <= alpha_{p+1}."""
-    g._check_vertex(v)
-    surgery = {"vertex": v}
-    if g.n < 2:
-        return _skipped_report("C3.5", to_edge_string(g), surgery, "graph has fewer than 2 vertices", tol)
-    if degree_profile(g).neg_degree[v] != 0:
-        return _skipped_report("C3.5", to_edge_string(g), surgery,
-                               f"vertex {v} has a negative edge", tol)
-    alpha = _net_spectrum(g)
-    sub, _ = delete_vertex(g, v)
-    beta = _net_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    return _chain_report("C3.5", to_edge_string(g), surgery, spectra,
-                         alpha[:-1] - 1.0, beta, alpha[1:], tol)
-
-
-def check_posfree_vertex_deletion(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
-    """C3.6: deleting a vertex with no positive edges,
-    alpha_p <= beta_p <= alpha_{p+1} + 1."""
-    g._check_vertex(v)
-    surgery = {"vertex": v}
-    if g.n < 2:
-        return _skipped_report("C3.6", to_edge_string(g), surgery, "graph has fewer than 2 vertices", tol)
-    if degree_profile(g).pos_degree[v] != 0:
-        return _skipped_report("C3.6", to_edge_string(g), surgery,
-                               f"vertex {v} has a positive edge", tol)
-    alpha = _net_spectrum(g)
-    sub, _ = delete_vertex(g, v)
-    beta = _net_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    return _chain_report("C3.6", to_edge_string(g), surgery, spectra,
-                         alpha[:-1], beta, alpha[1:] + 1.0, tol)
+    return _run(_TREES[kind], tol, m, seed)
 
 
 def check_onesign_vertex_deletion(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
     """Dispatch to C3.5 or C3.6 by the deleted vertex's sign pattern."""
-    prof = degree_profile(g)
-    if prof.neg_degree[v] == 0:
+    signs = {s for _, s in g.neighbors(v)}
+    if MINUS not in signs:
         return check_negfree_vertex_deletion(g, v, tol)
-    if prof.pos_degree[v] == 0:
+    if PLUS not in signs:
         return check_posfree_vertex_deletion(g, v, tol)
     return _skipped_report("C3.5", to_edge_string(g), {"vertex": v},
                            f"vertex {v} has both positive and negative edges", tol)
-
-
-def check_complete_coregular_deletion(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
-    """C3.7: in a complete co-regular graph with uniform negative degree s,
-    chain beta_p + 2s <= alpha_p <= mu_p + (1-2s) <= alpha_{p+1} <= beta_{p+1} + 2s
-    (alpha: net spectrum, beta/mu: net/plain spectra after deleting v).
-    The final link has no partner at p = m and is skipped.
-    """
-    g._check_vertex(v)
-    surgery = {"vertex": v}
-    g_str = to_edge_string(g)
-    if g.n < 2:
-        return _skipped_report("C3.7", g_str, surgery, "graph has fewer than 2 vertices", tol)
-    co = co_regularity(g)
-    prof = degree_profile(g)
-    uniform_neg = len(set(prof.neg_degree)) == 1
-    if co is None or not co.complete or not uniform_neg:
-        return _skipped_report("C3.7", g_str, surgery,
-                               "graph is not complete co-regular with uniform negative degree", tol)
-    s = prof.neg_degree[0]
-    surgery["uniform_neg_degree"] = s
-    alpha = _net_spectrum(g)
-    sub, _ = delete_vertex(g, v)
-    beta = _net_spectrum(sub)
-    mu = _lap_spectrum(sub)
-    m = g.n - 1
-    margins = []
-    for p in range(1, m + 1):
-        a_p = alpha[p - 1]
-        a_next = alpha[p]
-        mid_val = mu[p - 1] + (1.0 - 2.0 * s)
-        links = [
-            a_p - (beta[p - 1] + 2.0 * s),
-            mid_val - a_p,
-            a_next - mid_val,
-        ]
-        if p < m:
-            links.append((beta[p] + 2.0 * s) - a_next)
-        margins.append(min(links))
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta), "mu": _spec_list(mu)}
-    tol_val = tol if tol is not None else default_tol(alpha, beta, mu)
-    holds, worst, witness = _verdict(margins, tol_val)
-    return InterlacingReport(
-        theorem="C3.7", holds=holds, hypothesis_met=True, worst_slack=worst,
-        witness_position=witness, tol=float(tol_val), spectra=spectra,
-        graph=g_str, surgery=surgery,
-        links_skipped=[f"upper p={m}"] if m >= 1 else [],
-    )
-
-
-# --- normalized net-Laplacian checks ----------------------------------------
-
-def check_normalized_spectrum_bounds(g: SignedGraph, tol=None) -> InterlacingReport:
-    """B4: every normalized net-Laplacian eigenvalue lies in [-2, 2].
-
-    The info flags mark whether either bound is attained (within tol);
-    attainment characterizes all-positive / all-negative bipartite components.
-    """
-    spec = _norm_spectrum(g)
-    spectra = {"alpha": _spec_list(spec)}
-    tol_val = tol if tol is not None else default_tol(spec)
-    lower = np.full(spec.shape, -2.0)
-    upper = np.full(spec.shape, 2.0)
-    margins = _chain_margins(lower, spec, upper)
-    holds, worst, witness = _verdict(margins, tol_val)
-    info = {}
-    if spec.size:
-        info["attains_upper_bound"] = bool(abs(spec[-1] - 2.0) <= tol_val)
-        info["attains_lower_bound"] = bool(abs(spec[0] + 2.0) <= tol_val)
-    return InterlacingReport(
-        theorem="B4", holds=holds, hypothesis_met=True, worst_slack=worst,
-        witness_position=witness, tol=float(tol_val), spectra=spectra,
-        graph=to_edge_string(g), surgery={}, info=info,
-    )
-
-
-def _isolate_free(g: SignedGraph) -> bool:
-    return g.n == 0 or min(degree_profile(g).degree) > 0
-
-
-def check_negative_edge_deletion_normalized(g: SignedGraph, u: int, v: int, tol=None) -> InterlacingReport:
-    """T4.1: deleting a negative edge (no isolated vertices before or after),
-    alpha_p <= beta_p <= alpha_{p+2}; positions without an upper partner are
-    skipped and recorded."""
-    if not g.has_edge(u, v):
-        raise NoSuchEdge(f"no edge ({u}, {v})")
-    surgery = {"edge": [min(u, v), max(u, v)], "sign": sign_char(g.sign(u, v))}
-    g_str = to_edge_string(g)
-    if g.sign(u, v) != MINUS:
-        return _skipped_report("T4.1", g_str, surgery, f"edge ({u}, {v}) is positive", tol)
-    if not _isolate_free(g):
-        return _skipped_report("T4.1", g_str, surgery, "graph has an isolated vertex", tol)
-    sub, _ = delete_edge(g, u, v)
-    if not _isolate_free(sub):
-        return _skipped_report("T4.1", g_str, surgery, "deletion isolates a vertex", tol)
-    alpha = _norm_spectrum(g)
-    beta = _norm_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    m = g.n
-    upper = np.concatenate([alpha[2:], [_INF, _INF]]) if m >= 2 else np.full(m, _INF)
-    skipped = [f"upper p={p}" for p in range(max(1, m - 1), m + 1)]
-    return _chain_report("T4.1", g_str, surgery, spectra,
-                         alpha, beta, upper, tol, links_skipped=skipped)
-
-
-def check_positive_edge_deletion_normalized(g: SignedGraph, u: int, v: int, tol=None) -> InterlacingReport:
-    """T4.2: deleting a positive edge (no isolated vertices before or after),
-    alpha_{p-1} <= beta_p <= alpha_{p+1}; boundary links without a partner
-    are skipped and recorded."""
-    if not g.has_edge(u, v):
-        raise NoSuchEdge(f"no edge ({u}, {v})")
-    surgery = {"edge": [min(u, v), max(u, v)], "sign": sign_char(g.sign(u, v))}
-    g_str = to_edge_string(g)
-    if g.sign(u, v) != PLUS:
-        return _skipped_report("T4.2", g_str, surgery, f"edge ({u}, {v}) is negative", tol)
-    if not _isolate_free(g):
-        return _skipped_report("T4.2", g_str, surgery, "graph has an isolated vertex", tol)
-    sub, _ = delete_edge(g, u, v)
-    if not _isolate_free(sub):
-        return _skipped_report("T4.2", g_str, surgery, "deletion isolates a vertex", tol)
-    alpha = _norm_spectrum(g)
-    beta = _norm_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    m = g.n
-    lower = np.concatenate([[-_INF], alpha[: m - 1]])
-    upper = np.concatenate([alpha[1:], [_INF]])
-    return _chain_report("T4.2", g_str, surgery, spectra,
-                         lower, beta, upper, tol,
-                         links_skipped=["lower p=1", f"upper p={m}"])
-
-
-def check_contraction_normalized(g: SignedGraph, a: int, b: int, tol=None) -> InterlacingReport:
-    """T4.3: contracting two vertices with disjoint open neighborhoods,
-    alpha_{p-1} <= beta_p <= alpha_{p+1} with alpha_0 = -2.
-
-    Adjacent pairs pass the gate (an edge between a and b leaves their open
-    neighborhoods disjoint) and are contracted with that edge dropped.
-    Every violation seen in campaigns is on such an adjacent pair; for a
-    non-adjacent pair degrees are preserved and the chain follows from
-    restricting the (net-Laplacian, degree) pencil to {x_a = x_b}.
-    """
-    surgery = {"pair": [min(a, b), max(a, b)]}
-    g_str = to_edge_string(g)
-    if not disjoint_open_neighborhoods(g, a, b):
-        return _skipped_report("T4.3", g_str, surgery,
-                               f"vertices {a} and {b} share a neighbor", tol)
-    if not _isolate_free(g):
-        return _skipped_report("T4.3", g_str, surgery, "graph has an isolated vertex", tol)
-    sub, _, merged = contract(g, a, b)
-    if not _isolate_free(sub):
-        return _skipped_report("T4.3", g_str, surgery, "contraction isolates a vertex", tol)
-    alpha = _norm_spectrum(g)
-    beta = _norm_spectrum(sub)
-    spectra = {"alpha": _spec_list(alpha), "beta": _spec_list(beta)}
-    m = g.n - 1
-    surgery["merged_vertex"] = merged
-    surgery["contracted_graph"] = to_edge_string(sub)
-    lower = np.concatenate([[-2.0], alpha[: m - 1]])
-    return _chain_report("T4.3", g_str, surgery, spectra,
-                         lower, beta, alpha[1:], tol)
-
-
-CHECKERS: dict[str, Callable] = {
-    "T2.1": check_vertex_deletion_laplacian,
-    "C2.2": check_dominating_vertex_deletion,
-    "L2.3": check_edge_deletion_laplacian,
-    "T2.4": check_cycle_shrink,
-    "C2.5": check_cycle_shrink_random,
-    "T2.7": check_pendant_deletion,
-    "C2.8": check_path_shrink,
-    "C2.9": check_star_shrink,
-    "L3.1": check_laplacian_net_gap,
-    "T3.2": check_negative_edge_deletion_net,
-    "T3.3": check_positive_edge_deletion_net,
-    "T3.4": check_vertex_deletion_net,
-    "C3.5": check_negfree_vertex_deletion,
-    "C3.6": check_posfree_vertex_deletion,
-    "C3.7": check_complete_coregular_deletion,
-    "B4": check_normalized_spectrum_bounds,
-    "T4.1": check_negative_edge_deletion_normalized,
-    "T4.2": check_positive_edge_deletion_normalized,
-    "T4.3": check_contraction_normalized,
-}
-
-# argument the CLI / campaign must supply for each check
-ARG_KINDS: dict[str, str] = {
-    "T2.1": "vertex", "C2.2": "vertex", "L2.3": "edge", "T2.4": "cycle",
-    "C2.5": "seeded", "T2.7": "vertex", "C2.8": "seeded", "C2.9": "seeded",
-    "L3.1": "graph", "T3.2": "edge", "T3.3": "edge", "T3.4": "vertex",
-    "C3.5": "vertex", "C3.6": "vertex", "C3.7": "vertex", "B4": "graph",
-    "T4.1": "edge", "T4.2": "edge", "T4.3": "pair",
-}
 
 
 # --- campaigns ---------------------------------------------------------------
@@ -702,90 +651,36 @@ def _choice(rng: random.Random, seq):
 
 def _sample_check(theorem: str, cfg: CampaignConfig, child: int) -> InterlacingReport:
     rng = random.Random(child)
+    rec = CHECKS[theorem]
     checker = CHECKERS[theorem]
-    kind = ARG_KINDS[theorem]
-    if kind == "cycle":
-        m = _rand_range(rng, max(3, cfg.n_min), max(3, cfg.n_max))
-        sig1 = [MINUS if rng.random() < cfg.q else PLUS for _ in range(m + 1)]
+    if rec.build is not None:
+        m = _rand_range(rng, max(rec.min_m, cfg.n_min), max(rec.min_m, cfg.n_max))
+        if rec.kind is _SEEDED:
+            return checker(m, _mix(child, 1), cfg.tol)
+        sig1 = _random_signs(rng, m + 1, cfg.q)
         sign_last = MINUS if rng.random() < cfg.q else PLUS
         return checker(m, sig1, sign_last, cfg.tol)
-    if kind == "seeded":
-        lo = 3 if theorem == "C2.5" else 2
-        m = _rand_range(rng, max(lo, cfg.n_min), max(lo, cfg.n_max))
-        return checker(m, _mix(child, 1), cfg.tol)
 
     n = _rand_range(rng, cfg.n_min, cfg.n_max)
     g = random_signed_graph(n, cfg.p, cfg.q, _mix(child, 2))
-    if kind == "graph":
-        return checker(g, cfg.tol)
-    if kind == "vertex":
-        v = _pick_vertex(theorem, g, rng)
-        return checker(g, v, cfg.tol)
-    if kind == "edge":
-        e = _pick_edge(theorem, g, rng)
-        if e is None:
-            return _skipped_report(theorem, to_edge_string(g), {},
-                                   "graph has no usable edge", cfg.tol)
-        return checker(g, e[0], e[1], cfg.tol)
-    # pair
-    pair = _pick_pair(g, rng)
-    if pair is None:
-        return _skipped_report(theorem, to_edge_string(g), {},
-                               "no contractible pair", cfg.tol)
-    return checker(g, pair[0], pair[1], cfg.tol)
+    arg = () if rec.kind.pool is None else _pick(rec, g, rng)
+    if arg is None:
+        return _skipped_report(theorem, to_edge_string(g), {}, rec.kind.empty, cfg.tol)
+    return checker(g, *arg, cfg.tol)
 
 
-def _pick_vertex(theorem: str, g: SignedGraph, rng: random.Random) -> int:
-    """Prefer a vertex satisfying the check's hypothesis when one exists."""
-    prof = degree_profile(g)
-    candidates: list[int] = []
-    if theorem == "C2.2":
-        candidates = [v for v in range(g.n) if prof.degree[v] == g.n - 1]
-    elif theorem == "T2.7":
-        candidates = [v for v in range(g.n) if prof.degree[v] == 1]
-    elif theorem == "C3.5":
-        candidates = [v for v in range(g.n) if prof.neg_degree[v] == 0]
-    elif theorem == "C3.6":
-        candidates = [v for v in range(g.n) if prof.pos_degree[v] == 0]
-    if candidates:
-        return _choice(rng, candidates)
-    return _rand_below(rng, g.n)
+def _pick(rec: Check, g: SignedGraph, rng: random.Random):
+    """Prefer an argument satisfying the check's hypothesis when one exists.
 
-
-def _pick_edge(theorem: str, g: SignedGraph, rng: random.Random):
-    edges = list(g.edges)
-    if not edges:
-        return None
-    want = {"T3.2": MINUS, "T4.1": MINUS, "T3.3": PLUS, "T4.2": PLUS}.get(theorem)
-    pool = edges if want is None else [e for e in edges if e[2] == want]
-    if theorem in ("T4.1", "T4.2") and pool:
-        deg = degree_profile(g).degree
-        free = _isolate_free(g)
-        strong = [e for e in pool if free and deg[e[0]] >= 2 and deg[e[1]] >= 2]
-        if strong:
-            pool = strong
+    Draws from the pool the stages narrow, unless some stage would empty it
+    and the kind has its own fallback draw; None when there is no candidate.
+    """
+    pool, failed = _narrow(rec, g, rec.kind.pool(g))
     if not pool:
-        pool = edges  # hypothesis gate will mark the report skipped
-    u, v, _ = _choice(rng, pool)
-    return u, v
-
-
-def _pick_pair(g: SignedGraph, rng: random.Random):
-    if g.n < 2:
         return None
-    good = []
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if not disjoint_open_neighborhoods(g, a, b):
-                continue
-            nbrs = {w for w, _ in g.neighbors(a)} | {w for w, _ in g.neighbors(b)}
-            if nbrs - {a, b}:
-                good.append((a, b))
-    if good and _isolate_free(g):
-        return _choice(rng, good)
-    a = _rand_below(rng, g.n)
-    b = _rand_below(rng, g.n - 1)
-    return (a, b if b < a else b + 1)
+    if failed is None or rec.kind.fallback is None:
+        return _choice(rng, pool)
+    return rec.kind.fallback(g, rng)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:

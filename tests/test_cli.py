@@ -6,6 +6,7 @@ import pytest
 import sgspectra as sg
 from sgspectra.cli import main
 from sgspectra.fileio import parse_sg, to_sg_text
+from sgspectra.verify import ARG_KINDS, CHECK_IDS
 
 
 @pytest.fixture
@@ -110,6 +111,44 @@ class TestCheck:
 
     def test_b4_whole_graph(self, c4_file):
         assert main(["check", c4_file, "--theorem", "B4"]) == 0
+
+
+# One `sgspectra check` call per id: argument kind, input graph, flags and
+# the exit code it gives (0 holds, 3 hypothesis not met, 4 violated).
+CHECK_CALLS = {
+    "T2.1": ("vertex", sg.generate("cycle", 4), ["--vertex", "0"], 0),
+    "C2.2": ("vertex", sg.generate("complete", 4), ["--vertex", "0"], 0),
+    "L2.3": ("edge", sg.generate("cycle", 4), ["--edge", "0,1"], 0),
+    "T2.4": ("cycle", sg.generate("cycle", 4), ["--sign-last", "-"], 0),
+    "C2.5": ("seeded", sg.generate("cycle", 5), ["--seed", "3"], 0),
+    "T2.7": ("vertex", sg.generate("path", 3), ["--vertex", "1"], 3),
+    "C2.8": ("seeded", sg.generate("path", 4), ["--seed", "4"], 0),
+    "C2.9": ("seeded", sg.generate("star", 4), ["--seed", "1"], 0),
+    "L3.1": ("graph", sg.generate("cycle", 4, [1, -1, 1, -1]), [], 0),
+    "T3.2": ("edge", sg.generate("cycle", 4, "all_minus"), ["--edge", "0,1"], 0),
+    "T3.3": ("edge", sg.generate("cycle", 4, "all_minus"), ["--edge", "1,2"], 3),
+    "T3.4": ("vertex", sg.generate("cycle", 5, [1, -1, 1, 1, -1]), ["--vertex", "2"], 0),
+    "C3.5": ("vertex", sg.generate("complete", 4), ["--vertex", "1"], 0),
+    "C3.6": ("vertex", sg.generate("star", 4, "all_minus"), ["--vertex", "0"], 0),
+    "C3.7": ("vertex", sg.generate("complete", 4), ["--vertex", "0"], 4),
+    "B4": ("graph", sg.generate("complete", 4, "all_minus"), [], 0),
+    "T4.1": ("edge", sg.generate("cycle", 3, "all_minus"), ["--edge", "0,1"], 4),
+    "T4.2": ("edge", sg.generate("path", 3), ["--edge", "0,1"], 3),
+    "T4.3": ("pair", sg.generate("path", 4), ["--pair", "0,3"], 0),
+}
+
+
+@pytest.mark.parametrize("theorem", CHECK_IDS)
+def test_check_every_id(theorem, tmp_path, capsys):
+    kind, g, flags, code = CHECK_CALLS[theorem]
+    assert ARG_KINDS[theorem] == kind
+    f = tmp_path / "g.sg"
+    f.write_text(to_sg_text(g))
+    assert main(["check", str(f), "--theorem", theorem] + flags) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["theorem"] == theorem
+    expected = 3 if not report["hypothesis_met"] else (0 if report["holds"] else 4)
+    assert code == expected
 
 
 class TestSurgery:

@@ -17,6 +17,7 @@ from sgspectra.errors import (
     ConfigInvalid,
     LengthMismatch,
     NoSuchEdge,
+    VertexOutOfRange,
 )
 from sgspectra.verify import (
     CHECK_IDS,
@@ -341,6 +342,8 @@ class TestOneSignVertexDeletion:
         assert check_onesign_vertex_deletion(g, 0).theorem == "C3.5"
         h = sg.build_graph(3, [(0, 1, -1), (0, 2, -1)])
         assert check_onesign_vertex_deletion(h, 0).theorem == "C3.6"
+        with pytest.raises(VertexOutOfRange):
+            check_onesign_vertex_deletion(g, 99)
 
     def test_random_both_branches(self):
         rng = random.Random(21)
