@@ -30,7 +30,6 @@ from .graphs import (
     family_edge_pairs,
     is_balanced,
     is_connected,
-    min_max_neg_degree,
     parse_sign,
 )
 from .matrices import adjacency, laplacian, net_laplacian, normalized_net_laplacian
@@ -88,8 +87,8 @@ def cmd_spectrum(args) -> int:
     g = fileio.read_sg(args.file)
     m = _MATRIX_BUILDERS[args.matrix](g)
     if args.dump_matrix:
-        sys.stdout.write(fileio.format_matrix(m.astype(float)))
-    spec = eigenvalues(m.astype(float))
+        sys.stdout.write(fileio.format_matrix(m))
+    spec = eigenvalues(m)
     print(fileio.format_spectrum(spec))
     return EXIT_OK
 
@@ -146,7 +145,6 @@ def cmd_campaign(args) -> int:
         seed=args.seed,
         tol=args.tol,
     )
-    cfg.validate()
     result = run_campaign(cfg)
     body = campaign_to_csv(result) if args.format == "csv" else campaign_to_json(result)
     if args.out:
@@ -198,7 +196,6 @@ def cmd_surgery(args) -> int:
 def cmd_info(args) -> int:
     g = fileio.read_sg(args.file)
     prof = degree_profile(g)
-    neg_extremes = None if g.n == 0 else min_max_neg_degree(g)
     co = co_regularity(g)
     pos_edges = sum(1 for e in g.edges if e[2] == 1)
     block = {
@@ -208,8 +205,8 @@ def cmd_info(args) -> int:
         "negative_edges": len(g.edges) - pos_edges,
         "degrees": list(prof.degree),
         "net_degrees": list(prof.net_degree),
-        "min_neg_degree": None if neg_extremes is None else neg_extremes[0],
-        "max_neg_degree": None if neg_extremes is None else neg_extremes[1],
+        "min_neg_degree": min(prof.neg_degree, default=None),
+        "max_neg_degree": max(prof.neg_degree, default=None),
         "balanced": is_balanced(g),
         "connected": is_connected(g),
         "co_regular": None if co is None else {"r": co.r, "s": co.s, "complete": co.complete},
@@ -221,8 +218,8 @@ def cmd_info(args) -> int:
         print("co-regular: no")
     else:
         print(f"co-regular: yes (r={co.r}, s={co.s}, complete={co.complete})")
-    if neg_extremes is not None:
-        print(f"negative degree range: {neg_extremes[0]}..{neg_extremes[1]}")
+    if g.n:
+        print(f"negative degree range: {block['min_neg_degree']}..{block['max_neg_degree']}")
     print(json.dumps(block))
     return EXIT_OK
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DuplicateEdge, ParseError, SelfLoop, VertexOutOfRange
+from .errors import ParseError
 from .graphs import SignedGraph, build_graph, parse_sign, sign_char
 
 
@@ -44,21 +44,18 @@ def parse_sg(text: str) -> SignedGraph:
         edges.append((lineno, u, v, s))
     if n is None:
         raise ParseError("missing 'n <count>' header line")
-    try:
-        return build_graph(n, [(u, v, s) for _, u, v, s in edges])
-    except (SelfLoop, DuplicateEdge, VertexOutOfRange) as exc:
-        # locate the first line that triggers the same class of error
-        seen: set[tuple[int, int]] = set()
-        for lineno, u, v, s in edges:
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop at vertex {u}") from exc
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"line {lineno}: vertex out of range in edge ({u}, {v})") from exc
-            pair = (min(u, v), max(u, v))
-            if pair in seen:
-                raise ParseError(f"line {lineno}: duplicate edge ({u}, {v})") from exc
-            seen.add(pair)
-        raise ParseError(str(exc)) from exc
+    # the graph's own checks, in input order, so each error names its line
+    seen: set[tuple[int, int]] = set()
+    for lineno, u, v, _ in edges:
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"line {lineno}: vertex out of range in edge ({u}, {v})")
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise ParseError(f"line {lineno}: duplicate edge ({u}, {v})")
+        seen.add(pair)
+    return build_graph(n, [(u, v, s) for _, u, v, s in edges])
 
 
 def to_sg_text(g: SignedGraph) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -39,10 +40,9 @@ def sign_char(s: int) -> str:
     return "+" if s == PLUS else "-"
 
 
-def _check_sign(s: int) -> int:
+def _check_sign(s: int) -> None:
     if s not in (PLUS, MINUS):
         raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
-    return s
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class SignedGraph:
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) not canonical for n={self.n}")
+                raise VertexOutOfRange(f"edge ({u}, {v}) is not 0 <= u < v < n for n={self.n}")
             _check_sign(s)
             if (u, v) in signs:
                 raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
@@ -121,40 +121,21 @@ class CoRegularity:
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int, int]]) -> SignedGraph:
-    """Construct a SignedGraph, canonicalizing each edge to u < v.
+    """Construct a SignedGraph, canonicalizing each edge to u < v and sorting by pair.
 
-    Rejects self-loops, duplicate vertex pairs and out-of-range endpoints.
+    SignedGraph rejects self-loops, duplicate pairs, out-of-range endpoints and bad signs.
     """
-    canonical = []
-    for u, v, s in edge_list:
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u}, {v}) out of range for n={n}")
-        if u > v:
-            u, v = v, u
-        canonical.append((u, v, _check_sign(s)))
-    canonical.sort()
-    for (u1, v1, _), (u2, v2, _) in zip(canonical, canonical[1:]):
-        if (u1, v1) == (u2, v2):
-            raise DuplicateEdge(f"edge ({u1}, {v1}) listed twice")
+    canonical = [(u, v, s) if u < v else (v, u, s) for u, v, s in edge_list]
+    canonical.sort(key=itemgetter(0, 1))
     return SignedGraph(n, tuple(canonical))
 
 
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Total, positive, negative and net degree of every vertex."""
-    d = [0] * g.n
-    dp = [0] * g.n
-    dm = [0] * g.n
-    for u, v, s in g.edges:
-        d[u] += 1
-        d[v] += 1
-        if s == PLUS:
-            dp[u] += 1
-            dp[v] += 1
-        else:
-            dm[u] += 1
-            dm[v] += 1
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    d = [len(a) for a in nbrs]
+    dp = [[s for _, s in a].count(PLUS) for a in nbrs]
+    dm = [t - p for t, p in zip(d, dp)]
     net = [p - m for p, m in zip(dp, dm)]
     return DegreeProfile(tuple(d), tuple(dp), tuple(dm), tuple(net))
 
@@ -169,13 +150,11 @@ def min_max_neg_degree(g: SignedGraph) -> tuple[int, int]:
 
 def co_regularity(g: SignedGraph) -> CoRegularity | None:
     """The common (r, s) pair, or None unless all vertices share both values."""
-    if g.n == 0:
-        return None
     prof = degree_profile(g)
-    r = prof.degree[0]
-    s = prof.net_degree[0]
-    if any(x != r for x in prof.degree) or any(x != s for x in prof.net_degree):
+    pairs = set(zip(prof.degree, prof.net_degree))
+    if len(pairs) != 1:
         return None
+    r, s = pairs.pop()
     return CoRegularity(r, s, complete=(r == g.n - 1))
 
 
@@ -234,6 +213,16 @@ def all_positive(g: SignedGraph) -> SignedGraph:
     return SignedGraph(g.n, tuple((u, v, PLUS) for u, v, _ in g.edges))
 
 
+# family -> (minimum order, canonical edge pairs of order n)
+_FAMILIES = {
+    "cycle": (3, lambda n: [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]),
+    "path": (1, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "star": (2, lambda n: [(0, i) for i in range(1, n)]),
+    "complete": (0, lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]),
+    "empty": (0, lambda n: []),
+}
+
+
 def family_edge_pairs(family: str, n: int) -> list[tuple[int, int]]:
     """Canonical edge order of a generated family.
 
@@ -241,27 +230,12 @@ def family_edge_pairs(family: str, n: int) -> list[tuple[int, int]]:
     path:  (0,1), ..., (n-2,n-1).  star: center 0, spokes (0,1)..(0,n-1).
     complete: lexicographic pairs.  empty: none.
     """
-    if family == "cycle":
-        if n < 3:
-            raise BadOrder(f"cycle needs n >= 3, got {n}")
-        return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    if family == "path":
-        if n < 1:
-            raise BadOrder(f"path needs n >= 1, got {n}")
-        return [(i, i + 1) for i in range(n - 1)]
-    if family == "star":
-        if n < 2:
-            raise BadOrder(f"star needs n >= 2, got {n}")
-        return [(0, i) for i in range(1, n)]
-    if family == "complete":
-        if n < 0:
-            raise BadOrder(f"complete needs n >= 0, got {n}")
-        return [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if family == "empty":
-        if n < 0:
-            raise BadOrder(f"empty needs n >= 0, got {n}")
-        return []
-    raise BadOrder(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise BadOrder(f"unknown family {family!r}")
+    min_n, pairs = _FAMILIES[family]
+    if n < min_n:
+        raise BadOrder(f"{family} needs n >= {min_n}, got {n}")
+    return pairs(n)
 
 
 def generate(
@@ -291,7 +265,7 @@ def generate(
         if isinstance(signs, str):
             sig = [parse_sign(c) for c in signs]
         else:
-            sig = [_check_sign(s) for s in signs]
+            sig = list(signs)
         if len(sig) != len(pairs):
             raise LengthMismatch(
                 f"{family} on {n} vertices has {len(pairs)} edges, got {len(sig)} signs"
@@ -320,18 +294,16 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
 
 
 def is_connected(g: SignedGraph) -> bool:
-    """Connectivity of the underlying graph (breadth-first traversal)."""
+    """Connectivity of the underlying graph (depth-first traversal)."""
     if g.n <= 1:
         return True
     seen = [False] * g.n
     seen[0] = True
     queue = [0]
-    count = 1
     while queue:
         u = queue.pop()
         for v, _ in g.neighbors(u):
             if not seen[v]:
                 seen[v] = True
-                count += 1
                 queue.append(v)
-    return count == g.n
+    return all(seen)

@@ -1,17 +1,16 @@
 """The four matrices of a signed graph and their combinatorial quadratic forms.
 
 Integer-valued matrices (adjacency, Laplacian, net-Laplacian) are built in
-exact integer arithmetic (int64) so identities like L - N = 2*diag(d-) can be
-tested exactly; callers widen to float for eigenvalue work.  The normalized
-net-Laplacian is assembled from the entrywise scaling formula, which keeps it
-exactly symmetric (no post-hoc symmetrization).
+exact integer arithmetic (int64) from the adjacency, so identities like
+L - N = 2*diag(d-) can be tested exactly; `eigenvalues` widens them to float.
+The normalized net-Laplacian is assembled from the entrywise scaling formula,
+which keeps it exactly symmetric (no post-hoc symmetrization).
 
 The quad_form_* functions evaluate edge-sum formulas directly, independent of
 any matrix product, and serve as oracles for the matrix quadratic forms.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -30,21 +29,15 @@ def adjacency(g: SignedGraph) -> np.ndarray:
 
 
 def laplacian(g: SignedGraph) -> np.ndarray:
-    """Degree diagonal minus signed adjacency."""
-    m = -adjacency(g)
-    d = degree_profile(g).degree
-    for i in range(g.n):
-        m[i, i] = d[i]
-    return m
+    """Degree diagonal (row sums of |A|) minus signed adjacency A."""
+    a = adjacency(g)
+    return np.diag(np.abs(a).sum(axis=1)) - a
 
 
 def net_laplacian(g: SignedGraph) -> np.ndarray:
-    """Net-degree diagonal minus signed adjacency."""
-    m = -adjacency(g)
-    net = degree_profile(g).net_degree
-    for i in range(g.n):
-        m[i, i] = net[i]
-    return m
+    """Net-degree diagonal (row sums of A) minus signed adjacency A."""
+    a = adjacency(g)
+    return np.diag(a.sum(axis=1)) - a
 
 
 def normalized_net_laplacian(g: SignedGraph) -> np.ndarray:
@@ -55,16 +48,11 @@ def normalized_net_laplacian(g: SignedGraph) -> np.ndarray:
     N[i,j] / sqrt(d_i * d_j) in one division, which keeps the matrix exactly
     symmetric and integer ratios (e.g. degree-regular graphs) exact.
     """
-    n_mat = net_laplacian(g)
-    d = degree_profile(g).degree
-    out = np.zeros((g.n, g.n), dtype=np.float64)
-    for i in range(g.n):
-        for j in range(i, g.n):
-            if n_mat[i, j] != 0 and d[i] > 0 and d[j] > 0:
-                val = float(n_mat[i, j]) / math.sqrt(float(d[i] * d[j]))
-                out[i, j] = val
-                out[j, i] = val
-    return out
+    a = adjacency(g)
+    d = np.abs(a).sum(axis=1)
+    dd = np.outer(d, d)
+    n_mat = np.diag(a.sum(axis=1)) - a
+    return np.divide(n_mat, np.sqrt(dd), out=np.zeros(dd.shape), where=dd > 0)
 
 
 def _check_vector(g: SignedGraph, x: Sequence[float]) -> np.ndarray:

@@ -67,8 +67,6 @@ def contract(g: SignedGraph, a: int, b: int) -> tuple[SignedGraph, dict[int, int
     """
     if a == b:
         raise SameVertex(f"vertices must differ, both are {a}")
-    g._check_vertex(a)
-    g._check_vertex(b)
     na = dict(g.neighbors(a))
     nb = dict(g.neighbors(b))
     for t in sorted(na.keys() & nb.keys()):

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     BadOrder,
     ConfigInvalid,
-    EmptyGraph,
     LengthMismatch,
     NoSuchEdge,
 )
@@ -123,11 +122,11 @@ def _verdict(margins: Sequence[float], tol: float):
 
 
 def _lap_spectrum(g: SignedGraph) -> np.ndarray:
-    return eigenvalues(laplacian(g).astype(np.float64))
+    return eigenvalues(laplacian(g))
 
 
 def _net_spectrum(g: SignedGraph) -> np.ndarray:
-    return eigenvalues(net_laplacian(g).astype(np.float64))
+    return eigenvalues(net_laplacian(g))
 
 
 def _norm_spectrum(g: SignedGraph) -> np.ndarray:
@@ -177,8 +176,10 @@ class Check:
     `spectra` maps the input graph (alpha) and the derived graph (beta, mu)
     to spectra; `chain(surgery, alpha, beta[, mu])` returns (lower, mid,
     upper) triples, and the verdict takes the per-position minimum of their
-    margins.  Family checks have `build(family, m, ...) -> (graph string,
-    surgery, alpha graph, beta graph)` in place of a graph and stages.
+    margins.  A -inf lower or +inf upper entry is a link with no partner; the
+    report lists it in links_skipped.  Family checks have `build(family, m,
+    ...) -> (graph string, surgery, alpha graph, beta graph)` in place of a
+    graph and stages.
     """
 
     id: str
@@ -189,7 +190,6 @@ class Check:
     doc: str
     stages: tuple = ()
     params: Callable | None = None  # g -> surgery entries, once the hypothesis is met
-    skipped: Callable | None = None  # positions -> links_skipped
     info: Callable | None = None  # (alpha, tol) -> info flags
     note: str = ""
     family: str | None = None
@@ -212,10 +212,17 @@ def _chain_report(rec: Check, graph: str, surgery: dict, spectra: list, tol) -> 
         spectra={k: [float(x) for x in s] for k, s in zip(("alpha", "beta", "mu"), spectra)},
         graph=graph,
         surgery=surgery,
-        links_skipped=rec.skipped(len(margins)) if rec.skipped else [],
+        links_skipped=_links_skipped(triples),
         note=rec.note,
         info=rec.info(spectra[0], tol_val) if rec.info else {},
     )
+
+
+def _links_skipped(triples) -> list[str]:
+    """Links with no partner (a -inf lower or +inf upper entry), lower links first."""
+    lower = sorted({p for t in triples for p, x in enumerate(t[0].tolist(), 1) if x == -_INF})
+    upper = sorted({p for t in triples for p, x in enumerate(t[2].tolist(), 1) if x == _INF})
+    return [f"lower p={p}" for p in lower] + [f"upper p={p}" for p in upper]
 
 
 def _skipped_report(theorem, g_str, surgery, note, tol) -> InterlacingReport:
@@ -357,8 +364,6 @@ def _coregular_chain(s, a, b, mu):
 
 
 def _neg_degree_range(g: SignedGraph) -> dict:
-    if g.n == 0:
-        raise EmptyGraph("comparison needs at least one vertex")
     dmin, dmax = min_max_neg_degree(g)
     return {"delta_minus": dmin, "Delta_minus": dmax}
 
@@ -487,7 +492,6 @@ _TABLE = (
           stages=(_TWO, Stage(_complete_coregular,
                               "graph is not complete co-regular with uniform negative degree", whole=True)),
           params=lambda g: {"uniform_neg_degree": degree_profile(g).neg_degree[0]},
-          skipped=lambda m: [f"upper p={m}"],
           doc="""C3.7: in a complete co-regular graph with uniform negative degree s,
     chain beta_p + 2s <= alpha_p <= mu_p + (1-2s) <= alpha_{p+1} <= beta_{p+1} + 2s
     (alpha: net spectrum, beta/mu: net/plain spectra after deleting v).
@@ -504,14 +508,12 @@ _TABLE = (
     Check("T4.1", "check_negative_edge_deletion_normalized", _EDGE, _NORM,
           lambda s, a, b: [(a, b, np.append(a[2:], [_INF, _INF]))],
           stages=(_NEGATIVE, _NO_ISOLATED, _KEEPS_DEGREE),
-          skipped=lambda m: [f"upper p={p}" for p in range(max(1, m - 1), m + 1)],
           doc="""T4.1: deleting a negative edge (no isolated vertices before or after),
     alpha_p <= beta_p <= alpha_{p+2}; positions without an upper partner are
     skipped and recorded."""),
     Check("T4.2", "check_positive_edge_deletion_normalized", _EDGE, _NORM,
           lambda s, a, b: [(np.append(-_INF, a[:-1]), b, np.append(a[1:], _INF))],
           stages=(_POSITIVE, _NO_ISOLATED, _KEEPS_DEGREE),
-          skipped=lambda m: ["lower p=1", f"upper p={m}"],
           doc="""T4.2: deleting a positive edge (no isolated vertices before or after),
     alpha_{p-1} <= beta_p <= alpha_{p+1}; boundary links without a partner
     are skipped and recorded."""),

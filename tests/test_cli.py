@@ -71,9 +71,23 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert not report["hypothesis_met"]
 
-    def test_missing_vertex_arg_exit_2(self, c4_file, capsys):
-        assert main(["check", c4_file, "--theorem", "T2.1"]) == 2
-        assert "--vertex" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--theorem", "T2.1"], "--vertex"),
+        (["check", "--theorem", "L2.3"], "--edge"),
+        (["check", "--theorem", "T4.3"], "--pair"),
+        (["check", "--theorem", "L2.3", "--edge", "0,x"], "--edge"),
+        (["surgery", "delete-vertex"], "--vertex"),
+        (["surgery", "delete-edge"], "--edge"),
+        (["surgery", "add-edge"], "--edge"),
+        (["surgery", "add-edge", "--edge", "0,2"], "--sign"),
+        (["surgery", "contract"], "--pair"),
+        (["surgery", "switch"], "--alpha"),
+    ], ids=["check-vertex", "check-edge", "check-pair", "check-edge-not-int",
+            "delete-vertex", "delete-edge", "add-edge", "add-edge-sign", "contract", "switch"])
+    def test_missing_vertex_arg_exit_2(self, c4_file, capsys, argv, flag):
+        """Usage errors exit 2 and name the flag at fault."""
+        assert main([argv[0], c4_file, *argv[1:]]) == 2
+        assert flag in capsys.readouterr().err
 
     def test_unknown_theorem_exit_2(self, c4_file):
         assert main(["check", c4_file, "--theorem", "T9.9", "--vertex", "0"]) == 2
@@ -217,6 +231,24 @@ class TestInfo:
         main(["info", str(f)])
         block = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert block["balanced"] is True
+
+    def test_negative_degree_range(self, tmp_path, capsys):
+        f = tmp_path / "k4.sg"
+        f.write_text(to_sg_text(sg.generate("complete", 4, [-1, 1, 1, 1, 1, -1])))
+        assert main(["info", str(f)]) == 0
+        out = capsys.readouterr().out
+        block = json.loads(out.strip().splitlines()[-1])
+        assert (block["min_neg_degree"], block["max_neg_degree"]) == (1, 1)
+        assert "negative degree range: 1..1" in out
+
+    def test_empty_graph_has_no_negative_degree_range(self, tmp_path, capsys):
+        f = tmp_path / "e.sg"
+        f.write_text("n 0\n")
+        assert main(["info", str(f)]) == 0
+        out = capsys.readouterr().out
+        block = json.loads(out.strip().splitlines()[-1])
+        assert (block["min_neg_degree"], block["max_neg_degree"]) == (None, None)
+        assert "negative degree range" not in out
 
 
 class TestCampaignCommand:

@@ -44,6 +44,14 @@ def test_parse_errors_carry_line_numbers():
         parse_sg("n 2\n1 1 +\n")
     with pytest.raises(ParseError, match="missing"):
         parse_sg("# nothing here\n")
+    with pytest.raises(ParseError, match="line 1.*bad vertex count 'x'"):
+        parse_sg("n x\n")
+    with pytest.raises(ParseError, match="line 2.*non-negative"):
+        parse_sg("# header next\nn -1\n")
+    with pytest.raises(ParseError, match="line 3.*expected 'u v s'"):
+        parse_sg("n 3\n0 1 +\n1 2\n")
+    with pytest.raises(ParseError, match="line 2.*bad vertex token"):
+        parse_sg("n 3\n0 b +\n")
 
 
 def test_write_canonical_order():

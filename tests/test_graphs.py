@@ -55,6 +55,27 @@ class TestBuildGraph:
             sg.build_graph(2, [(0, 1, 2)])
 
 
+class TestSignedGraphValidation:
+    """SignedGraph is the one validator of an edge list."""
+
+    @pytest.mark.parametrize("n, edges, error", [
+        (3, ((1, 1, 1),), SelfLoop),
+        (3, ((2, 1, 1),), VertexOutOfRange),  # u > v
+        (3, ((0, 3, 1),), VertexOutOfRange),  # v >= n
+        (3, ((-1, 1, 1),), VertexOutOfRange),  # u < 0
+        (3, ((0, 1, 1), (0, 1, -1)), DuplicateEdge),
+        (3, ((0, 1, 2),), ValueError),  # sign 2
+        (-1, (), ValueError),  # n < 0
+    ])
+    def test_rejects(self, n, edges, error):
+        with pytest.raises(error):
+            sg.SignedGraph(n, edges)
+
+    def test_range_message_names_edge_and_order(self):
+        with pytest.raises(VertexOutOfRange, match=r"edge \(0, 5\).*n=2"):
+            sg.build_graph(2, [(5, 0, 1)])
+
+
 class TestDegrees:
     def test_k2_negative_profile(self):
         prof = sg.degree_profile(k2_negative())
@@ -101,6 +122,9 @@ class TestCoRegularity:
 
     def test_path_absent(self):
         assert sg.co_regularity(sg.generate("path", 3)) is None
+
+    def test_empty_graph_absent(self):
+        assert sg.co_regularity(sg.generate("empty", 0)) is None
 
     def test_regular_but_not_net_regular(self):
         # C4 with one negative edge: 2-regular, net degrees differ
@@ -225,6 +249,12 @@ class TestGenerate:
             sg.generate("cycle", 2)
         with pytest.raises(BadOrder):
             sg.generate("star", 1)
+        with pytest.raises(BadOrder, match="path needs n >= 1, got 0"):
+            sg.generate("path", 0)
+        with pytest.raises(BadOrder, match="complete needs n >= 0, got -1"):
+            sg.generate("complete", -1)
+        with pytest.raises(BadOrder, match="empty needs n >= 0, got -1"):
+            sg.generate("empty", -1)
         with pytest.raises(BadOrder):
             sg.generate("nonsense", 3)
 

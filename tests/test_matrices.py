@@ -1,4 +1,5 @@
 """Matrix builders and quadratic-form oracles."""
+import math
 import random
 
 import numpy as np
@@ -152,6 +153,38 @@ class TestQuadForms:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             sg.quad_form_laplacian(k2n(), [1.0])
+
+
+def _cross_check_graphs():
+    rng = random.Random(33)
+    graphs = [sg.generate("empty", 0)]
+    for _ in range(40):
+        n = rng.randrange(1, 16)
+        p = rng.choice((0.1, 0.3, 0.6))
+        graphs.append(sg.random_signed_graph(n, p, 0.5, seed=rng.randrange(10**6)))
+    return graphs
+
+
+class TestMatricesAgreeWithDegreeProfile:
+    """The matrices read degrees off the adjacency; degree_profile counts them
+    from the neighbor lists.  The two must agree."""
+
+    def test_diagonals_and_normalized_entries(self):
+        graphs = _cross_check_graphs()
+        assert sum(0 in sg.degree_profile(g).degree for g in graphs) >= 5  # isolated vertices
+        for g in graphs:
+            prof = sg.degree_profile(g)
+            net = sg.net_laplacian(g)
+            assert np.diag(sg.laplacian(g)).tolist() == list(prof.degree)
+            assert np.diag(net).tolist() == list(prof.net_degree)
+            norm = sg.normalized_net_laplacian(g)
+            assert norm.dtype == np.float64 and norm.shape == (g.n, g.n)
+            d = prof.degree
+            for i in range(g.n):
+                for j in range(g.n):
+                    dd = d[i] * d[j]
+                    want = float(net[i, j]) / math.sqrt(float(dd)) if dd else 0.0
+                    assert norm[i, j] == want, (g, i, j)
 
 
 class TestSwitchingConjugation:

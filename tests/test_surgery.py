@@ -163,6 +163,12 @@ class TestContract:
         with pytest.raises(SameVertex):
             contract(sg.generate("path", 3), 1, 1)
 
+    def test_out_of_range(self):
+        g = sg.generate("path", 3)
+        for a, b in ((0, 3), (3, 0), (-1, 2)):
+            with pytest.raises(VertexOutOfRange, match="vertex (3|-1) out of range for n=3"):
+                contract(g, a, b)
+
     def test_edge_count_preserved_when_disjoint_nonadjacent(self):
         rng = random.Random(15)
         checked = 0

@@ -15,6 +15,7 @@ import sgspectra as sg
 from sgspectra.errors import (
     BadOrder,
     ConfigInvalid,
+    EmptyGraph,
     LengthMismatch,
     NoSuchEdge,
     VertexOutOfRange,
@@ -249,6 +250,10 @@ class TestLaplacianNetGap:
         for seed in range(80):
             g = sg.random_signed_graph(4 + seed % 8, 0.5, 0.5, seed=seed)
             assert check_laplacian_net_gap(g).holds
+
+    def test_empty_graph(self):
+        with pytest.raises(EmptyGraph):
+            check_laplacian_net_gap(sg.generate("empty", 0))
 
 
 class TestNetEdgeDeletion:
