@@ -12,7 +12,6 @@ from .eigen import (
     closed_form_cycle_spectrum,
     closed_form_path_spectrum,
     determinant_oracle,
-    eigenpairs,
     eigenvalues,
     rayleigh,
 )

@@ -3,8 +3,8 @@
 The solver is self-contained: Householder tridiagonalization followed by
 implicit-shift QL on the tridiagonal form.  Iteration is capped at 64 sweeps
 per eigenvalue and off-diagonals below 1e-15 * scale are deflated to zero.
-Eigenvectors are accumulated only when requested; the values-only path skips
-the transform bookkeeping.
+It computes eigenvalues only, since no check reads an eigenvector.  The QL
+sweeps run on Python floats, which round as float64 does and index faster.
 
 charpoly_spectrum_oracle takes a completely different route for matrices of
 order <= 6: characteristic-polynomial coefficients by the Faddeev-LeVerrier
@@ -42,15 +42,11 @@ def _as_symmetric(m) -> np.ndarray:
     return m
 
 
-def _tridiagonalize(a: np.ndarray, want_q: bool):
-    """Reduce symmetric a to tridiagonal (d, e) with Q^T a Q tridiagonal.
-
-    Returns (d, e, q) where e[i] couples positions i and i+1; q is None
-    unless requested.
-    """
+def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
+    """Householder reduction of symmetric a to a tridiagonal: diagonal d and
+    off-diagonal e as float lists, e[i] coupling positions i and i+1."""
     a = a.copy()
     n = a.shape[0]
-    q = np.eye(n) if want_q else None
     for k in range(n - 2):
         x = a[k + 1:, k]
         sigma = math.sqrt(float(x @ x))
@@ -68,41 +64,26 @@ def _tridiagonalize(a: np.ndarray, want_q: bool):
         kk = 0.5 * beta * float(u @ p)
         w = p - kk * u
         b -= np.outer(w, u) + np.outer(u, w)
+        # later steps read only the trailing block and this subdiagonal entry
         a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        a[k + 2:, k] = 0.0
-        a[k, k + 2:] = 0.0
-        if q is not None:
-            qs = q[:, k + 1:]
-            qs -= np.outer(qs @ u, beta * u)
-    d = np.diag(a).copy()
-    e = np.diag(a, 1).copy() if n > 1 else np.zeros(0)
-    return d, e, q
+    return np.diag(a).tolist(), np.diag(a, -1).tolist()
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray | None):
-    """Implicit-shift QL on a tridiagonal; mutates d (and rotates z columns)."""
-    n = d.size
+def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
+    """Implicit-shift QL on a tridiagonal; overwrites d with the eigenvalues."""
+    n = len(d)
     if n <= 1:
         return d
     if n == 2:
-        # one exact Jacobi rotation; keeps small integer spectra exact
+        # the exact Jacobi values; keeps small integer spectra exact
         if e[0] != 0.0:
             tau = (d[1] - d[0]) / (2.0 * e[0])
             t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
             d[0] -= t * e[0]
             d[1] += t * e[0]
-            if z is not None:
-                col0 = z[:, 0].copy()
-                col1 = z[:, 1].copy()
-                z[:, 0] = c * col0 - s * col1
-                z[:, 1] = s * col0 + c * col1
         return d
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    scale = max(1.0, float(np.max(np.abs(d))) + float(np.max(np.abs(ee))))
+    ee = e + [0.0]
+    scale = max(1.0, max(map(abs, d)) + max(map(abs, ee)))
     thresh = _DEFLATE * scale
     for l in range(n):
         sweeps = 0
@@ -121,16 +102,15 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray | None):
             s = 1.0
             c = 1.0
             p = 0.0
-            underflow = False
             for i in range(m - 1, l - 1, -1):
                 f = s * ee[i]
                 b = c * ee[i]
                 r = math.hypot(f, g)
                 ee[i + 1] = r
                 if r == 0.0:
+                    # underflow: deflate at i + 1 and sweep again
                     d[i + 1] -= p
                     ee[m] = 0.0
-                    underflow = True
                     break
                 s = f / r
                 c = g / r
@@ -139,34 +119,17 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray | None):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if z is not None:
-                    col_i = z[:, i].copy()
-                    col_next = z[:, i + 1].copy()
-                    z[:, i + 1] = s * col_i + c * col_next
-                    z[:, i] = c * col_i - s * col_next
-            if underflow:
-                continue
-            d[l] -= p
-            ee[l] = g
-            ee[m] = 0.0
+            else:
+                d[l] -= p
+                ee[l] = g
+                ee[m] = 0.0
     return d
 
 
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending."""
-    a = _as_symmetric(m)
-    d, e, _ = _tridiagonalize(a, want_q=False)
-    d = _ql_implicit(d, e, None)
-    return np.sort(d)
-
-
-def eigenpairs(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and matching eigenvector columns."""
-    a = _as_symmetric(m)
-    d, e, q = _tridiagonalize(a, want_q=True)
-    d = _ql_implicit(d, e, q)
-    order = np.argsort(d, kind="stable")
-    return d[order], q[:, order]
+    d, e = _tridiagonalize(_as_symmetric(m))
+    return np.sort(_ql_implicit(d, e))
 
 
 def rayleigh(m, x: Sequence[float]) -> float:

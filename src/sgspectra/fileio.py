@@ -58,16 +58,20 @@ def parse_sg(text: str) -> SignedGraph:
     return build_graph(n, [(u, v, s) for _, u, v, s in edges])
 
 
-def to_sg_text(g: SignedGraph) -> str:
-    """Canonical .sg text (edges sorted, u < v, trailing newline)."""
+def _sg_lines(g: SignedGraph) -> list[str]:
     lines = [f"n {g.n}"]
     lines.extend(f"{u} {v} {sign_char(s)}" for u, v, s in g.edges)
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def to_sg_text(g: SignedGraph) -> str:
+    """Canonical .sg text (edges sorted, u < v, trailing newline)."""
+    return "\n".join(_sg_lines(g)) + "\n"
 
 
 def to_edge_string(g: SignedGraph) -> str:
     """Single-line form of the .sg content, fields joined by '; '."""
-    return to_sg_text(g).strip().replace("\n", "; ")
+    return "; ".join(_sg_lines(g))
 
 
 def from_edge_string(text: str) -> SignedGraph:

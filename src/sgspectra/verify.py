@@ -25,7 +25,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -104,21 +104,17 @@ def check_chain(lower, mid, upper, tol: float):
     return _verdict(margins, tol)
 
 
-def _chain_margins(lower, mid, upper) -> list[float]:
-    out = []
-    for lo, md, up in zip(lower, mid, upper):
-        lo_m = _INF if lo == -_INF else md - lo
-        up_m = _INF if up == _INF else up - md
-        out.append(min(lo_m, up_m))
-    return out
+def _chain_margins(lower, mid, upper) -> np.ndarray:
+    # IEEE arithmetic already gives a -inf lower or +inf upper a +inf margin
+    return np.minimum(mid - lower, upper - mid)
 
 
-def _verdict(margins: Sequence[float], tol: float):
+def _verdict(margins: np.ndarray, tol: float):
     if len(margins) == 0:
         return True, _INF, 0
-    worst = min(margins)
-    witness = margins.index(worst) + 1
-    return bool(worst >= -tol), float(worst), witness
+    witness = int(np.argmin(margins))
+    worst = float(margins[witness])
+    return bool(worst >= -tol), worst, witness + 1
 
 
 def _lap_spectrum(g: SignedGraph) -> np.ndarray:
@@ -200,7 +196,7 @@ class Check:
 def _chain_report(rec: Check, graph: str, surgery: dict, spectra: list, tol) -> InterlacingReport:
     tol_val = tol if tol is not None else default_tol(*spectra)
     triples = rec.chain(surgery, *spectra)
-    margins = [min(ms) for ms in zip(*(_chain_margins(*t) for t in triples))]
+    margins = np.minimum.reduce([_chain_margins(*t) for t in triples])
     holds, worst, witness = _verdict(margins, tol_val)
     return InterlacingReport(
         theorem=rec.id,
@@ -725,7 +721,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
 # --- serialization -----------------------------------------------------------
 
 def report_to_dict(r: InterlacingReport) -> dict:
-    return asdict(r)
+    """The report's fields in field order.  The dict is shallow: it shares
+    the report's spectra, surgery, links_skipped and info containers."""
+    return dict(vars(r))
 
 
 def report_from_dict(d: dict) -> InterlacingReport:

@@ -93,17 +93,20 @@ class TestEigenvalues:
             if sg.is_connected(g):
                 assert abs(w[0]) <= 1e-9 * scale
 
-
-class TestEigenpairs:
-    def test_residuals_and_orthogonality(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            n = rng.randrange(1, 13)
-            a = random_int_symmetric(rng, n).astype(float)
-            w, v = sg.eigenpairs(a)
-            scale = max(1.0, np.abs(w).max())
-            assert np.linalg.norm(a @ v - v * w, axis=0).max() <= 1e-9 * scale
-            assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-9
+    def test_matches_lapack_above_order_12(self):
+        # the campaign solves orders up to 64; LAPACK is the reference here
+        graphs = [sg.random_signed_graph(n, p, 0.5, seed=n)
+                  for n in range(13, 65, 3) for p in (0.1, 0.5, 0.9)]
+        # complete graphs have repeated eigenvalues; the empty graph gives
+        # sigma == 0 at every Householder step
+        graphs += [sg.generate("complete", n, "random", seed=n) for n in (16, 33, 64)]
+        graphs.append(sg.generate("empty", 20))
+        for g in graphs:
+            for build in (sg.laplacian, sg.net_laplacian, sg.normalized_net_laplacian):
+                m = build(g).astype(float)
+                ref = np.linalg.eigvalsh(m)
+                scale = max(1.0, np.abs(ref).max())
+                assert np.abs(sg.eigenvalues(m) - ref).max() <= 1e-12 * scale
 
 
 class TestRayleigh:
@@ -146,6 +149,9 @@ class TestCharpolyOracle:
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
             sg.charpoly_spectrum_oracle(np.eye(7))
+        with pytest.raises(DimensionTooLarge):
+            sg.determinant_oracle(np.eye(7))
+        assert sg.charpoly_spectrum_oracle(np.zeros((0, 0))).size == 0
 
     def test_agrees_with_solver(self):
         rng = random.Random(9)
@@ -185,6 +191,7 @@ class TestCharpolyOracle:
             prod = float(np.prod(w)) if w.size else 1.0
             if abs(det) > 1e-6:
                 assert prod == pytest.approx(det, rel=1e-6)
+        assert sg.determinant_oracle(np.zeros((0, 0))) == 1.0
 
     def test_float_entries_handled_exactly(self):
         g = sg.generate("cycle", 4, [-1, 1, 1, 1])
@@ -211,6 +218,8 @@ class TestClosedForms:
     def test_bad_order(self):
         with pytest.raises(BadOrder):
             sg.closed_form_cycle_spectrum(2, True)
+        with pytest.raises(BadOrder):
+            sg.closed_form_path_spectrum(0)
 
     def test_solver_matches_closed_forms(self):
         for n in range(3, 13):
