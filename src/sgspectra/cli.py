@@ -131,11 +131,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.holds else EXIT_VIOLATION
 
 
-def cmd_campaign(args) -> int:
+def _campaign_config(args) -> CampaignConfig:
     theorems = tuple(CHECK_IDS) if args.theorems is None else tuple(
         t.strip() for t in args.theorems.split(",") if t.strip()
     )
-    cfg = CampaignConfig(
+    return CampaignConfig(
         theorems=theorems,
         n_min=args.n_min,
         n_max=args.n_max,
@@ -145,7 +145,10 @@ def cmd_campaign(args) -> int:
         seed=args.seed,
         tol=args.tol,
     )
-    result = run_campaign(cfg)
+
+
+def cmd_campaign(args) -> int:
+    result = run_campaign(_campaign_config(args))
     body = campaign_to_csv(result) if args.format == "csv" else campaign_to_json(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -250,12 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser("campaign", help="seeded random verification campaign")
     p_camp.add_argument("--theorems", help="comma-separated check ids (default: all)")
-    p_camp.add_argument("--n-min", type=int, default=4)
-    p_camp.add_argument("--n-max", type=int, default=12)
-    p_camp.add_argument("--p", type=float, default=0.5)
-    p_camp.add_argument("--q", type=float, default=0.5)
-    p_camp.add_argument("--samples", type=int, default=1000)
-    p_camp.add_argument("--seed", type=int, default=0)
+    defaults = CampaignConfig()
+    p_camp.add_argument("--n-min", type=int, default=defaults.n_min)
+    p_camp.add_argument("--n-max", type=int, default=defaults.n_max)
+    p_camp.add_argument("--p", type=float, default=defaults.p)
+    p_camp.add_argument("--q", type=float, default=defaults.q)
+    p_camp.add_argument("--samples", type=int, default=defaults.samples)
+    p_camp.add_argument("--seed", type=int, default=defaults.seed)
     p_camp.add_argument("--tol", type=float)
     p_camp.add_argument("--out")
     p_camp.add_argument("--format", choices=["json", "csv"], default="json")

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     BadOrder,
     DimensionTooLarge,
+    LengthMismatch,
     NoConvergence,
     NonSymmetric,
     ZeroVector,
@@ -34,7 +35,8 @@ _MAX_SWEEPS = 64
 
 
 def _as_symmetric(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
+    """A fresh float64 copy of square, exactly symmetric m."""
+    m = np.array(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {m.shape}")
     if not np.array_equal(m, m.T):
@@ -44,8 +46,7 @@ def _as_symmetric(m) -> np.ndarray:
 
 def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
     """Householder reduction of symmetric a to a tridiagonal: diagonal d and
-    off-diagonal e as float lists, e[i] coupling positions i and i+1."""
-    a = a.copy()
+    off-diagonal e as float lists, e[i] coupling positions i and i+1; overwrites a."""
     n = a.shape[0]
     for k in range(n - 2):
         x = a[k + 1:, k]
@@ -63,7 +64,7 @@ def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
         p = beta * (b @ u)
         kk = 0.5 * beta * float(u @ p)
         w = p - kk * u
-        b -= np.outer(w, u) + np.outer(u, w)
+        b -= w[:, None] * u + u[:, None] * w
         # later steps read only the trailing block and this subdiagonal entry
         a[k + 1, k] = alpha
     return np.diag(a).tolist(), np.diag(a, -1).tolist()
@@ -136,6 +137,8 @@ def rayleigh(m, x: Sequence[float]) -> float:
     """x^T m x / x^T x; always lies between the extreme eigenvalues."""
     a = np.asarray(m, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
+    if len(x) != len(a):
+        raise LengthMismatch(f"vector has length {len(x)}, matrix order is {len(a)}")
     denom = float(x @ x)
     if denom == 0.0:
         raise ZeroVector("Rayleigh quotient of the zero vector")

@@ -1,16 +1,17 @@
 """Signed-graph representation: edges carry a +1/-1 sign.
 
 Vertices are dense integers 0..n-1. Edges are stored once, canonically as
-(u, v, sign) with u < v, sorted lexicographically, and queried symmetrically.
-All values are immutable after construction; every operation here is a pure
-function, so graphs can be shared freely across threads.
+(u, v, sign) with 0 <= u < v < n, sign +-1 and (u, v) strictly increasing;
+SignedGraph rejects any other order, and build_graph is the canonicalizer.
+Queries are symmetric. Values are immutable after construction; every
+operation here is a pure function, so graphs can be shared across threads.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import ItemsView, Iterable, Sequence
 
 from .errors import (
     BadOrder,
@@ -47,54 +48,54 @@ def _check_sign(s: int) -> None:
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """A simple undirected graph on vertices 0..n-1 with signed edges."""
+    """A simple undirected graph on vertices 0..n-1 with signed edges.
+
+    edges must be canonical (see the module docstring); equality, hashing and
+    the .sg writers rely on that order.  build_graph sorts any edge list."""
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
-    _signs: dict = field(init=False, repr=False, compare=False)
-    _adj: tuple = field(init=False, repr=False, compare=False)
+    _nbrs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        signs: dict[tuple[int, int], int] = {}
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        # canonical order fills each neighbour map in ascending order
+        nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n))
+        prev = (-1, -1)
         for u, v, s in self.edges:
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) is not 0 <= u < v < n for n={self.n}")
             _check_sign(s)
-            if (u, v) in signs:
-                raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
-            signs[(u, v)] = s
-            adj[u].append((v, s))
-            adj[v].append((u, s))
-        object.__setattr__(self, "_signs", signs)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+            pair = (u, v)
+            if pair <= prev:
+                if pair == prev:
+                    raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
+                raise ValueError(f"edge {pair} follows {prev}; edges must be sorted by (u, v)")
+            prev = pair
+            nbrs[u][v] = s
+            nbrs[v][u] = s
+        object.__setattr__(self, "_nbrs", nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._signs
+        return 0 <= u < self.n and v in self._nbrs[u]
 
     def sign(self, u: int, v: int) -> int:
         """Sign of edge {u, v}; raises KeyError if absent."""
-        if u > v:
-            u, v = v, u
-        return self._signs[(u, v)]
+        if not self.has_edge(u, v):
+            raise KeyError((min(u, v), max(u, v)))
+        return self._nbrs[u][v]
 
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Sorted (neighbor, sign) pairs of vertex v."""
+    def neighbors(self, v: int) -> ItemsView[int, int]:
+        """Ascending (neighbor, sign) pairs of vertex v, as a read-only view."""
         self._check_vertex(v)
-        return self._adj[v]
+        return self._nbrs[v].items()
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
-
-    def unsigned_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._signs)
+        return len(self._nbrs[v])
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -171,16 +172,15 @@ def apply_switching(g: SignedGraph, alpha: Sequence[int]) -> SignedGraph:
     return SignedGraph(g.n, edges)
 
 
-def balancing_switch(g: SignedGraph) -> tuple[int, ...] | None:
-    """A per-vertex sign assignment that makes every edge positive, or None.
-
-    Found by two-coloring a spanning forest: tree edges are switched positive
-    by construction, then every non-tree edge must come out positive too.
-    """
+def _spanning_forest(g: SignedGraph) -> tuple[list[int], int]:
+    """Depth-first spanning forest of g: per-vertex signs that switch every
+    tree edge positive (each root +1), and the number of trees."""
     theta = [0] * g.n
+    trees = 0
     for root in range(g.n):
         if theta[root] != 0:
             continue
+        trees += 1
         theta[root] = PLUS
         stack = [root]
         while stack:
@@ -189,6 +189,16 @@ def balancing_switch(g: SignedGraph) -> tuple[int, ...] | None:
                 if theta[v] == 0:
                     theta[v] = s * theta[u]
                     stack.append(v)
+    return theta, trees
+
+
+def balancing_switch(g: SignedGraph) -> tuple[int, ...] | None:
+    """A per-vertex sign assignment that makes every edge positive, or None.
+
+    Tree edges of the spanning forest are switched positive by construction,
+    then every non-tree edge must come out positive too.
+    """
+    theta, _ = _spanning_forest(g)
     for u, v, s in g.edges:
         if theta[u] * s * theta[v] != PLUS:
             return None
@@ -202,9 +212,10 @@ def is_balanced(g: SignedGraph) -> bool:
 
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff the two signatures on the same underlying graph differ by a switching."""
-    if g1.n != g2.n or g1.unsigned_edges() != g2.unsigned_edges():
+    # canonical edge order: equal unsigned edge sets are equal pair sequences
+    if g1.n != g2.n or [e[:2] for e in g1.edges] != [e[:2] for e in g2.edges]:
         raise UnderlyingGraphMismatch("graphs must share vertex count and unsigned edge set")
-    product = tuple((u, v, s * g2.sign(u, v)) for u, v, s in g1.edges)
+    product = tuple((u, v, s * t) for (u, v, s), (_, _, t) in zip(g1.edges, g2.edges))
     return is_balanced(SignedGraph(g1.n, product))
 
 
@@ -294,16 +305,5 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
 
 
 def is_connected(g: SignedGraph) -> bool:
-    """Connectivity of the underlying graph (depth-first traversal)."""
-    if g.n <= 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v, _ in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return all(seen)
+    """Connectivity of the underlying graph: its spanning forest has at most one tree."""
+    return _spanning_forest(g)[1] <= 1

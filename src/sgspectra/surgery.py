@@ -13,12 +13,13 @@ def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
     """Remove v and its incident edges; survivors keep their relative order."""
     g._check_vertex(v)
     vmap = {old: old - (old > v) for old in range(g.n) if old != v}
-    edges = [
+    # relabelling is monotone, so the surviving edges stay canonical
+    edges = tuple(
         (vmap[u], vmap[w], s)
         for u, w, s in g.edges
         if u != v and w != v
-    ]
-    return build_graph(g.n - 1, edges), vmap
+    )
+    return SignedGraph(g.n - 1, edges), vmap
 
 
 def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:

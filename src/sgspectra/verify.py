@@ -41,8 +41,7 @@ from .graphs import (
     MINUS,
     PLUS,
     SignedGraph,
-    apply_switching,
-    balancing_switch,
+    all_positive,
     co_regularity,
     degree_profile,
     generate,
@@ -375,11 +374,15 @@ def _random_signs(rng: random.Random, k: int, q: float = 0.5) -> list[int]:
     return [MINUS if rng.random() < q else PLUS for _ in range(k)]
 
 
-def _cycle_pair(family: str, m: int, sig1, sign_last: int):
-    """The (m+1)-cycle signed sig1 against the m-cycle sharing its first m-1
+def _cycles(family: str, m: int, sig1, sign_last: int):
+    """The (m+1)-cycle signed sig1 and the m-cycle sharing its first m-1
     edges and closed by sign_last."""
-    big = generate(family, m + 1, sig1)
-    small = generate(family, m, list(sig1[: m - 1]) + [sign_last])
+    return (generate(family, m + 1, sig1),
+            generate(family, m, list(sig1[: m - 1]) + [sign_last]))
+
+
+def _cycle_pair(family: str, m: int, sig1, sign_last: int):
+    big, small = _cycles(family, m, sig1, sign_last)
     surgery = {"small_graph": to_edge_string(small), "closing_sign": sign_char(sign_last)}
     return to_edge_string(big), surgery, big, small
 
@@ -395,7 +398,7 @@ def _random_cycle_pair(family: str, m: int, seed: int):
     surgery = {"small_graph": to_edge_string(small), "seed": seed,
                "canonical_closing_large": sign_char(canon1[-1]),
                "canonical_closing_small": sign_char(closing2)}
-    return (to_edge_string(big), surgery) + _cycle_pair(family, m, canon1, closing2)[2:]
+    return (to_edge_string(big), surgery) + _cycles(family, m, canon1, closing2)
 
 
 def _tree_pair(family: str, m: int, seed: int):
@@ -405,8 +408,8 @@ def _tree_pair(family: str, m: int, seed: int):
     big = generate(family, m + 1, sig_big)
     small = generate(family, m, sig_small)
     surgery = {"small_graph": to_edge_string(small), "seed": seed, "kind": family}
-    return (to_edge_string(big), surgery,
-            apply_switching(big, balancing_switch(big)), apply_switching(small, balancing_switch(small)))
+    # a tree is balanced: its balancing switch makes every edge positive
+    return to_edge_string(big), surgery, all_positive(big), all_positive(small)
 
 
 _LAP = (_lap_spectrum, _lap_spectrum)

@@ -4,9 +4,9 @@ import json
 import pytest
 
 import sgspectra as sg
-from sgspectra.cli import main
+from sgspectra.cli import _campaign_config, build_parser, main
 from sgspectra.fileio import parse_sg, to_sg_text
-from sgspectra.verify import ARG_KINDS, CHECK_IDS
+from sgspectra.verify import ARG_KINDS, CHECK_IDS, CampaignConfig
 
 
 @pytest.fixture
@@ -252,6 +252,9 @@ class TestInfo:
 
 
 class TestCampaignCommand:
+    def test_defaults_come_from_config(self):
+        assert _campaign_config(build_parser().parse_args(["campaign"])) == CampaignConfig()
+
     def test_small_campaign_ok(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = main(["campaign", "--theorems", "T2.1,L2.3", "--samples", "5",

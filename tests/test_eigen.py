@@ -10,6 +10,7 @@ from sgspectra.eigen import characteristic_polynomial
 from sgspectra.errors import (
     BadOrder,
     DimensionTooLarge,
+    LengthMismatch,
     NonSymmetric,
     ZeroVector,
 )
@@ -131,6 +132,10 @@ class TestRayleigh:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             sg.rayleigh(np.eye(2), [0.0, 0.0])
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch, match=r"length 2, matrix order is 3"):
+            sg.rayleigh(np.eye(3), [1.0, 0.0])
 
 
 class TestCharpolyOracle:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import sgspectra as sg
+from sgspectra.fileio import to_sg_text
 from sgspectra.errors import (
     BadOrder,
     DuplicateEdge,
@@ -66,6 +67,8 @@ class TestSignedGraphValidation:
         (3, ((0, 1, 1), (0, 1, -1)), DuplicateEdge),
         (3, ((0, 1, 2),), ValueError),  # sign 2
         (-1, (), ValueError),  # n < 0
+        (3, ((1, 2, 1), (0, 1, -1)), ValueError),  # pairs out of order
+        (4, ((1, 3, 1), (0, 3, 1)), ValueError),  # same v, decreasing u
     ])
     def test_rejects(self, n, edges, error):
         with pytest.raises(error):
@@ -74,6 +77,49 @@ class TestSignedGraphValidation:
     def test_range_message_names_edge_and_order(self):
         with pytest.raises(VertexOutOfRange, match=r"edge \(0, 5\).*n=2"):
             sg.build_graph(2, [(5, 0, 1)])
+
+    def test_order_message_names_both_pairs(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) follows \(1, 2\)"):
+            sg.SignedGraph(3, ((1, 2, 1), (0, 2, 1)))
+
+
+def _seeded_graphs():
+    """Random graphs n 0..24, sparse ones with isolated vertices, plus signed K4s."""
+    graphs = [sg.random_signed_graph(n, p, 0.5, seed)
+              for n in range(25) for p in (0.1, 0.5, 0.9) for seed in range(2)]
+    graphs += [sg.generate("complete", 4, signs) for signs in ("++++++", "+-+--+", "------")]
+    assert any(g.degree(v) == 0 for g in graphs for v in range(g.n))
+    return graphs
+
+
+class TestNeighbourMap:
+    """The per-vertex neighbour maps agree with the canonical edge tuple."""
+
+    def test_neighbors_ascending_from_edges(self):
+        for g in _seeded_graphs():
+            for v in range(g.n):
+                expected = sorted([(b, s) for a, b, s in g.edges if a == v]
+                                  + [(a, s) for a, b, s in g.edges if b == v])
+                assert list(g.neighbors(v)) == expected
+                assert g.degree(v) == len(expected)
+                assert all(g.has_edge(v, w) and g.sign(w, v) == s for w, s in expected)
+
+    def test_build_graph_canonicalizes_any_order(self):
+        rng = random.Random(5)
+        for g in _seeded_graphs():
+            for _ in range(3):
+                shuffled = [(v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in g.edges]
+                rng.shuffle(shuffled)
+                h = sg.build_graph(g.n, shuffled)
+                assert h == g and hash(h) == hash(g)
+                assert to_sg_text(h) == to_sg_text(g)
+
+    def test_no_indexing_from_the_end(self):
+        g = sg.generate("path", 3, "+-")
+        assert not g.has_edge(-1, 1) and not g.has_edge(3, 1)
+        for u in (-1, 3):
+            with pytest.raises(KeyError):
+                g.sign(u, 1)
 
 
 class TestDegrees:
