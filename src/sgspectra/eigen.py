@@ -6,6 +6,19 @@ per eigenvalue and off-diagonals below 1e-15 * scale are deflated to zero.
 It computes eigenvalues only, since no check reads an eigenvector.  The QL
 sweeps run on Python floats, which round as float64 does and index faster.
 
+eigenvalues_many solves many matrices with one Householder reduction, which
+runs over a stack of them with np.vecdot and np.matvec on a leading batch
+axis; eigenvalues is a batch of one.  The matrices go largest first into
+stacks of at most _STACK_ENTRIES entries, each front-padded: a matrix of
+order n sits in the trailing block of a zero slot of the stack's order top.
+Its first top - n steps are then no-ops, which the reduction skips, and each
+of its own steps slices vectors of exactly its own length and applies the
+same float64 operations in the same order as a lone solve.  So a spectrum
+does not depend on what it is solved with: bit for bit, it is what the
+matrix gives alone.  Padding at the end would not keep this, since dot
+products over padded lengths round differently (by up to 2.7e-15 * scale).
+An entry -0.0 is read as 0.0.
+
 charpoly_spectrum_oracle takes a completely different route for matrices of
 order <= 6: characteristic-polynomial coefficients by the Faddeev-LeVerrier
 recurrence in exact rational arithmetic, square-free factorization (Yun), and
@@ -15,6 +28,7 @@ used to cross-validate it.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -32,42 +46,59 @@ from .errors import (
 
 _DEFLATE = 1e-15
 _MAX_SWEEPS = 64
+_STACK_ENTRIES = 1 << 16  # per stack; bounds its memory and its temporaries
 
 
-def _as_symmetric(m) -> np.ndarray:
-    """A fresh float64 copy of square, exactly symmetric m."""
-    m = np.array(m, dtype=np.float64)
+def _square(m) -> np.ndarray:
+    """m as an array, once it is known to be a square matrix."""
+    m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
-        raise NonSymmetric("matrix is not exactly symmetric")
     return m
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
-    """Householder reduction of symmetric a to a tridiagonal: diagonal d and
-    off-diagonal e as float lists, e[i] coupling positions i and i+1; overwrites a."""
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        sigma = math.sqrt(float(x @ x))
-        if sigma == 0.0:
-            continue
-        alpha = -math.copysign(sigma, x[0]) if x[0] != 0.0 else -sigma
+def _stack(mats: list[np.ndarray]) -> np.ndarray:
+    """One float64 stack at the largest order (mats come largest first), each
+    matrix written into the trailing block of its slot, and -0.0 read as 0.0."""
+    top = len(mats[0]) if mats else 0
+    a = np.zeros((len(mats), top, top))
+    for slot, m in zip(a, mats):
+        slot[top - len(m):, top - len(m):] = m
+    if not (a == a.swapaxes(1, 2)).all():
+        raise NonSymmetric("matrix is not exactly symmetric")
+    a += 0.0
+    return a
+
+
+def _tridiagonalize(a: np.ndarray, orders: list[int]) -> None:
+    """Householder reduction of a stack from _stack, in place: afterwards each
+    matrix's diagonal and subdiagonal hold its tridiagonal form.
+
+    orders[i] is the order of a[i].  Step k runs on the prefix of the stack
+    whose matrices have begun their own steps, each on vectors of exactly
+    its own length.  No entry a step reads is -0.0: the stack has none, and
+    b - s is -0.0 only when b is.
+    """
+    top = a.shape[1]
+    ascending = orders[::-1]
+    for k in range(top - 2):
+        s = a[:len(orders) - bisect.bisect_left(ascending, top - k)]
+        x = s[:, k + 1:, k]
+        x0 = x[:, 0]
+        c = np.copysign(np.sqrt(np.vecdot(x, x)), x0)  # -alpha
+        np.add(x0, c, out=x0)
         u = x.copy()
-        u[0] -= alpha
-        unorm2 = float(u @ u)
-        if unorm2 == 0.0:
-            continue
-        beta = 2.0 / unorm2
-        b = a[k + 1:, k + 1:]
-        p = beta * (b @ u)
-        kk = 0.5 * beta * float(u @ p)
-        w = p - kk * u
-        b -= w[:, None] * u + u[:, None] * w
+        # a zero column gets beta = 0: its update is +-0.0, which changes no
+        # entry, and its stored -alpha is a zero in place of a zero or of a
+        # value too small to square, which QL deflates alike
+        beta = np.array([2.0 / v if v else 0.0 for v in np.vecdot(u, u).tolist()])
+        b = s[:, k + 1:, k + 1:]
+        p = beta[:, None] * np.matvec(b, u)
+        w = p - (0.5 * beta * np.vecdot(u, p))[:, None] * u
+        t = w[:, :, None] * u[:, None, :]
+        b -= t + t.swapaxes(1, 2)
         # later steps read only the trailing block and this subdiagonal entry
-        a[k + 1, k] = alpha
-    return np.diag(a).tolist(), np.diag(a, -1).tolist()
+        np.negative(c, out=x0)
 
 
 def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
@@ -127,15 +158,33 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
+def eigenvalues_many(mats) -> list[np.ndarray]:
+    """The eigenvalues of each symmetric matrix in mats, sorted ascending;
+    each equals what that matrix gives when solved alone, bit for bit."""
+    mats = [_square(m) for m in mats]
+    slots = sorted(range(len(mats)), key=lambda i: len(mats[i]), reverse=True)
+    spectra = [None] * len(mats)
+    while slots:
+        top = len(mats[slots[0]])
+        chunk = slots[:max(1, _STACK_ENTRIES // max(1, top * top))]
+        slots = slots[len(chunk):]
+        orders = [len(mats[i]) for i in chunk]
+        a = _stack([mats[i] for i in chunk])
+        _tridiagonalize(a, orders)
+        for i, n, d, e in zip(chunk, orders, np.diagonal(a, 0, 1, 2).tolist(),
+                              np.diagonal(a, -1, 1, 2).tolist()):
+            spectra[i] = np.sort(_ql_implicit(d[top - n:], e[top - n:]))
+    return spectra
+
+
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending."""
-    d, e = _tridiagonalize(_as_symmetric(m))
-    return np.sort(_ql_implicit(d, e))
+    return eigenvalues_many([m])[0]
 
 
 def rayleigh(m, x: Sequence[float]) -> float:
     """x^T m x / x^T x; always lies between the extreme eigenvalues."""
-    a = np.asarray(m, dtype=np.float64)
+    a = np.asarray(_square(m), dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if len(x) != len(a):
         raise LengthMismatch(f"vector has length {len(x)}, matrix order is {len(a)}")
@@ -339,8 +388,7 @@ def charpoly_spectrum_oracle(m) -> np.ndarray:
     iterative solver: exact characteristic polynomial, Yun square-free split,
     Sturm bisection within Gershgorin bounds.  Multiplicities are exact.
     """
-    a = _as_symmetric(np.asarray(m))
-    n = a.shape[0]
+    n = _stack([_square(m)]).shape[1]  # the solver's own input checks
     if n > _ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"oracle accepts order <= {_ORACLE_MAX_DIM}, got {n}")
     if n == 0:

@@ -199,10 +199,11 @@ def balancing_switch(g: SignedGraph) -> tuple[int, ...] | None:
     then every non-tree edge must come out positive too.
     """
     theta, _ = _spanning_forest(g)
-    for u, v, s in g.edges:
-        if theta[u] * s * theta[v] != PLUS:
-            return None
-    return tuple(theta)
+    return tuple(theta) if _switches_positive(g, theta) else None
+
+
+def _switches_positive(g: SignedGraph, theta: list[int]) -> bool:
+    return all(theta[u] * s * theta[v] == PLUS for u, v, s in g.edges)
 
 
 def is_balanced(g: SignedGraph) -> bool:
@@ -307,3 +308,9 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
 def is_connected(g: SignedGraph) -> bool:
     """Connectivity of the underlying graph: its spanning forest has at most one tree."""
     return _spanning_forest(g)[1] <= 1
+
+
+def balance_and_connectivity(g: SignedGraph) -> tuple[bool, bool]:
+    """is_balanced(g) and is_connected(g), from one spanning-forest traversal."""
+    theta, trees = _spanning_forest(g)
+    return _switches_positive(g, theta), trees <= 1

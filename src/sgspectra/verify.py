@@ -35,7 +35,7 @@ from .errors import (
     LengthMismatch,
     NoSuchEdge,
 )
-from .eigen import eigenvalues
+from .eigen import eigenvalues_many
 from .fileio import to_edge_string
 from .graphs import (
     MINUS,
@@ -116,25 +116,14 @@ def _verdict(margins: np.ndarray, tol: float):
     return bool(worst >= -tol), worst, witness + 1
 
 
-def _lap_spectrum(g: SignedGraph) -> np.ndarray:
-    return eigenvalues(laplacian(g))
-
-
-def _net_spectrum(g: SignedGraph) -> np.ndarray:
-    return eigenvalues(net_laplacian(g))
-
-
-def _norm_spectrum(g: SignedGraph) -> np.ndarray:
-    return eigenvalues(normalized_net_laplacian(g))
-
-
 # --- the check table ---------------------------------------------------------
 #
-# One Check record per id; _run evaluates any record.  CHECKERS, ARG_KINDS,
-# the public check_* names, the CLI's argument handling and the campaign
-# samplers are derived from the table.  Records reach the eigensolver, the
-# matrices and the surgeries through this module's globals at call time, so a
-# tracer that rebinds those names sees every call.
+# One Check record per id; _prepare and _solve evaluate any record.
+# CHECKERS, ARG_KINDS, the public check_* names, the CLI's argument handling
+# and the campaign samplers are derived from the table.  Records name their
+# matrix builders, and reach them, the eigensolver and the surgeries through
+# this module's globals at call time, so a tracer that rebinds those names
+# sees every call.
 
 
 @dataclass(frozen=True)
@@ -168,8 +157,9 @@ class ArgKind:
 class Check:
     """One check id.
 
-    `spectra` maps the input graph (alpha) and the derived graph (beta, mu)
-    to spectra; `chain(surgery, alpha, beta[, mu])` returns (lower, mid,
+    `matrices` names the builders (functions of this module's globals) whose
+    spectra are alpha, of the input graph, and beta and mu, of the derived
+    graph; `chain(surgery, alpha, beta[, mu])` returns (lower, mid,
     upper) triples, and the verdict takes the per-position minimum of their
     margins.  A -inf lower or +inf upper entry is a link with no partner; the
     report lists it in links_skipped.  Family checks have `build(family, m,
@@ -180,7 +170,7 @@ class Check:
     id: str
     name: str
     kind: ArgKind
-    spectra: tuple
+    matrices: tuple
     chain: Callable
     doc: str
     stages: tuple = ()
@@ -252,7 +242,9 @@ def _narrow(rec: Check, g: SignedGraph, pool: list):
     return pool, None
 
 
-def _run(rec: Check, tol, *args) -> InterlacingReport:
+def _prepare(rec: Check, tol, *args):
+    """The hypothesis gate, surgery and matrices of one check: a skipped
+    report when the hypothesis fails, else (graph string, surgery, matrices)."""
     if rec.build is not None:
         if args[0] < rec.min_m:
             what = "cycle" if rec.family == "cycle" else "tree"
@@ -270,8 +262,21 @@ def _run(rec: Check, tol, *args) -> InterlacingReport:
             surgery.update(rec.params(g))
         sub, entries = rec.kind.cut(g, *arg)
         surgery.update(entries)
-    spectra = [spectrum(h) for spectrum, h in zip(rec.spectra, (g, sub, sub))]
-    return _chain_report(rec, graph, surgery, spectra, tol)
+    builders = globals()
+    return graph, surgery, [builders[name](h) for name, h in zip(rec.matrices, (g, sub, sub))]
+
+
+def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
+    """Reports for prepared checks of rec, all their matrices solved in one call."""
+    pending = [p for p in prepared if not isinstance(p, InterlacingReport)]
+    spectra = iter(eigenvalues_many([m for _, _, mats in pending for m in mats]))
+    return [p if isinstance(p, InterlacingReport)
+            else _chain_report(rec, p[0], p[1], [next(spectra) for _ in p[2]], tol)
+            for p in prepared]
+
+
+def _run(rec: Check, tol, *args) -> InterlacingReport:
+    return _solve(rec, [_prepare(rec, tol, *args)], tol)[0]
 
 
 def _checker(rec: Check) -> Callable:
@@ -412,9 +417,9 @@ def _tree_pair(family: str, m: int, seed: int):
     return to_edge_string(big), surgery, all_positive(big), all_positive(small)
 
 
-_LAP = (_lap_spectrum, _lap_spectrum)
-_NET = (_net_spectrum, _net_spectrum)
-_NORM = (_norm_spectrum, _norm_spectrum)
+_LAP = ("laplacian", "laplacian")
+_NET = ("net_laplacian", "net_laplacian")
+_NORM = ("normalized_net_laplacian", "normalized_net_laplacian")
 
 _TABLE = (
     # Laplacian
@@ -457,7 +462,7 @@ _TABLE = (
           family="star", build=_tree_pair, min_m=2,
           doc="""C2.9: check_tree_shrink on stars."""),
     # net-Laplacian
-    Check("L3.1", "check_laplacian_net_gap", _GRAPH, (_lap_spectrum, _net_spectrum),
+    Check("L3.1", "check_laplacian_net_gap", _GRAPH, ("laplacian", "net_laplacian"),
           lambda s, a, b: [(b + 2.0 * s["delta_minus"], a, b + 2.0 * s["Delta_minus"])],
           params=_neg_degree_range,
           doc="""L3.1: beta_p + 2*min(d-) <= alpha_p <= beta_p + 2*max(d-), same graph."""),
@@ -486,7 +491,7 @@ _TABLE = (
                               "vertex {0} has a positive edge")),
           doc="""C3.6: deleting a vertex with no positive edges,
     alpha_p <= beta_p <= alpha_{p+1} + 1."""),
-    Check("C3.7", "check_complete_coregular_deletion", _VERTEX, _NET + (_lap_spectrum,),
+    Check("C3.7", "check_complete_coregular_deletion", _VERTEX, _NET + ("laplacian",),
           _coregular_chain,
           stages=(_TWO, Stage(_complete_coregular,
                               "graph is not complete co-regular with uniform negative degree", whole=True)),
@@ -497,7 +502,7 @@ _TABLE = (
     The final link has no partner at p = m and is skipped.
     """),
     # normalized net-Laplacian
-    Check("B4", "check_normalized_spectrum_bounds", _GRAPH, (_norm_spectrum,),
+    Check("B4", "check_normalized_spectrum_bounds", _GRAPH, ("normalized_net_laplacian",),
           lambda s, a: [(np.full(a.shape, -2.0), a, np.full(a.shape, 2.0))], info=_bound_flags,
           doc="""B4: every normalized net-Laplacian eigenvalue lies in [-2, 2].
 
@@ -650,24 +655,24 @@ def _choice(rng: random.Random, seq):
     return seq[_rand_below(rng, len(seq))]
 
 
-def _sample_check(theorem: str, cfg: CampaignConfig, child: int) -> InterlacingReport:
+def _draw(rec: Check, cfg: CampaignConfig, child: int):
+    """One campaign sample's checker arguments, or a skipped report when its
+    graph offers no candidate argument."""
     rng = random.Random(child)
-    rec = CHECKS[theorem]
-    checker = CHECKERS[theorem]
     if rec.build is not None:
         m = _rand_range(rng, max(rec.min_m, cfg.n_min), max(rec.min_m, cfg.n_max))
         if rec.kind is _SEEDED:
-            return checker(m, _mix(child, 1), cfg.tol)
+            return m, _mix(child, 1)
         sig1 = _random_signs(rng, m + 1, cfg.q)
         sign_last = MINUS if rng.random() < cfg.q else PLUS
-        return checker(m, sig1, sign_last, cfg.tol)
+        return m, sig1, sign_last
 
     n = _rand_range(rng, cfg.n_min, cfg.n_max)
     g = random_signed_graph(n, cfg.p, cfg.q, _mix(child, 2))
     arg = () if rec.kind.pool is None else _pick(rec, g, rng)
     if arg is None:
-        return _skipped_report(theorem, to_edge_string(g), {}, rec.kind.empty, cfg.tol)
-    return checker(g, *arg, cfg.tol)
+        return _skipped_report(rec.id, to_edge_string(g), {}, rec.kind.empty, cfg.tol)
+    return (g, *arg)
 
 
 def _pick(rec: Check, g: SignedGraph, rng: random.Random):
@@ -688,17 +693,20 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Run every configured check over seeded samples; fully deterministic.
 
     Child seeds are derived from (seed, master check index, sample index), so
-    each check's stream is independent of which other checks run.
+    each check's stream is independent of which other checks run.  Every
+    sample of a check is drawn and prepared first, then all of the check's
+    matrices are solved in one call; a spectrum does not depend on what it
+    is solved with, so each report equals its checker's.
     """
     cfg.validate()
     reports: list[InterlacingReport] = []
     summary: list[dict] = []
     for theorem in cfg.theorems:
         ti = CHECK_IDS.index(theorem)
-        t_reports = [
-            _sample_check(theorem, cfg, _mix(cfg.seed, ti, i))
-            for i in range(cfg.samples)
-        ]
+        rec = CHECKS[theorem]
+        draws = (_draw(rec, cfg, _mix(cfg.seed, ti, i)) for i in range(cfg.samples))
+        t_reports = _solve(rec, [d if isinstance(d, InterlacingReport) else _prepare(rec, cfg.tol, *d)
+                                 for d in draws], cfg.tol)
         met = [r for r in t_reports if r.hypothesis_met]
         fails = [r for r in met if not r.holds]
         worst = min(met, key=lambda r: r.worst_slack) if met else None

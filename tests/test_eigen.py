@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import sgspectra as sg
-from sgspectra.eigen import characteristic_polynomial
+from sgspectra.eigen import _STACK_ENTRIES, characteristic_polynomial, eigenvalues_many
 from sgspectra.errors import (
     BadOrder,
     DimensionTooLarge,
     LengthMismatch,
+    NoConvergence,
     NonSymmetric,
     ZeroVector,
 )
@@ -110,6 +111,92 @@ class TestEigenvalues:
                 assert np.abs(sg.eigenvalues(m) - ref).max() <= 1e-12 * scale
 
 
+def mixed_batch(seed):
+    """Matrices of orders 0..23 in shuffled order: the three graph matrices of
+    sparse and dense random graphs (zero columns included), random integer
+    and float symmetric matrices, zero matrices and exact 1x1 and 2x2 cases."""
+    rng = random.Random(seed)
+    builders = (sg.laplacian, sg.net_laplacian, sg.normalized_net_laplacian)
+    mats = [build(sg.random_signed_graph(n, p, 0.5, seed=rng.randrange(10**6)))
+            for n in range(24) for p in (0.1, 0.9) for build in builders]
+    for _ in range(40):
+        n = rng.randrange(1, 24)
+        a = random_int_symmetric(rng, n).astype(float)
+        mats += [a, a * rng.uniform(1e-3, 1e3)]
+    mats += [np.zeros((n, n)) for n in (0, 1, 3, 7)]
+    mats += [np.array([[5.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])]
+    rng.shuffle(mats)
+    return mats
+
+
+def spectrum_bytes(w):
+    return w.dtype.str, w.shape, w.tobytes()
+
+
+class TestEigenvaluesMany:
+    def test_one_call_equals_each_matrix_alone(self):
+        mats = mixed_batch(12)
+        alone = [spectrum_bytes(sg.eigenvalues(m)) for m in mats]
+        assert [spectrum_bytes(w) for w in eigenvalues_many(mats)] == alone
+        rng = random.Random(13)
+        for _ in range(20):
+            pick = rng.sample(range(len(mats)), rng.randrange(1, 30))
+            out = eigenvalues_many([mats[i] for i in pick])
+            assert [spectrum_bytes(w) for w in out] == [alone[i] for i in pick]
+
+    def test_more_matrices_than_one_stack_holds(self):
+        graphs = [sg.random_signed_graph(13, 0.5, 0.5, seed=s) for s in range(400)]
+        mats = [sg.laplacian(g) for g in graphs] + [sg.normalized_net_laplacian(g) for g in graphs]
+        assert len(mats) * 13 * 13 > 2 * _STACK_ENTRIES
+        out = eigenvalues_many(mats)
+        assert [spectrum_bytes(w) for w in out] == [spectrum_bytes(sg.eigenvalues(m)) for m in mats]
+
+    def test_matches_lapack(self):
+        mats = mixed_batch(14)
+        for m, w in zip(mats, eigenvalues_many(mats)):
+            ref = np.linalg.eigvalsh(np.asarray(m, dtype=float)) if len(m) else np.zeros(0)
+            scale = max(1.0, np.abs(ref).max(initial=0.0))
+            assert w.shape == ref.shape
+            assert np.abs(w - ref).max(initial=0.0) <= 1e-12 * scale
+
+    def test_exact_small_cases_in_a_batch(self):
+        big = sg.laplacian(sg.random_signed_graph(9, 0.5, 0.5, seed=1))
+        out = eigenvalues_many([np.zeros((0, 0)), np.array([[5.0]]), big,
+                                np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((4, 4)),
+                                np.array([[-1, 1], [1, -1]])])
+        assert out[0].shape == (0,) and out[0].dtype == np.float64
+        assert out[1].tolist() == [5.0]
+        assert out[3].tolist() == [0.0, 2.0]
+        assert out[4].tolist() == [0.0] * 4
+        assert out[5].tolist() == [-2.0, 0.0]
+
+    def test_empty_list(self):
+        assert eigenvalues_many([]) == []
+
+    def test_negative_zero_entries_read_as_zero(self):
+        for m in mixed_batch(15)[:60]:
+            a = np.array(m, dtype=float)
+            a[a == 0.0] = -0.0
+            b = np.array(m, dtype=float)
+            b[b == 0.0] = 0.0
+            assert spectrum_bytes(sg.eigenvalues(a)) == spectrum_bytes(sg.eigenvalues(b))
+
+    @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.5, 0.0]]), np.ones((2, 3)),
+                                     np.ones((2, 2, 2)), np.ones(3)])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_rejects_a_bad_matrix_anywhere(self, bad, at):
+        mats = [np.eye(3), sg.laplacian(sg.generate("cycle", 5)), np.zeros((2, 2))]
+        mats.insert(at, bad)
+        with pytest.raises(NonSymmetric):
+            eigenvalues_many(mats)
+
+    def test_sweep_cap_raises_in_a_batch(self, monkeypatch):
+        import sgspectra.eigen as eigen_mod
+        monkeypatch.setattr(eigen_mod, "_MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence):
+            eigenvalues_many([np.eye(2), sg.laplacian(sg.generate("cycle", 5)), np.zeros((3, 3))])
+
+
 class TestRayleigh:
     def test_basis_vector_gives_diagonal(self):
         a = np.array([[3.0, 1.0], [1.0, -2.0]])
@@ -136,6 +223,11 @@ class TestRayleigh:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch, match=r"length 2, matrix order is 3"):
             sg.rayleigh(np.eye(3), [1.0, 0.0])
+
+    @pytest.mark.parametrize("m", [np.ones((3, 2)), np.ones((3, 3, 3)), np.ones(3), np.float64(2.0)])
+    def test_not_a_square_matrix(self, m):
+        with pytest.raises(NonSymmetric, match="expected a square matrix"):
+            sg.rayleigh(m, [1.0, 1.0, 1.0])
 
 
 class TestCharpolyOracle:

@@ -332,6 +332,10 @@ class TestRandomGraph:
 
 
 class TestConnectivity:
+    def test_balance_and_connectivity_from_one_traversal(self):
+        for g in _seeded_graphs():
+            assert sg.graphs.balance_and_connectivity(g) == (sg.is_balanced(g), sg.is_connected(g))
+
     def test_connected_cycle(self):
         assert sg.is_connected(sg.generate("cycle", 5))
 

@@ -22,7 +22,12 @@ from sgspectra.errors import (
 )
 from sgspectra.verify import (
     CHECK_IDS,
+    CHECKERS,
+    CHECKS,
     CampaignConfig,
+    InterlacingReport,
+    _draw,
+    _mix,
     campaign_to_csv,
     campaign_to_json,
     check_chain,
@@ -605,6 +610,22 @@ class TestCampaign:
         res = run_campaign(cfg)
         lines = campaign_to_csv(res).strip().splitlines()
         assert len(lines) == 1 + 8
+
+    def test_reports_equal_the_checker_path(self):
+        # the campaign solves each id's matrices in one call; every report
+        # must equal what `sgspectra check` builds for the same sample
+        cfg = CampaignConfig(samples=30, seed=11)
+        res = run_campaign(cfg)
+        for ti, theorem in enumerate(CHECK_IDS):
+            for i in range(cfg.samples):
+                drawn = _draw(CHECKS[theorem], cfg, _mix(cfg.seed, ti, i))
+                if not isinstance(drawn, InterlacingReport):
+                    drawn = CHECKERS[theorem](*drawn, cfg.tol)
+                got = res.reports[ti * cfg.samples + i]
+                assert json.dumps(report_to_dict(got)) == json.dumps(report_to_dict(drawn))
+        one = run_campaign(CampaignConfig(samples=1, seed=11))
+        assert [json.dumps(report_to_dict(r)) for r in one.reports] == [
+            json.dumps(report_to_dict(r)) for r in res.reports[::cfg.samples]]
 
     def test_all_checker_ids_runnable(self):
         res = run_campaign(CampaignConfig(samples=2, seed=77))
