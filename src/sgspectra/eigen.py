@@ -60,7 +60,7 @@ def _square(m) -> np.ndarray:
 def _stack(mats: list[np.ndarray]) -> np.ndarray:
     """One float64 stack at the largest order (mats come largest first), each
     matrix written into the trailing block of its slot, and -0.0 read as 0.0."""
-    top = len(mats[0]) if mats else 0
+    top = len(mats[0])
     a = np.zeros((len(mats), top, top))
     for slot, m in zip(a, mats):
         slot[top - len(m):, top - len(m):] = m
