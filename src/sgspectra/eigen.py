@@ -66,7 +66,7 @@ def _stack(mats: list[np.ndarray]) -> np.ndarray:
         slot[top - len(m):, top - len(m):] = m
     if not (a == a.swapaxes(1, 2)).all():
         raise NonSymmetric("matrix is not exactly symmetric")
-    a += 0.0
+    a += 0.0  # -0.0 + 0.0 is 0.0; _tridiagonalize relies on having no -0.0
     return a
 
 
