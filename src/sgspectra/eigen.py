@@ -86,7 +86,7 @@ def _tridiagonalize(a: np.ndarray, orders: list[int]) -> None:
         x = s[:, k + 1:, k]
         x0 = x[:, 0]
         c = np.copysign(np.sqrt(np.vecdot(x, x)), x0)  # -alpha
-        np.add(x0, c, out=x0)
+        x0 += c
         u = x.copy()
         # a zero column gets beta = 0: its update is +-0.0, which changes no
         # entry, and its stored -alpha is a zero in place of a zero or of a
@@ -388,14 +388,16 @@ def charpoly_spectrum_oracle(m) -> np.ndarray:
     iterative solver: exact characteristic polynomial, Yun square-free split,
     Sturm bisection within Gershgorin bounds.  Multiplicities are exact.
     """
-    n = _stack([_square(m)]).shape[1]  # the solver's own input checks
+    a = _square(m)
+    if not np.array_equal(a, a.T):
+        raise NonSymmetric("matrix is not exactly symmetric")
+    n = a.shape[0]
     if n > _ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"oracle accepts order <= {_ORACLE_MAX_DIM}, got {n}")
     if n == 0:
         return np.zeros(0)
-    src = np.asarray(m)
-    poly = characteristic_polynomial(src)
-    lo, hi = _gershgorin_bounds(src)
+    poly = characteristic_polynomial(a)
+    lo, hi = _gershgorin_bounds(a)
     values: list[float] = []
     for factor, mult in _squarefree_factors(poly):
         for root in _isolated_real_roots(factor, lo, hi):

@@ -35,7 +35,7 @@ from .errors import (
     LengthMismatch,
     NoSuchEdge,
 )
-from .eigen import eigenvalues_many
+from .eigen import _STACK_ENTRIES, eigenvalues_many
 from .fileio import to_edge_string
 from .graphs import (
     MINUS,
@@ -120,10 +120,9 @@ def _verdict(margins: np.ndarray, tol: float):
 #
 # One Check record per id; _prepare and _solve evaluate any record.
 # CHECKERS, ARG_KINDS, the public check_* names, the CLI's argument handling
-# and the campaign samplers are derived from the table.  Records name their
-# matrix builders, and reach them, the eigensolver and the surgeries through
-# this module's globals at call time, so a tracer that rebinds those names
-# sees every call.
+# and the campaign samplers are derived from the table.  Records reach the
+# eigensolver, the matrices and the surgeries through this module's globals at
+# call time, so a tracer that rebinds those names sees every call.
 
 
 @dataclass(frozen=True)
@@ -157,9 +156,8 @@ class ArgKind:
 class Check:
     """One check id.
 
-    `matrices` names the builders (functions of this module's globals) whose
-    spectra are alpha, of the input graph, and beta and mu, of the derived
-    graph; `chain(surgery, alpha, beta[, mu])` returns (lower, mid,
+    `matrices` holds the builders whose spectra are alpha, of the input
+    graph, and beta and mu, of the derived graph; `chain(surgery, alpha, beta[, mu])` returns (lower, mid,
     upper) triples, and the verdict takes the per-position minimum of their
     margins.  A -inf lower or +inf upper entry is a link with no partner; the
     report lists it in links_skipped.  Family checks have `build(family, m,
@@ -262,8 +260,7 @@ def _prepare(rec: Check, tol, *args):
             surgery.update(rec.params(g))
         sub, entries = rec.kind.cut(g, *arg)
         surgery.update(entries)
-    builders = globals()
-    return graph, surgery, [builders[name](h) for name, h in zip(rec.matrices, (g, sub, sub))]
+    return graph, surgery, [build(h) for build, h in zip(rec.matrices, (g, sub, sub))]
 
 
 def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
@@ -273,6 +270,21 @@ def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
     return [p if isinstance(p, InterlacingReport)
             else _chain_report(rec, p[0], p[1], [next(spectra) for _ in p[2]], tol)
             for p in prepared]
+
+
+def _groups(prepared, entries: int):
+    """prepared checks in consecutive groups whose matrices hold about
+    `entries` entries each, so that only one group's matrices are held."""
+    group, size = [], 0
+    for p in prepared:
+        group.append(p)
+        if not isinstance(p, InterlacingReport):
+            size += sum(m.size for m in p[2])
+        if size >= entries:
+            yield group
+            group, size = [], 0
+    if group:
+        yield group
 
 
 def _run(rec: Check, tol, *args) -> InterlacingReport:
@@ -417,9 +429,21 @@ def _tree_pair(family: str, m: int, seed: int):
     return to_edge_string(big), surgery, all_positive(big), all_positive(small)
 
 
-_LAP = ("laplacian", "laplacian")
-_NET = ("net_laplacian", "net_laplacian")
-_NORM = ("normalized_net_laplacian", "normalized_net_laplacian")
+def _lap(g: SignedGraph) -> np.ndarray:
+    return laplacian(g)
+
+
+def _net(g: SignedGraph) -> np.ndarray:
+    return net_laplacian(g)
+
+
+def _norm(g: SignedGraph) -> np.ndarray:
+    return normalized_net_laplacian(g)
+
+
+_LAP = (_lap, _lap)
+_NET = (_net, _net)
+_NORM = (_norm, _norm)
 
 _TABLE = (
     # Laplacian
@@ -462,7 +486,7 @@ _TABLE = (
           family="star", build=_tree_pair, min_m=2,
           doc="""C2.9: check_tree_shrink on stars."""),
     # net-Laplacian
-    Check("L3.1", "check_laplacian_net_gap", _GRAPH, ("laplacian", "net_laplacian"),
+    Check("L3.1", "check_laplacian_net_gap", _GRAPH, (_lap, _net),
           lambda s, a, b: [(b + 2.0 * s["delta_minus"], a, b + 2.0 * s["Delta_minus"])],
           params=_neg_degree_range,
           doc="""L3.1: beta_p + 2*min(d-) <= alpha_p <= beta_p + 2*max(d-), same graph."""),
@@ -491,7 +515,7 @@ _TABLE = (
                               "vertex {0} has a positive edge")),
           doc="""C3.6: deleting a vertex with no positive edges,
     alpha_p <= beta_p <= alpha_{p+1} + 1."""),
-    Check("C3.7", "check_complete_coregular_deletion", _VERTEX, _NET + ("laplacian",),
+    Check("C3.7", "check_complete_coregular_deletion", _VERTEX, _NET + (_lap,),
           _coregular_chain,
           stages=(_TWO, Stage(_complete_coregular,
                               "graph is not complete co-regular with uniform negative degree", whole=True)),
@@ -502,7 +526,7 @@ _TABLE = (
     The final link has no partner at p = m and is skipped.
     """),
     # normalized net-Laplacian
-    Check("B4", "check_normalized_spectrum_bounds", _GRAPH, ("normalized_net_laplacian",),
+    Check("B4", "check_normalized_spectrum_bounds", _GRAPH, (_norm,),
           lambda s, a: [(np.full(a.shape, -2.0), a, np.full(a.shape, 2.0))], info=_bound_flags,
           doc="""B4: every normalized net-Laplacian eigenvalue lies in [-2, 2].
 
@@ -693,10 +717,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Run every configured check over seeded samples; fully deterministic.
 
     Child seeds are derived from (seed, master check index, sample index), so
-    each check's stream is independent of which other checks run.  Every
-    sample of a check is drawn and prepared first, then all of the check's
-    matrices are solved in one call; a spectrum does not depend on what it
-    is solved with, so each report equals its checker's.
+    each check's stream is independent of which other checks run.  A
+    check's samples are drawn and prepared in order, and the matrices of
+    each run of samples that fills one solver stack are solved in one call;
+    a spectrum does not depend on what it is solved with, so each report
+    equals its checker's.
     """
     cfg.validate()
     reports: list[InterlacingReport] = []
@@ -705,8 +730,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         ti = CHECK_IDS.index(theorem)
         rec = CHECKS[theorem]
         draws = (_draw(rec, cfg, _mix(cfg.seed, ti, i)) for i in range(cfg.samples))
-        t_reports = _solve(rec, [d if isinstance(d, InterlacingReport) else _prepare(rec, cfg.tol, *d)
-                                 for d in draws], cfg.tol)
+        prepared = (d if isinstance(d, InterlacingReport) else _prepare(rec, cfg.tol, *d)
+                    for d in draws)
+        t_reports = [r for group in _groups(prepared, _STACK_ENTRIES)
+                     for r in _solve(rec, group, cfg.tol)]
         met = [r for r in t_reports if r.hypothesis_met]
         fails = [r for r in met if not r.holds]
         worst = min(met, key=lambda r: r.worst_slack) if met else None

@@ -250,6 +250,16 @@ class TestCharpolyOracle:
             sg.determinant_oracle(np.eye(7))
         assert sg.charpoly_spectrum_oracle(np.zeros((0, 0))).size == 0
 
+    def test_input_checks(self):
+        with pytest.raises(NonSymmetric, match="not exactly symmetric"):
+            sg.charpoly_spectrum_oracle(np.array([[0, 1], [2, 0]]))
+        with pytest.raises(NonSymmetric, match="expected a square matrix"):
+            sg.charpoly_spectrum_oracle(np.ones((2, 3)))
+        with pytest.raises(NonSymmetric, match="expected a square matrix"):
+            sg.charpoly_spectrum_oracle(np.ones((2, 2, 2)))
+        w = sg.charpoly_spectrum_oracle(np.array([[1.0, -0.0], [0.0, 1.0]]))
+        assert w.tolist() == [1.0, 1.0]
+
     def test_agrees_with_solver(self):
         rng = random.Random(9)
         for _ in range(150):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sgspectra as sg
+from sgspectra import verify
 from sgspectra.errors import (
     BadOrder,
     ConfigInvalid,
@@ -626,6 +627,41 @@ class TestCampaign:
         one = run_campaign(CampaignConfig(samples=1, seed=11))
         assert [json.dumps(report_to_dict(r)) for r in one.reports] == [
             json.dumps(report_to_dict(r)) for r in res.reports[::cfg.samples]]
+
+    def test_solves_one_stack_of_entries_at_a_time(self, monkeypatch):
+        # an id's prepared samples are solved whenever their matrices fill a
+        # stack, so only one stack's worth of matrices is held at a time
+        cfg = CampaignConfig(theorems=("T2.1", "C3.7", "B4"), samples=40, seed=4)
+        whole = campaign_to_json(run_campaign(cfg))
+        sizes = []
+        real = verify.eigenvalues_many
+
+        def spy(mats):
+            sizes.append(sum(m.size for m in mats))
+            return real(mats)
+
+        monkeypatch.setattr(verify, "eigenvalues_many", spy)
+        monkeypatch.setattr(verify, "_STACK_ENTRIES", 300)
+        assert campaign_to_json(run_campaign(cfg)) == whole
+        assert len(sizes) > 3 * len(cfg.theorems)
+        # a group closes once it reaches 300 entries; one sample adds at most
+        # three matrices of order 12
+        assert max(sizes) < 300 + 3 * 12 * 12
+
+    def test_builders_looked_up_at_call_time(self, monkeypatch):
+        # records reach the matrix builders through the module's globals, so
+        # a tracer that rebinds those names sees every call
+        calls = []
+        for name in ("laplacian", "net_laplacian", "normalized_net_laplacian"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name,
+                                lambda g, name=name, real=real: calls.append(name) or real(g))
+        g = sg.generate("cycle", 5)
+        check_laplacian_net_gap(g)
+        check_normalized_spectrum_bounds(g)
+        check_vertex_deletion_net(g, 0)
+        assert calls == ["laplacian", "net_laplacian", "normalized_net_laplacian",
+                         "net_laplacian", "net_laplacian"]
 
     def test_all_checker_ids_runnable(self):
         res = run_campaign(CampaignConfig(samples=2, seed=77))
