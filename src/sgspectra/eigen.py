@@ -7,8 +7,8 @@ It computes eigenvalues only, since no check reads an eigenvector.  The QL
 sweeps run on Python floats, which round as float64 does and index faster.
 
 eigenvalues_many solves many matrices with one Householder reduction, which
-runs over a stack of them with np.vecdot and np.matvec on a leading batch
-axis; eigenvalues is a batch of one.  The matrices go largest first into
+runs over a stack of them with np.vecdot and np.matvec (numpy >= 2.2) on a
+leading batch axis; eigenvalues is a batch of one.  The matrices go largest first into
 stacks of at most _STACK_ENTRIES entries, each front-padded: a matrix of
 order n sits in the trailing block of a zero slot of the stack's order top.
 Its first top - n steps are then no-ops, which the reduction skips, and each
