@@ -40,7 +40,7 @@ from .verify import (
     CampaignConfig,
     campaign_to_csv,
     campaign_to_json,
-    report_to_dict,
+    report_to_json,
     run_campaign,
     summary_lines,
 )
@@ -124,7 +124,7 @@ def cmd_check(args) -> int:
         arg = (g,)
     report = CHECKERS[theorem](*arg, args.tol)
 
-    print(json.dumps(report_to_dict(report), indent=2))
+    print(report_to_json(report))
     if not report.hypothesis_met:
         return EXIT_HYPOTHESIS
     return EXIT_OK if report.holds else EXIT_VIOLATION
@@ -148,8 +148,8 @@ def _campaign_config(args) -> CampaignConfig:
 
 def cmd_campaign(args) -> int:
     result = run_campaign(_campaign_config(args))
-    body = campaign_to_csv(result) if args.format == "csv" else campaign_to_json(result)
     if args.out:
+        body = campaign_to_csv(result) if args.format == "csv" else campaign_to_json(result)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
     for line in summary_lines(result):

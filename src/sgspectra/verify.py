@@ -266,6 +266,8 @@ def _prepare(rec: Check, tol, *args):
 def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
     """Reports for prepared checks of rec, all their matrices solved in one call."""
     pending = [p for p in prepared if not isinstance(p, InterlacingReport)]
+    if not pending:
+        return prepared
     spectra = iter(eigenvalues_many([m for _, _, mats in pending for m in mats]))
     return [p if isinstance(p, InterlacingReport)
             else _chain_report(rec, p[0], p[1], [next(spectra) for _ in p[2]], tol)
@@ -768,13 +770,156 @@ def report_from_dict(d: dict) -> InterlacingReport:
     return InterlacingReport(**d)
 
 
+def report_to_json(r: InterlacingReport) -> str:
+    """The report as `sgspectra check` prints it: report_to_dict(r) in
+    json's indent=2 layout."""
+    return _json_text(report_to_dict(r))
+
+
 def campaign_to_json(result: CampaignResult) -> str:
     doc = {
         "config": asdict(result.config),
         "summary": result.summary,
         "reports": [report_to_dict(r) for r in result.reports],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
+
+
+# The JSON writer.  With an indent, the stdlib's json module runs its
+# pure-Python encoder: one generator frame per container and one chunk per
+# separator.  This writer gives the same indent=2 text, but writes a scalar
+# in place, a list of finite floats or of strings with one join, and every
+# piece to one list that is joined once.  Values and keys json takes as
+# subclasses of str, int, float, list and dict (np.float64, IntEnum), and
+# non-str keys, go through isinstance tests in json's order, so the text, or
+# the exception type, is always json's.
+
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}  # looked up for bool and None only
+
+
+def _json_text(doc) -> str:
+    """doc as the json module writes it with indent=2, byte for byte."""
+    out: list[str] = []
+    try:
+        _put_json(doc, out, "\n")
+    except RecursionError:
+        if _circular(doc):
+            raise ValueError("Circular reference detected") from None
+        raise
+    return "".join(out)
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_json(k) -> str:
+    if isinstance(k, str):
+        return _ENCODE_STR(k)
+    if isinstance(k, float):
+        return '"' + _float_json(k) + '"'
+    if k is True or k is False or k is None:
+        return '"' + _LITERALS[k] + '"'
+    if isinstance(k, int):
+        return '"' + int.__repr__(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _put_json(o, out: list, nl: str) -> None:
+    """Append o's text to out; nl is a newline and the pad of o's own line."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, x in o.items():
+            head = sep + (_ENCODE_STR(k) if type(k) is str else _key_json(k)) + ": "
+            t = type(x)
+            if t is str:
+                out.append(head + _ENCODE_STR(x))
+            elif t is float:
+                out.append(head + _float_json(x))
+            elif t is int:
+                out.append(head + int.__repr__(x))
+            elif t is bool or x is None:
+                out.append(head + _LITERALS[x])
+            else:
+                out.append(head)
+                _put_json(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        t = type(next(iter(o)))
+        if t is float or t is str:
+            # float.__repr__ and _ENCODE_STR raise TypeError on any other
+            # item; a finite float's repr has no "n", inf and nan do
+            try:
+                body = ("," + inner).join(map(float.__repr__ if t is float else _ENCODE_STR, o))
+            except TypeError:
+                pass
+            else:
+                if t is str or "n" not in body:
+                    out.append("[" + inner + body + nl + "]")
+                    return
+        sep = "[" + inner
+        for x in o:
+            t = type(x)
+            if t is str:
+                out.append(sep + _ENCODE_STR(x))
+            elif t is float:
+                out.append(sep + _float_json(x))
+            elif t is int:
+                out.append(sep + int.__repr__(x))
+            elif t is bool or x is None:
+                out.append(sep + _LITERALS[x])
+            else:
+                out.append(sep)
+                _put_json(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, str):
+        out.append(_ENCODE_STR(o))
+    elif o is True or o is False or o is None:
+        out.append(_LITERALS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_json(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _circular(doc) -> bool:
+    """Whether some dict, list or tuple in doc contains itself."""
+    path: set[int] = set()
+    opened: list[int] = []
+    stack = [iter((doc,))]
+    while stack:
+        for x in stack[-1]:
+            if isinstance(x, (dict, list, tuple)):
+                if id(x) in path:
+                    return True
+                path.add(id(x))
+                opened.append(id(x))
+                stack.append(iter(x.values() if isinstance(x, dict) else x))
+                break
+        else:
+            stack.pop()
+            if opened:
+                path.discard(opened.pop())
+    return False
 
 
 _CSV_FIELDS = (
@@ -782,32 +927,29 @@ _CSV_FIELDS = (
     "tol", "graph", "surgery", "spectrum_alpha", "spectrum_beta",
     "spectrum_mu", "links_skipped", "note",
 )
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
 
 
 def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _fmt17_all(xs) -> str:
+    """`" ".join(_fmt17(x) for x in xs)`, in one formatting call."""
+    return ("%.17g " * len(xs))[:-1] % tuple(xs)
+
+
 def campaign_to_csv(result: CampaignResult) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for r in result.reports:
-        writer.writerow({
-            "theorem": r.theorem,
-            "hypothesis_met": r.hypothesis_met,
-            "holds": r.holds,
-            "worst_slack": _fmt17(r.worst_slack),
-            "witness_position": r.witness_position,
-            "tol": _fmt17(r.tol),
-            "graph": r.graph,
-            "surgery": json.dumps(r.surgery, sort_keys=True),
-            "spectrum_alpha": " ".join(_fmt17(x) for x in r.spectra.get("alpha", [])),
-            "spectrum_beta": " ".join(_fmt17(x) for x in r.spectra.get("beta", [])),
-            "spectrum_mu": " ".join(_fmt17(x) for x in r.spectra.get("mu", [])),
-            "links_skipped": ";".join(r.links_skipped),
-            "note": r.note,
-        })
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+    writer.writerows(
+        (r.theorem, r.hypothesis_met, r.holds, _fmt17(r.worst_slack), r.witness_position,
+         _fmt17(r.tol), r.graph, _SORTED_JSON(r.surgery),
+         _fmt17_all(r.spectra.get("alpha", ())), _fmt17_all(r.spectra.get("beta", ())),
+         _fmt17_all(r.spectra.get("mu", ())), ";".join(r.links_skipped), r.note)
+        for r in result.reports
+    )
     return buf.getvalue()
 
 

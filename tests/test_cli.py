@@ -6,7 +6,8 @@ import pytest
 import sgspectra as sg
 from sgspectra.cli import _campaign_config, build_parser, main
 from sgspectra.fileio import parse_sg, to_sg_text
-from sgspectra.verify import ARG_KINDS, CHECK_IDS, CampaignConfig
+from sgspectra import cli
+from sgspectra.verify import ARG_KINDS, CHECK_IDS, CHECKERS, CampaignConfig, report_to_dict
 
 
 @pytest.fixture
@@ -153,13 +154,19 @@ CHECK_CALLS = {
 
 
 @pytest.mark.parametrize("theorem", CHECK_IDS)
-def test_check_every_id(theorem, tmp_path, capsys):
+def test_check_every_id(theorem, tmp_path, capsys, monkeypatch):
     kind, g, flags, code = CHECK_CALLS[theorem]
     assert ARG_KINDS[theorem] == kind
+    reports = []
+    real = CHECKERS[theorem]
+    monkeypatch.setitem(CHECKERS, theorem, lambda *a: reports.append(real(*a)) or reports[-1])
     f = tmp_path / "g.sg"
     f.write_text(to_sg_text(g))
     assert main(["check", str(f), "--theorem", theorem] + flags) == code
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # stdout is byte for byte the stdlib's indent=2 text of the report
+    assert out == json.dumps(report_to_dict(reports[0]), indent=2) + "\n"
+    report = json.loads(out)
     assert report["theorem"] == theorem
     expected = 3 if not report["hypothesis_met"] else (0 if report["holds"] else 4)
     assert code == expected
@@ -304,3 +311,23 @@ class TestCampaignCommand:
     def test_violations_exit_4(self, capsys):
         code = main(["campaign", "--theorems", "T4.1", "--samples", "40", "--seed", "3"])
         assert code == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_built_only_for_out(self, fmt, tmp_path, capsys, monkeypatch):
+        built = []
+        for name in ("campaign_to_json", "campaign_to_csv"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name,
+                                lambda res, name=name, real=real: built.append(name) or real(res))
+        argv = ["campaign", "--theorems", "T2.1,B4", "--samples", "4", "--seed", "6",
+                "--format", fmt]
+        assert main(argv) == 0
+        bare = capsys.readouterr().out
+        assert built == []
+        out = tmp_path / "rep.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == bare
+        assert built == [f"campaign_to_{fmt}"]
+        res = sg.run_campaign(CampaignConfig(theorems=("T2.1", "B4"), samples=4, seed=6))
+        written = sg.campaign_to_csv(res) if fmt == "csv" else sg.campaign_to_json(res)
+        assert out.read_text(encoding="utf-8") == written

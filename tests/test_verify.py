@@ -4,6 +4,10 @@ Expected verdicts marked "counterexample" below were established by hand
 computation and double-checked with the exact characteristic-polynomial
 oracle; they document inputs where the checked chain genuinely fails.
 """
+import csv
+import dataclasses
+import enum
+import io
 import json
 import math
 import random
@@ -666,3 +670,174 @@ class TestCampaign:
     def test_all_checker_ids_runnable(self):
         res = run_campaign(CampaignConfig(samples=2, seed=77))
         assert {r.theorem for r in res.reports} == set(CHECK_IDS)
+
+
+def _reference_json(result):
+    # the stdlib encoder, which campaign_to_json must match byte for byte
+    doc = {
+        "config": dataclasses.asdict(result.config),
+        "summary": result.summary,
+        "reports": [report_to_dict(r) for r in result.reports],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _reference_csv(result):
+    def fmt(x):
+        return f"{x:.17g}"
+
+    fields = ("theorem", "hypothesis_met", "holds", "worst_slack", "witness_position", "tol",
+              "graph", "surgery", "spectrum_alpha", "spectrum_beta", "spectrum_mu",
+              "links_skipped", "note")
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for r in result.reports:
+        writer.writerow({
+            "theorem": r.theorem,
+            "hypothesis_met": r.hypothesis_met,
+            "holds": r.holds,
+            "worst_slack": fmt(r.worst_slack),
+            "witness_position": r.witness_position,
+            "tol": fmt(r.tol),
+            "graph": r.graph,
+            "surgery": json.dumps(r.surgery, sort_keys=True),
+            "spectrum_alpha": " ".join(fmt(x) for x in r.spectra.get("alpha", [])),
+            "spectrum_beta": " ".join(fmt(x) for x in r.spectra.get("beta", [])),
+            "spectrum_mu": " ".join(fmt(x) for x in r.spectra.get("mu", [])),
+            "links_skipped": ";".join(r.links_skipped),
+            "note": r.note,
+        })
+    return buf.getvalue()
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Text(str):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Map(dict):
+    pass
+
+
+# Values whose indent=2 text json.dumps defines: every scalar kind, the
+# non-finite floats alone and inside lists, subclasses json accepts, and
+# every key type it converts.
+_JSON_EDGE_DOCS = [
+    0.0, -0.0, 1e-300, -2.5e17, math.inf, -math.inf, math.nan, 7, -3, True, False, None,
+    "", "plain", "quote \" backslash \\ tab \t nul \x00 bell \x07 del \x7f",
+    "non-ASCII: é ß ∞ 😀", [], {}, (), [[]], [{}], {"a": []}, {"a": {}},
+    [1.5, -0.0, 2e-9], [1.0, math.inf], [math.nan, 2.0], [-math.inf], [1.0, 2],
+    [1.0, "x"], [1.0, None], [1.0, [2.0]], ["a", "b"], ["a", 1], ["a", ["b"]],
+    (1.0, 2.0), ("x", (1, 2.5)), [True, False, None, 0, 1],
+    [np.float64(0.1), np.float64(-math.inf), 2.0], np.float64(3.25), np.float64(math.nan),
+    _Level.HIGH, [_Level.LOW, 2.0], {"level": _Level.LOW}, {_Level.HIGH: 1},
+    _Text("sub"), [_Text("a"), "b"], _Items([1.0, 2.0]), _Items(), _Map(a=1, b=[2.0]), _Map(),
+    {1: "int", 2.5: "float", -0.0: "negzero", math.inf: "inf", -math.inf: "-inf",
+     math.nan: "nan", True: "true", False: "false", None: "null", "s": "str"},
+    {"n": [{"a": [1.0, {"b": (2, "c")}], "d": None}, [], [[1.0, math.nan]]]},
+    {"é": "ü", "ctl\n": "\r\x1f"},
+]
+
+
+class TestJsonWriter:
+    """campaign_to_json, campaign_to_csv and `sgspectra check` print the bytes
+    the stdlib's encoders give."""
+
+    def _campaign(self):
+        res = run_campaign(CampaignConfig(samples=4, seed=2))
+        # one report with a third spectrum, mu, which the campaign never meets
+        k4 = sg.generate("complete", 4)
+        extra = check_complete_coregular_deletion(k4, 0)
+        assert extra.spectra["mu"]
+        return verify.CampaignResult(res.config, res.reports + [extra], res.summary)
+
+    def test_campaign_json_equals_stdlib(self):
+        res = self._campaign()
+        reports = res.reports
+        # the features the writer must reproduce are all present
+        assert any(r.worst_slack == math.inf for r in reports)  # skipped reports
+        assert any(r.info for r in reports)
+        assert any(r.links_skipped for r in reports)
+        assert any(isinstance(x, list) for r in reports for x in r.surgery.values())
+        assert res.config.tol is None
+        assert campaign_to_json(res) == _reference_json(res)
+
+    def test_campaign_csv_equals_stdlib(self):
+        res = self._campaign()
+        assert campaign_to_csv(res) == _reference_csv(res)
+
+    @pytest.mark.parametrize("i", range(len(_JSON_EDGE_DOCS)))
+    def test_edge_values(self, i):
+        doc = _JSON_EDGE_DOCS[i]
+        assert verify._json_text(doc) == json.dumps(doc, indent=2)
+        assert verify._json_text([doc, {"k": doc}]) == json.dumps([doc, {"k": doc}], indent=2)
+
+    def test_random_nested_documents(self):
+        rng = random.Random(5)
+        leaves = [1.0, -0.0, 2.5e-8, math.inf, -math.inf, math.nan, 0, -7, True, False, None,
+                  "s", "é\n", np.float64(0.5), _Level.LOW, _Text("t")]
+
+        def build(depth):
+            pick = rng.random()
+            if depth == 0 or pick < 0.4:
+                return rng.choice(leaves)
+            if pick < 0.55:  # a homogeneous list, as spectra and links are
+                leaf = rng.choice([1.5, "x", math.inf])
+                return [leaf] * rng.randrange(0, 4) + [build(depth - 1)] * rng.randrange(0, 2)
+            items = [build(depth - 1) for _ in range(rng.randrange(0, 4))]
+            if pick < 0.75:
+                return items if rng.random() < 0.8 else tuple(items)
+            keys = ["k", "é", 3, 2.5, True, None, _Level.HIGH]
+            return {rng.choice(keys): x for x in items}
+
+        for _ in range(300):
+            doc = build(4)
+            assert verify._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        np.int64(3), [1.0, np.int64(3)], {"a": {1, 2}}, [np.bool_(True)], object(),
+        {(1, 2): "tuple key"}, {"a": {b"bytes": 1}},
+    ], ids=["int64", "int64-in-list", "set", "bool_", "object", "tuple-key", "bytes-key"])
+    def test_unsupported_types_raise_as_json_does(self, doc):
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as ours:
+            verify._json_text(doc)
+        assert str(ours.value) == str(stdlib.value)
+
+    def test_circular_container_raises_as_json_does(self):
+        loop = [1.0]
+        loop.append({"back": loop})
+        for doc in (loop, {"x": [loop]}):
+            with pytest.raises(ValueError):
+                json.dumps(doc, indent=2)
+            with pytest.raises(ValueError, match="Circular reference"):
+                verify._json_text(doc)
+        shared = [1.0, 2.0]  # a container met twice is not a cycle
+        assert verify._json_text([shared, {"s": shared}]) == json.dumps([shared, {"s": shared}],
+                                                                         indent=2)
+
+
+class TestSolve:
+    def test_no_solver_call_when_every_check_stops_at_the_gate(self, monkeypatch):
+        calls = []
+        real = verify.eigenvalues_many
+        monkeypatch.setattr(verify, "eigenvalues_many", lambda mats: calls.append(1) or real(mats))
+        rec = CHECKS["C2.2"]
+        gated = [verify._prepare(rec, None, sg.generate("path", 4), 0) for _ in range(3)]
+        assert all(isinstance(p, InterlacingReport) for p in gated)
+        assert verify._solve(rec, gated, None) == gated
+        assert calls == []
+        met = verify._prepare(rec, None, sg.generate("star", 4), 0)
+        reports = verify._solve(rec, gated + [met], None)
+        assert calls == [1]
+        assert reports[:3] == gated and reports[3].hypothesis_met
