@@ -50,10 +50,12 @@ _STACK_ENTRIES = 1 << 16  # per stack; bounds its memory and its temporaries
 
 
 def _square(m) -> np.ndarray:
-    """m as an array, once it is known to be a square matrix."""
+    """m as an array, once it is known to be a real square matrix."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {m.shape}")
+    if np.iscomplexobj(m):
+        raise NonSymmetric(f"expected a real matrix, got dtype {m.dtype}")
     return m
 
 

@@ -92,6 +92,7 @@ def check_chain(lower, mid, upper, tol: float):
     min(mid_p - lower_p, upper_p - mid_p), worst_slack is the minimum over
     positions and witness its 1-based index (0 for empty input).
     """
+    _check_tol(tol)
     lower = np.asarray(lower, dtype=np.float64)
     mid = np.asarray(mid, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
@@ -101,6 +102,12 @@ def check_chain(lower, mid, upper, tol: float):
         )
     margins = _chain_margins(lower, mid, upper)
     return _verdict(margins, tol)
+
+
+def _check_tol(tol) -> None:
+    """Reject a NaN or negative tol; None stands for default_tol."""
+    if tol is not None and not tol >= 0:
+        raise ConfigInvalid(f"tol must be a non-negative number, got {tol}")
 
 
 def _chain_margins(lower, mid, upper) -> np.ndarray:
@@ -290,6 +297,7 @@ def _groups(prepared, entries: int):
 
 
 def _run(rec: Check, tol, *args) -> InterlacingReport:
+    _check_tol(tol)
     return _solve(rec, [_prepare(rec, tol, *args)], tol)[0]
 
 
@@ -606,6 +614,7 @@ def check_tree_shrink(kind: str, m: int, seed: int, tol=None) -> InterlacingRepo
 
 def check_onesign_vertex_deletion(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
     """Dispatch to C3.5 or C3.6 by the deleted vertex's sign pattern."""
+    _check_tol(tol)
     signs = {s for _, s in g.neighbors(v)}
     if MINUS not in signs:
         return check_negfree_vertex_deletion(g, v, tol)
@@ -638,10 +647,12 @@ class CampaignConfig:
         unknown = [t for t in self.theorems if t not in CHECK_IDS]
         if unknown:
             raise ConfigInvalid(f"unknown check ids: {unknown}")
+        repeated = sorted({t for t in self.theorems if self.theorems.count(t) > 1})
+        if repeated:
+            raise ConfigInvalid(f"repeated check ids: {repeated}")
         if not self.theorems:
             raise ConfigInvalid("at least one check id required")
-        if self.tol is not None and self.tol < 0:
-            raise ConfigInvalid("tol must be non-negative")
+        _check_tol(self.tol)
 
 
 @dataclass
@@ -787,14 +798,14 @@ def campaign_to_json(result: CampaignResult) -> str:
 
 # The JSON writer.  With an indent, the stdlib's json module runs its
 # pure-Python encoder: one generator frame per container and one chunk per
-# separator.  This writer gives the same indent=2 text, but writes a scalar
-# in place, a list of finite floats or of strings with one join, and every
-# piece to one list that is joined once.  Values and keys json takes as
-# subclasses of str, int, float, list and dict (np.float64, IntEnum), and
-# non-str keys, go through isinstance tests in json's order, so the text, or
-# the exception type, is always json's.
+# separator.  This writer gives the same indent=2 text for the exact types a
+# report holds: dicts with str keys, lists, tuples, str, int, float, bool and
+# None.  It writes a scalar in place, a list of finite floats or of strings
+# with one join, and every piece to one list that is joined once.  Any other
+# value or key raises TypeError, and _json_text then hands the whole document
+# to json.dumps, whose text or exception is the reference.
 
-_ENCODE_STR = json.encoder.encode_basestring_ascii
+_ENCODE_STR = json.encoder.encode_basestring_ascii  # TypeError on a non-str
 _LITERALS = {None: "null", True: "true", False: "false"}  # looked up for bool and None only
 
 
@@ -803,10 +814,8 @@ def _json_text(doc) -> str:
     out: list[str] = []
     try:
         _put_json(doc, out, "\n")
-    except RecursionError:
-        if _circular(doc):
-            raise ValueError("Circular reference detected") from None
-        raise
+    except (TypeError, RecursionError):
+        return json.dumps(doc, indent=2)
     return "".join(out)
 
 
@@ -820,28 +829,17 @@ def _float_json(x: float) -> str:
     return float.__repr__(x)
 
 
-def _key_json(k) -> str:
-    if isinstance(k, str):
-        return _ENCODE_STR(k)
-    if isinstance(k, float):
-        return '"' + _float_json(k) + '"'
-    if k is True or k is False or k is None:
-        return '"' + _LITERALS[k] + '"'
-    if isinstance(k, int):
-        return '"' + int.__repr__(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
 def _put_json(o, out: list, nl: str) -> None:
-    """Append o's text to out; nl is a newline and the pad of o's own line."""
-    if isinstance(o, dict):
+    """Append the text of o, a dict, list or tuple, to out; nl is a newline
+    and the pad of o's own line."""
+    if type(o) is dict:
         if not o:
             out.append("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         for k, x in o.items():
-            head = sep + (_ENCODE_STR(k) if type(k) is str else _key_json(k)) + ": "
+            head = sep + _ENCODE_STR(k) + ": "
             t = type(x)
             if t is str:
                 out.append(head + _ENCODE_STR(x))
@@ -856,23 +854,19 @@ def _put_json(o, out: list, nl: str) -> None:
                 _put_json(x, out, inner)
             sep = "," + inner
         out.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
+    elif type(o) is list or type(o) is tuple:
         if not o:
             out.append("[]")
             return
         inner = nl + "  "
-        t = type(next(iter(o)))
+        t = type(o[0])
         if t is float or t is str:
             # float.__repr__ and _ENCODE_STR raise TypeError on any other
             # item; a finite float's repr has no "n", inf and nan do
-            try:
-                body = ("," + inner).join(map(float.__repr__ if t is float else _ENCODE_STR, o))
-            except TypeError:
-                pass
-            else:
-                if t is str or "n" not in body:
-                    out.append("[" + inner + body + nl + "]")
-                    return
+            body = ("," + inner).join(map(float.__repr__ if t is float else _ENCODE_STR, o))
+            if t is str or "n" not in body:
+                out.append("[" + inner + body + nl + "]")
+                return
         sep = "[" + inner
         for x in o:
             t = type(x)
@@ -889,37 +883,8 @@ def _put_json(o, out: list, nl: str) -> None:
                 _put_json(x, out, inner)
             sep = "," + inner
         out.append(nl + "]")
-    elif isinstance(o, str):
-        out.append(_ENCODE_STR(o))
-    elif o is True or o is False or o is None:
-        out.append(_LITERALS[o])
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_json(o))
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _circular(doc) -> bool:
-    """Whether some dict, list or tuple in doc contains itself."""
-    path: set[int] = set()
-    opened: list[int] = []
-    stack = [iter((doc,))]
-    while stack:
-        for x in stack[-1]:
-            if isinstance(x, (dict, list, tuple)):
-                if id(x) in path:
-                    return True
-                path.add(id(x))
-                opened.append(id(x))
-                stack.append(iter(x.values() if isinstance(x, dict) else x))
-                break
-        else:
-            stack.pop()
-            if opened:
-                path.discard(opened.pop())
-    return False
+        raise TypeError(f"the writer takes no {o.__class__.__name__}")
 
 
 _CSV_FIELDS = (

@@ -172,6 +172,23 @@ def test_check_every_id(theorem, tmp_path, capsys, monkeypatch):
     assert code == expected
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+@pytest.mark.parametrize("theorem", CHECK_IDS)
+def test_check_rejects_nan_or_negative_tol(theorem, tol, tmp_path, capsys):
+    _, g, flags, _ = CHECK_CALLS[theorem]
+    f = tmp_path / "g.sg"
+    f.write_text(to_sg_text(g))
+    assert main(["check", str(f), "--theorem", theorem, f"--tol={tol}"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tol must be a non-negative number" in captured.err
+
+
+@pytest.mark.parametrize("tol, code", [("0", 0), ("inf", 0)])
+def test_check_accepts_zero_and_inf_tol(tol, code, c4_file, capsys):
+    assert main(["check", c4_file, "--theorem", "T2.1", "--vertex", "0", f"--tol={tol}"]) == code
+    assert json.loads(capsys.readouterr().out)["tol"] == float(tol)
+
+
 class TestSurgery:
     def test_delete_vertex_writes_canonical_file(self, c4_file, tmp_path, capsys):
         out = tmp_path / "out.sg"
@@ -307,6 +324,15 @@ class TestCampaignCommand:
 
     def test_unknown_theorem_exit_2(self):
         assert main(["campaign", "--theorems", "T0.0", "--samples", "1"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+    def test_nan_or_negative_tol_exit_2(self, tol, capsys):
+        assert main(["campaign", "--theorems", "T2.1", "--samples", "20", f"--tol={tol}"]) == 2
+        assert "tol must be a non-negative number" in capsys.readouterr().err
+
+    def test_repeated_theorem_exit_2(self, capsys):
+        assert main(["campaign", "--theorems", "T4.1,T4.1", "--samples", "50", "--seed", "3"]) == 2
+        assert "repeated check ids: ['T4.1']" in capsys.readouterr().err
 
     def test_violations_exit_4(self, capsys):
         code = main(["campaign", "--theorems", "T4.1", "--samples", "40", "--seed", "3"])

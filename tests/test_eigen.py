@@ -190,6 +190,14 @@ class TestEigenvaluesMany:
         with pytest.raises(NonSymmetric):
             eigenvalues_many(mats)
 
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_rejects_a_complex_matrix_anywhere(self, at):
+        # Hermitian, with eigenvalues -1 and 3; a cast to float64 would give 1, 1
+        mats = [np.eye(3), sg.laplacian(sg.generate("cycle", 5)), np.zeros((2, 2))]
+        mats.insert(at, np.array([[1, 2j], [-2j, 1]]))
+        with pytest.raises(NonSymmetric, match="expected a real matrix"):
+            eigenvalues_many(mats)
+
     def test_sweep_cap_raises_in_a_batch(self, monkeypatch):
         import sgspectra.eigen as eigen_mod
         monkeypatch.setattr(eigen_mod, "_MAX_SWEEPS", 0)
@@ -228,6 +236,12 @@ class TestRayleigh:
     def test_not_a_square_matrix(self, m):
         with pytest.raises(NonSymmetric, match="expected a square matrix"):
             sg.rayleigh(m, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("m", [np.array([[1, 2j], [-2j, 1]]), np.eye(2, dtype=complex)],
+                             ids=["hermitian", "complex-eye"])
+    def test_complex_matrix(self, m):
+        with pytest.raises(NonSymmetric, match="expected a real matrix"):
+            sg.rayleigh(m, [1.0, 1.0])
 
 
 class TestCharpolyOracle:

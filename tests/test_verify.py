@@ -11,6 +11,7 @@ import io
 import json
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -86,6 +87,35 @@ class TestCheckChain:
         holds_loose, *_ = check_chain([0], [1.2], [1], 0.5)
         holds_tight, *_ = check_chain([0], [1.2], [1], 0.01)
         assert holds_loose and not holds_tight
+
+
+class TestTol:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf], ids=["nan", "-1", "-inf"])
+    def test_nan_or_negative_rejected_on_every_path(self, tol):
+        c4 = sg.generate("cycle", 4)
+        mixed = sg.generate("star", 3, [1, -1])  # C3.5/C3.6 dispatch skips its centre
+        calls = [
+            lambda: CampaignConfig(tol=tol).validate(),
+            lambda: run_campaign(CampaignConfig(theorems=("T2.1",), samples=2, tol=tol)),
+            lambda: check_chain([0.0], [1.0], [2.0], tol),
+            lambda: check_vertex_deletion_laplacian(c4, 0, tol),
+            lambda: check_vertex_deletion_laplacian(c4, 0, tol=tol),
+            lambda: check_pendant_deletion(c4, 0, tol),  # a skipped report
+            lambda: check_cycle_shrink(4, [1, 1, 1, 1, -1], -1, tol),
+            lambda: check_tree_shrink("path", 4, 1, tol),
+            lambda: check_onesign_vertex_deletion(mixed, 0, tol),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigInvalid, match="tol must be a non-negative number"):
+                call()
+
+    @pytest.mark.parametrize("tol", [0.0, math.inf])
+    def test_zero_and_inf_accepted(self, tol):
+        CampaignConfig(tol=tol).validate()
+        assert check_chain([0.0], [1.0], [2.0], tol)[0]
+        assert check_vertex_deletion_laplacian(sg.generate("cycle", 4), 0, tol).tol == tol
+        res = run_campaign(CampaignConfig(theorems=("T2.1",), samples=2, tol=tol))
+        assert [r.tol for r in res.reports] == [tol, tol]
 
 
 class TestVertexDeletionLaplacian:
@@ -583,6 +613,10 @@ class TestCampaign:
         with pytest.raises(ConfigInvalid):
             CampaignConfig(theorems=("T9.9",)).validate()
 
+    def test_repeated_check_ids_rejected(self):
+        with pytest.raises(ConfigInvalid, match=r"repeated check ids: \['B4', 'T4.1'\]"):
+            CampaignConfig(theorems=("T4.1", "B4", "T2.1", "T4.1", "B4")).validate()
+
     def test_deterministic_given_seed(self):
         cfg = CampaignConfig(theorems=("T2.1", "L2.3", "B4"), samples=20, seed=5)
         r1 = run_campaign(cfg)
@@ -775,6 +809,23 @@ class TestJsonWriter:
         res = self._campaign()
         assert campaign_to_csv(res) == _reference_csv(res)
 
+    def test_package_documents_never_reach_json_dumps(self, monkeypatch):
+        # the writer defers to json.dumps only for values no report holds
+        res = self._campaign()
+        assert {r.theorem for r in res.reports} == set(CHECK_IDS)
+        with_mu = verify.CampaignResult(res.config, res.reports[-1:], res.summary[:1])
+        by_kind = {verify.ARG_KINDS[r.theorem]: r for r in res.reports if r.hypothesis_met}
+        assert set(by_kind) == {"graph", "vertex", "edge", "pair", "cycle", "seeded"}
+        expected = [_reference_json(res), _reference_json(with_mu)]
+        expected_reports = [json.dumps(report_to_dict(r), indent=2) for r in by_kind.values()]
+
+        def dumps(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(verify, "json", types.SimpleNamespace(dumps=dumps))
+        assert [campaign_to_json(res), campaign_to_json(with_mu)] == expected
+        assert [verify.report_to_json(r) for r in by_kind.values()] == expected_reports
+
     @pytest.mark.parametrize("i", range(len(_JSON_EDGE_DOCS)))
     def test_edge_values(self, i):
         doc = _JSON_EDGE_DOCS[i]
@@ -825,6 +876,16 @@ class TestJsonWriter:
         shared = [1.0, 2.0]  # a container met twice is not a cycle
         assert verify._json_text([shared, {"s": shared}]) == json.dumps([shared, {"s": shared}],
                                                                          indent=2)
+
+    def test_cycle_of_exact_types_raises_as_json_does(self):
+        # no fast path meets a TypeError here: the writer recurses until
+        # RecursionError and defers to json.dumps
+        loop, ring = [], {}
+        loop.append(loop)
+        ring["ring"] = [ring]
+        for doc in (loop, ring):
+            with pytest.raises(ValueError, match="Circular reference"):
+                verify._json_text(doc)
 
 
 class TestSolve:
