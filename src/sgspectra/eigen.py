@@ -185,11 +185,19 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def rayleigh(m, x: Sequence[float]) -> float:
-    """x^T m x / x^T x; always lies between the extreme eigenvalues."""
+    """x^T m x / x^T x; always lies between the extreme eigenvalues.
+
+    Raises NonSymmetric unless m is a real square matrix, LengthMismatch unless
+    x is a real vector of its order, ValueError on a non-finite entry, and
+    ZeroVector for x = 0.
+    """
     a = np.asarray(_square(m), dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) != len(a):
-        raise LengthMismatch(f"vector has length {len(x)}, matrix order is {len(a)}")
+    x = np.asarray(x)
+    if x.shape != (len(a),) or np.iscomplexobj(x):
+        raise LengthMismatch(f"expected a real vector of length {len(a)}, got {x.dtype} {x.shape}")
+    x = x.astype(np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(x).all()):
+        raise ValueError("Rayleigh quotient of non-finite entries")
     denom = float(x @ x)
     if denom == 0.0:
         raise ZeroVector("Rayleigh quotient of the zero vector")
@@ -342,20 +350,26 @@ def _isolated_real_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> list[
 
 
 def _fraction_matrix(m: np.ndarray) -> list[list[Fraction]]:
-    n = m.shape[0]
-    if np.issubdtype(m.dtype, np.integer):
-        return [[Fraction(int(m[i, j])) for j in range(n)] for i in range(n)]
-    return [[Fraction(float(m[i, j])) for j in range(n)] for i in range(n)]
+    """m's entries as exact rationals: integers as they are, the rest as floats."""
+    if not np.issubdtype(m.dtype, np.integer):
+        m = m.astype(np.float64)
+        if not np.isfinite(m).all():
+            raise NonSymmetric("expected finite entries")
+    return [[Fraction(x) for x in row] for row in m.tolist()]
 
 
 def characteristic_polynomial(m) -> list[Fraction]:
     """Exact monic coefficients of det(xI - m), lowest degree first.
 
     Faddeev-LeVerrier recurrence over rationals; float entries convert
-    exactly, so no rounding enters the coefficients.
+    exactly, so no rounding enters the coefficients.  Raises NonSymmetric
+    unless m is a real square matrix with finite entries, DimensionTooLarge
+    above order 6.
     """
-    m = np.asarray(m)
+    m = _square(m)
     n = m.shape[0]
+    if n > _ORACLE_MAX_DIM:
+        raise DimensionTooLarge(f"oracle accepts order <= {_ORACLE_MAX_DIM}, got {n}")
     a = _fraction_matrix(m)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
@@ -394,10 +408,6 @@ def charpoly_spectrum_oracle(m) -> np.ndarray:
     if not np.array_equal(a, a.T):
         raise NonSymmetric("matrix is not exactly symmetric")
     n = a.shape[0]
-    if n > _ORACLE_MAX_DIM:
-        raise DimensionTooLarge(f"oracle accepts order <= {_ORACLE_MAX_DIM}, got {n}")
-    if n == 0:
-        return np.zeros(0)
     poly = characteristic_polynomial(a)
     lo, hi = _gershgorin_bounds(a)
     values: list[float] = []
@@ -410,15 +420,9 @@ def charpoly_spectrum_oracle(m) -> np.ndarray:
 
 
 def determinant_oracle(m) -> float:
-    """Determinant via the exact characteristic polynomial's constant term."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    if n > _ORACLE_MAX_DIM:
-        raise DimensionTooLarge(f"oracle accepts order <= {_ORACLE_MAX_DIM}, got {n}")
-    if n == 0:
-        return 1.0
+    """Determinant: (-1)^n times the exact characteristic polynomial's constant term."""
     coeffs = characteristic_polynomial(m)
-    return float(coeffs[0] if n % 2 == 0 else -coeffs[0])
+    return float(coeffs[0] if len(coeffs) % 2 else -coeffs[0])
 
 
 # --- closed-form spectra used as fixtures -----------------------------------

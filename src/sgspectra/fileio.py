@@ -89,13 +89,11 @@ def write_sg(path, g: SignedGraph) -> None:
 
 
 def format_matrix(m: np.ndarray) -> str:
-    """Matrix dump: first line the order, then rows with 17 significant digits."""
-    dim = m.shape[0]
-    lines = [str(dim)]
-    lines.extend(" ".join(f"{float(x):.17g}" for x in row) for row in m)
-    return "\n".join(lines) + "\n"
+    """Matrix dump: first line the order, then each row as format_spectrum writes it."""
+    return "\n".join([str(m.shape[0]), *map(format_spectrum, m.tolist())]) + "\n"
 
 
 def format_spectrum(values) -> str:
-    """Ascending eigenvalues on one line, 17 significant digits."""
-    return " ".join(f"{float(x):.17g}" for x in values)
+    """Real numbers on one line, one space apart, each at 17 significant digits."""
+    values = tuple(values)
+    return ("%.17g " * len(values))[:-1] % values

@@ -89,13 +89,3 @@ def quad_form_normalized(g: SignedGraph, x: Sequence[float]) -> float:
         raise ZeroDenominator("degree-weighted square sum of the vector is zero")
     return quad_form_net_laplacian(g, x) / denom
 
-
-def matrix_quad_form(m: np.ndarray, x: Sequence[float]) -> float:
-    """x^T m x, widened to float."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(x @ (m.astype(np.float64) @ x))
-
-
-def switching_matrix(alpha: Sequence[int]) -> np.ndarray:
-    """Diagonal +-1 matrix of a switching function."""
-    return np.diag(np.asarray(alpha, dtype=np.int64))

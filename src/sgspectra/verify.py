@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -36,7 +37,7 @@ from .errors import (
     NoSuchEdge,
 )
 from .eigen import _STACK_ENTRIES, eigenvalues_many
-from .fileio import to_edge_string
+from .fileio import format_spectrum, to_edge_string
 from .graphs import (
     MINUS,
     PLUS,
@@ -90,23 +91,27 @@ def check_chain(lower, mid, upper, tol: float):
 
     Returns (holds, worst_slack, witness) where the slack at p is
     min(mid_p - lower_p, upper_p - mid_p), worst_slack is the minimum over
-    positions and witness its 1-based index (0 for empty input).
+    positions and witness its 1-based index (0 for empty input).  Raises
+    ConfigInvalid unless tol is a non-negative number, LengthMismatch unless
+    the three are real vectors of one length, and ValueError on a NaN entry or
+    an infinite entry of mid.
     """
+    if tol is None:
+        raise ConfigInvalid("check_chain has no default tol; pass default_tol(lower, mid, upper)")
     _check_tol(tol)
-    lower = np.asarray(lower, dtype=np.float64)
-    mid = np.asarray(mid, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    if not (lower.shape == mid.shape == upper.shape):
-        raise LengthMismatch(
-            f"chain lengths differ: {lower.shape}, {mid.shape}, {upper.shape}"
-        )
-    margins = _chain_margins(lower, mid, upper)
-    return _verdict(margins, tol)
+    chain = [np.asarray(x) for x in (lower, mid, upper)]
+    if chain[0].ndim != 1 or any(x.shape != chain[0].shape or np.iscomplexobj(x) for x in chain):
+        raise LengthMismatch(f"expected three real vectors of one length, got shapes "
+                             f"{', '.join(str(x.shape) for x in chain)}")
+    lower, mid, upper = (x.astype(np.float64) for x in chain)
+    if not np.isfinite(mid).all() or np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("chain entries must not be NaN, and mid entries must be finite")
+    return _verdict(_chain_margins(lower, mid, upper), tol)
 
 
 def _check_tol(tol) -> None:
-    """Reject a NaN or negative tol; None stands for default_tol."""
-    if tol is not None and not tol >= 0:
+    """Reject a tol that is not a non-negative number; None stands for default_tol."""
+    if tol is not None and not (isinstance(tol, numbers.Real) and tol >= 0):
         raise ConfigInvalid(f"tol must be a non-negative number, got {tol}")
 
 
@@ -199,7 +204,7 @@ def _chain_report(rec: Check, graph: str, surgery: dict, spectra: list, tol) -> 
         worst_slack=worst,
         witness_position=witness,
         tol=float(tol_val),
-        spectra={k: [float(x) for x in s] for k, s in zip(("alpha", "beta", "mu"), spectra)},
+        spectra={k: s.tolist() for k, s in zip(("alpha", "beta", "mu"), spectra)},
         graph=graph,
         surgery=surgery,
         links_skipped=_links_skipped(triples),
@@ -612,18 +617,6 @@ def check_tree_shrink(kind: str, m: int, seed: int, tol=None) -> InterlacingRepo
     return _run(_TREES[kind], tol, m, seed)
 
 
-def check_onesign_vertex_deletion(g: SignedGraph, v: int, tol=None) -> InterlacingReport:
-    """Dispatch to C3.5 or C3.6 by the deleted vertex's sign pattern."""
-    _check_tol(tol)
-    signs = {s for _, s in g.neighbors(v)}
-    if MINUS not in signs:
-        return check_negfree_vertex_deletion(g, v, tol)
-    if PLUS not in signs:
-        return check_posfree_vertex_deletion(g, v, tol)
-    return _skipped_report("C3.5", to_edge_string(g), {"vertex": v},
-                           f"vertex {v} has both positive and negative edges", tol)
-
-
 # --- campaigns ---------------------------------------------------------------
 
 @dataclass
@@ -700,8 +693,7 @@ def _draw(rec: Check, cfg: CampaignConfig, child: int):
         m = _rand_range(rng, max(rec.min_m, cfg.n_min), max(rec.min_m, cfg.n_max))
         if rec.kind is _SEEDED:
             return m, _mix(child, 1)
-        sig1 = _random_signs(rng, m + 1, cfg.q)
-        sign_last = MINUS if rng.random() < cfg.q else PLUS
+        *sig1, sign_last = _random_signs(rng, m + 2, cfg.q)
         return m, sig1, sign_last
 
     n = _rand_range(rng, cfg.n_min, cfg.n_max)
@@ -899,11 +891,6 @@ def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fmt17_all(xs) -> str:
-    """`" ".join(_fmt17(x) for x in xs)`, in one formatting call."""
-    return ("%.17g " * len(xs))[:-1] % tuple(xs)
-
-
 def campaign_to_csv(result: CampaignResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -911,8 +898,8 @@ def campaign_to_csv(result: CampaignResult) -> str:
     writer.writerows(
         (r.theorem, r.hypothesis_met, r.holds, _fmt17(r.worst_slack), r.witness_position,
          _fmt17(r.tol), r.graph, _SORTED_JSON(r.surgery),
-         _fmt17_all(r.spectra.get("alpha", ())), _fmt17_all(r.spectra.get("beta", ())),
-         _fmt17_all(r.spectra.get("mu", ())), ";".join(r.links_skipped), r.note)
+         format_spectrum(r.spectra.get("alpha", ())), format_spectrum(r.spectra.get("beta", ())),
+         format_spectrum(r.spectra.get("mu", ())), ";".join(r.links_skipped), r.note)
         for r in result.reports
     )
     return buf.getvalue()

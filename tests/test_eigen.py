@@ -229,7 +229,7 @@ class TestRayleigh:
             sg.rayleigh(np.eye(2), [0.0, 0.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch, match=r"length 2, matrix order is 3"):
+        with pytest.raises(LengthMismatch, match=r"real vector of length 3, got float64 \(2,\)"):
             sg.rayleigh(np.eye(3), [1.0, 0.0])
 
     @pytest.mark.parametrize("m", [np.ones((3, 2)), np.ones((3, 3, 3)), np.ones(3), np.float64(2.0)])
@@ -373,3 +373,51 @@ class TestEdgeDeletionShift:
             assert ((alpha - beta) >= -1e-9 * scale).all()
             assert ((alpha - beta) <= 2 + 1e-9 * scale).all()
             checked += 1
+
+
+# Degenerate inputs: each call returns (None below) or raises the typed error
+# given for its role.  A ValueError must be documented by the called function.
+_NS, _LM, _VE, _ZV = NonSymmetric, LengthMismatch, ValueError, ZeroVector
+_DEGENERATE = {  # input: (value, solver, rayleigh's m, oracles, rayleigh's x, check_chain)
+    "0-D": (np.float64(1.0), _NS, _NS, _NS, _LM, _LM),
+    "1-D": (np.array([1.0, 2.0]), _NS, _NS, _NS, None, None),
+    "non-square": (np.ones((2, 3)), _NS, _NS, _NS, _LM, _LM),
+    "3-D": (np.ones((2, 2, 2)), _NS, _NS, _NS, _LM, _LM),
+    "complex": (np.eye(2, dtype=complex), _NS, _NS, _NS, _LM, _LM),
+    "complex-1-D": (np.array([1j, 0.0]), _NS, _NS, _NS, _LM, _LM),
+    "object": (np.array([[None]]), _NS, _VE, _NS, _LM, _LM),
+    "object-1-D": (np.array([None, 1.0], dtype=object), _NS, _NS, _NS, _VE, _VE),
+    "nan": (np.array([[math.nan]]), _NS, _VE, _NS, _LM, _LM),
+    "nan-1-D": (np.array([math.nan, 1.0]), _NS, _NS, _NS, _VE, _VE),
+    "inf": (np.array([[math.inf]]), None, _VE, _NS, _LM, _LM),
+    "-inf": (np.array([[-math.inf]]), None, _VE, _NS, _LM, _LM),
+    "inf-diagonal": (np.array([[1.0, 0.0], [0.0, math.inf]]), None, _VE, _NS, _LM, _LM),
+    "inf-1-D": (np.array([math.inf, 1.0]), _NS, _NS, _NS, _VE, _VE),
+    "-0.0": (np.array([[-0.0, 1.0], [1.0, -0.0]]), None, None, None, _LM, _LM),
+    "-0.0-1-D": (np.array([-0.0, 0.0]), _NS, _NS, _NS, _ZV, None),
+    "0x0": (np.zeros((0, 0)), None, _ZV, None, _LM, _LM),
+}
+_CALLERS = {  # name: (column in _DEGENERATE, call, the function whose docstring counts)
+    "eigenvalues": (1, sg.eigenvalues, sg.eigenvalues),
+    "eigenvalues_many": (1, lambda x: eigenvalues_many([x]), eigenvalues_many),
+    "rayleigh-m": (2, lambda x: sg.rayleigh(x, np.ones(np.shape(x)[:1])), sg.rayleigh),
+    "charpoly_spectrum_oracle": (3, sg.charpoly_spectrum_oracle, sg.charpoly_spectrum_oracle),
+    "characteristic_polynomial": (3, characteristic_polynomial, characteristic_polynomial),
+    "determinant_oracle": (3, sg.determinant_oracle, sg.determinant_oracle),
+    "rayleigh-x": (4, lambda x: sg.rayleigh(np.eye(2), x), sg.rayleigh),
+    "check_chain": (5, lambda x: sg.check_chain(x, x, x, 0.0), sg.check_chain),
+}
+
+
+@pytest.mark.parametrize("caller", list(_CALLERS))
+@pytest.mark.parametrize("case", list(_DEGENERATE))
+def test_degenerate_input_returns_or_raises_typed(case, caller):
+    column, call, documented = _CALLERS[caller]
+    value, expected = _DEGENERATE[case][0], _DEGENERATE[case][column]
+    if expected is None:
+        call(value)
+        return
+    assert expected is not ValueError or "ValueError" in documented.__doc__
+    with pytest.raises(expected) as info:
+        call(value)
+    assert type(info.value) is expected

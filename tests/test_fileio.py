@@ -1,4 +1,6 @@
 """The .sg text format and matrix dumps."""
+import math
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,9 @@ def test_format_matrix_shape_and_precision():
 
 def test_format_spectrum():
     assert format_spectrum([-2.0, 0.0]) == "-2 0"
+    cases = [[-0.0, 0.0], [math.inf, -math.inf, math.nan], [3, -7, 2**60 + 1],
+             [np.float64(0.1), np.int64(5), 1 / 3], [], np.array([1.5, -2.0])]
+    for xs in cases:
+        want = " ".join(f"{float(x):.17g}" for x in xs)
+        assert format_spectrum(xs) == want
+        assert format_spectrum(x for x in xs) == want

@@ -48,7 +48,6 @@ from sgspectra.verify import (
     check_negative_edge_deletion_normalized,
     check_negfree_vertex_deletion,
     check_normalized_spectrum_bounds,
-    check_onesign_vertex_deletion,
     check_pendant_deletion,
     check_posfree_vertex_deletion,
     check_positive_edge_deletion_net,
@@ -83,6 +82,16 @@ class TestCheckChain:
         with pytest.raises(LengthMismatch):
             check_chain([0, 0], [1], [2, 2], 0.0)
 
+    @pytest.mark.parametrize("args", [([[0]], [[1]], [[2]]), (0, 1, 2)], ids=["2-D", "scalars"])
+    def test_not_vectors(self, args):
+        with pytest.raises(LengthMismatch, match="real vectors of one length"):
+            check_chain(*args, 0.0)
+
+    def test_no_default_tol(self):
+        # a -inf/+inf sentinel would make default_tol infinite, and every chain hold
+        with pytest.raises(ConfigInvalid, match="no default tol"):
+            check_chain([0], [1], [2], None)
+
     def test_tightening_tol_never_flips_fail_to_hold(self):
         holds_loose, *_ = check_chain([0], [1.2], [1], 0.5)
         holds_tight, *_ = check_chain([0], [1.2], [1], 0.01)
@@ -90,10 +99,10 @@ class TestCheckChain:
 
 
 class TestTol:
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf], ids=["nan", "-1", "-inf"])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, "x"], ids=["nan", "-1", "-inf", "str"])
     def test_nan_or_negative_rejected_on_every_path(self, tol):
         c4 = sg.generate("cycle", 4)
-        mixed = sg.generate("star", 3, [1, -1])  # C3.5/C3.6 dispatch skips its centre
+        mixed = sg.generate("star", 3, [1, -1])  # C3.5's gate skips its centre
         calls = [
             lambda: CampaignConfig(tol=tol).validate(),
             lambda: run_campaign(CampaignConfig(theorems=("T2.1",), samples=2, tol=tol)),
@@ -103,7 +112,7 @@ class TestTol:
             lambda: check_pendant_deletion(c4, 0, tol),  # a skipped report
             lambda: check_cycle_shrink(4, [1, 1, 1, 1, -1], -1, tol),
             lambda: check_tree_shrink("path", 4, 1, tol),
-            lambda: check_onesign_vertex_deletion(mixed, 0, tol),
+            lambda: CHECKERS["C3.5"](mixed, 0, tol),
         ]
         for call in calls:
             with pytest.raises(ConfigInvalid, match="tol must be a non-negative number"):
@@ -380,15 +389,16 @@ class TestOneSignVertexDeletion:
         g = sg.build_graph(3, [(0, 1, 1), (0, 2, -1)])
         assert not check_negfree_vertex_deletion(g, 0).hypothesis_met
         assert not check_posfree_vertex_deletion(g, 0).hypothesis_met
-        assert not check_onesign_vertex_deletion(g, 0).hypothesis_met
 
     def test_dispatcher_picks_branch(self):
+        # the gates pick the branch: C3.5 takes the all-positive vertex, C3.6 the all-negative one
         g = sg.build_graph(3, [(0, 1, 1), (0, 2, 1)])
-        assert check_onesign_vertex_deletion(g, 0).theorem == "C3.5"
         h = sg.build_graph(3, [(0, 1, -1), (0, 2, -1)])
-        assert check_onesign_vertex_deletion(h, 0).theorem == "C3.6"
-        with pytest.raises(VertexOutOfRange):
-            check_onesign_vertex_deletion(g, 99)
+        assert CHECKERS["C3.5"](g, 0).hypothesis_met and not CHECKERS["C3.6"](g, 0).hypothesis_met
+        assert CHECKERS["C3.6"](h, 0).hypothesis_met and not CHECKERS["C3.5"](h, 0).hypothesis_met
+        for theorem in ("C3.5", "C3.6"):
+            with pytest.raises(VertexOutOfRange):
+                CHECKERS[theorem](g, 99)
 
     def test_random_both_branches(self):
         rng = random.Random(21)
@@ -807,7 +817,13 @@ class TestJsonWriter:
 
     def test_campaign_csv_equals_stdlib(self):
         res = self._campaign()
-        assert campaign_to_csv(res) == _reference_csv(res)
+        text = campaign_to_csv(res)
+        assert text == _reference_csv(res)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == len(res.reports)
+        for row, r in zip(rows, res.reports):
+            for k in ("alpha", "beta", "mu"):
+                assert row[f"spectrum_{k}"] == sg.format_spectrum(r.spectra.get(k, ()))
 
     def test_package_documents_never_reach_json_dumps(self, monkeypatch):
         # the writer defers to json.dumps only for values no report holds
