@@ -17,7 +17,9 @@ same float64 operations in the same order as a lone solve.  So a spectrum
 does not depend on what it is solved with: bit for bit, it is what the
 matrix gives alone.  Padding at the end would not keep this, since dot
 products over padded lengths round differently (by up to 2.7e-15 * scale).
-An entry -0.0 is read as 0.0.
+For the same reason a matrix that repeats an earlier one of the same call
+(same shape, dtype and bytes) is solved once and gets a copy of its spectrum;
+nothing is kept between calls.  An entry -0.0 is read as 0.0.
 
 charpoly_spectrum_oracle takes a completely different route for matrices of
 order <= 6: characteristic-polynomial coefficients by the Faddeev-LeVerrier
@@ -68,6 +70,8 @@ def _stack(mats: list[np.ndarray]) -> np.ndarray:
         slot[top - len(m):, top - len(m):] = m
     if not (a == a.swapaxes(1, 2)).all():
         raise NonSymmetric("matrix is not exactly symmetric")
+    if not np.isfinite(a).all():
+        raise NonSymmetric("expected finite entries")
     a += 0.0  # -0.0 + 0.0 is 0.0; _tridiagonalize relies on having no -0.0
     return a
 
@@ -162,9 +166,17 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
 
 def eigenvalues_many(mats) -> list[np.ndarray]:
     """The eigenvalues of each symmetric matrix in mats, sorted ascending;
-    each equals what that matrix gives when solved alone, bit for bit."""
+    each equals what that matrix gives when solved alone, bit for bit.
+
+    A matrix with the shape, dtype and bytes of an earlier one in mats is
+    not solved again: it gets its own copy of that matrix's spectrum.
+    Raises NonSymmetric unless each is a real, exactly symmetric matrix with
+    finite entries.
+    """
     mats = [_square(m) for m in mats]
-    slots = sorted(range(len(mats)), key=lambda i: len(mats[i]), reverse=True)
+    first: dict = {}
+    source = [first.setdefault((m.shape, m.dtype.str, m.tobytes()), i) for i, m in enumerate(mats)]
+    slots = sorted(first.values(), key=lambda i: len(mats[i]), reverse=True)
     spectra = [None] * len(mats)
     while slots:
         top = len(mats[slots[0]])
@@ -176,7 +188,7 @@ def eigenvalues_many(mats) -> list[np.ndarray]:
         for i, n, d, e in zip(chunk, orders, np.diagonal(a, 0, 1, 2).tolist(),
                               np.diagonal(a, -1, 1, 2).tolist()):
             spectra[i] = np.sort(_ql_implicit(d[top - n:], e[top - n:]))
-    return spectra
+    return [spectra[i] if i == j else spectra[j].copy() for i, j in enumerate(source)]
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -56,20 +56,31 @@ def normalized_net_laplacian(g: SignedGraph) -> np.ndarray:
 
 
 def _check_vector(g: SignedGraph, x: Sequence[float]) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.n,):
-        raise LengthMismatch(f"vector has length {x.shape}, graph order is {g.n}")
+    """x as float64, once it is a real vector of g's order with finite entries."""
+    x = np.asarray(x)
+    if x.shape != (g.n,) or np.iscomplexobj(x):
+        raise LengthMismatch(f"expected a real vector of length {g.n}, got {x.dtype} {x.shape}")
+    x = x.astype(np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("quadratic form of non-finite entries")
     return x
 
 
 def quad_form_laplacian(g: SignedGraph, x: Sequence[float]) -> float:
-    """Sum over edges of (x_u - sign * x_v)^2; equals x^T L x."""
+    """Sum over edges of (x_u - sign * x_v)^2; equals x^T L x.
+
+    Raises LengthMismatch unless x is a real vector of the graph's order, and
+    ValueError on a non-finite entry, as every quad_form_* does.
+    """
     x = _check_vector(g, x)
     return float(sum((x[u] - s * x[v]) ** 2 for u, v, s in g.edges))
 
 
 def quad_form_net_laplacian(g: SignedGraph, x: Sequence[float]) -> float:
-    """Edge sum of (x_u - sign * x_v)^2 minus twice the d- weighted square sum."""
+    """Edge sum of (x_u - sign * x_v)^2 minus twice the d- weighted square sum.
+
+    Raises as quad_form_laplacian does (LengthMismatch, ValueError).
+    """
     x = _check_vector(g, x)
     dm = degree_profile(g).neg_degree
     edge_sum = sum((x[u] - s * x[v]) ** 2 for u, v, s in g.edges)
@@ -80,7 +91,9 @@ def quad_form_normalized(g: SignedGraph, x: Sequence[float]) -> float:
     """Net-Laplacian quadratic form over the degree-weighted square sum.
 
     Matches the Rayleigh quotient of the normalized net-Laplacian at
-    y = sqrt(degree) * x when the graph has no isolated vertices.
+    y = sqrt(degree) * x when the graph has no isolated vertices.  Raises as
+    quad_form_laplacian does (LengthMismatch, ValueError), and ZeroDenominator
+    when the degree-weighted square sum is zero.
     """
     x = _check_vector(g, x)
     d = degree_profile(g).degree

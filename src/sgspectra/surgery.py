@@ -49,11 +49,13 @@ def neighborhoods(g: SignedGraph, t: int) -> tuple[frozenset[int], frozenset[int
 
 
 def disjoint_open_neighborhoods(g: SignedGraph, a: int, b: int) -> bool:
+    """Whether a and b have disjoint open neighborhoods (no common
+    neighbour), tested without building them."""
     if a == b:
         raise SameVertex(f"vertices must differ, both are {a}")
-    na, _ = neighborhoods(g, a)
-    nb, _ = neighborhoods(g, b)
-    return not (na & nb)
+    g._check_vertex(a)
+    g._check_vertex(b)
+    return g._nbrs[a].keys().isdisjoint(g._nbrs[b].keys())
 
 
 def contract(g: SignedGraph, a: int, b: int) -> tuple[SignedGraph, dict[int, int], int]:

@@ -25,7 +25,9 @@ import json
 import math
 import numbers
 import random
+import sys
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -77,13 +79,14 @@ class InterlacingReport:
 
 
 def default_tol(*spectra) -> float:
-    """1e-9 scaled by the largest eigenvalue magnitude in play."""
-    top = 1.0
-    for s in spectra:
-        arr = np.asarray(s, dtype=np.float64)
-        if arr.size:
-            top = max(top, float(np.max(np.abs(arr))))
-    return 1e-9 * top
+    """1e-9 scaled by the largest eigenvalue magnitude in play, or by 1 when that is smaller."""
+    flat = [np.ravel(np.asarray(s, dtype=np.float64)) for s in spectra]
+    return _row_tols(np.concatenate([np.zeros(0), *flat])[None]).item()
+
+
+def _row_tols(rows: np.ndarray) -> np.ndarray:
+    """default_tol of each row of a 2-D array, one row of spectra per check."""
+    return 1e-9 * np.abs(rows).max(axis=1, initial=1.0)
 
 
 def check_chain(lower, mid, upper, tol: float):
@@ -103,29 +106,31 @@ def check_chain(lower, mid, upper, tol: float):
     if chain[0].ndim != 1 or any(x.shape != chain[0].shape or np.iscomplexobj(x) for x in chain):
         raise LengthMismatch(f"expected three real vectors of one length, got shapes "
                              f"{', '.join(str(x.shape) for x in chain)}")
-    lower, mid, upper = (x.astype(np.float64) for x in chain)
+    lower, mid, upper = (x.astype(np.float64)[None] for x in chain)
     if not np.isfinite(mid).all() or np.isnan(lower).any() or np.isnan(upper).any():
         raise ValueError("chain entries must not be NaN, and mid entries must be finite")
-    return _verdict(_chain_margins(lower, mid, upper), tol)
+    holds, worst, witness = _verdicts([(lower, mid, upper)], np.array([float(tol)]))
+    return holds[0], worst[0], witness[0]
 
 
 def _check_tol(tol) -> None:
-    """Reject a tol that is not a non-negative number; None stands for default_tol."""
-    if tol is not None and not (isinstance(tol, numbers.Real) and tol >= 0):
-        raise ConfigInvalid(f"tol must be a non-negative number, got {tol}")
+    """Reject a tol that is not a non-negative number a float can hold (inf
+    included); None stands for default_tol."""
+    if tol is not None and not (isinstance(tol, numbers.Real) and 0 <= tol
+                                and (tol <= sys.float_info.max or tol == _INF)):
+        raise ConfigInvalid(f"tol must be a non-negative number within float range, got {tol}")
 
 
-def _chain_margins(lower, mid, upper) -> np.ndarray:
+def _verdicts(triples, tols: np.ndarray):
+    """Per row of the 2-D (lower, mid, upper) triples: whether the chain holds
+    within that row's tol, its worst slack and the 1-based witness, as lists."""
     # IEEE arithmetic already gives a -inf lower or +inf upper a +inf margin
-    return np.minimum(mid - lower, upper - mid)
-
-
-def _verdict(margins: np.ndarray, tol: float):
-    if len(margins) == 0:
-        return True, _INF, 0
-    witness = int(np.argmin(margins))
-    worst = float(margins[witness])
-    return bool(worst >= -tol), worst, witness + 1
+    margins = reduce(np.minimum, [np.minimum(mid - lower, upper - mid) for lower, mid, upper in triples])
+    if not margins.shape[1]:
+        return [True] * len(margins), [_INF] * len(margins), [0] * len(margins)
+    witness = margins.argmin(axis=1)
+    worst = margins[np.arange(len(margins)), witness]
+    return (worst >= -tols).tolist(), worst.tolist(), (witness + 1).tolist()
 
 
 # --- the check table ---------------------------------------------------------
@@ -169,12 +174,15 @@ class Check:
     """One check id.
 
     `matrices` holds the builders whose spectra are alpha, of the input
-    graph, and beta and mu, of the derived graph; `chain(surgery, alpha, beta[, mu])` returns (lower, mid,
-    upper) triples, and the verdict takes the per-position minimum of their
-    margins.  A -inf lower or +inf upper entry is a link with no partner; the
-    report lists it in links_skipped.  Family checks have `build(family, m,
-    ...) -> (graph string, surgery, alpha graph, beta graph)` in place of a
-    graph and stages.
+    graph, and beta and mu, of the derived graph.  `chain(surgery, alpha,
+    beta[, mu])` takes a block of checks with equal orders: each spectrum
+    slot is a 2-D array with one row per check, and surgery[key] is that
+    surgery entry of each row as a (rows, 1) column.  It returns 2-D (lower,
+    mid, upper) triples, and each row's verdict takes the per-position
+    minimum of their margins.  A -inf lower or +inf upper entry is a link
+    with no partner; the report lists it in links_skipped.  Family checks
+    have `build(family, m, ...) -> (graph string, surgery, alpha graph, beta
+    graph)` in place of a graph and stages.
     """
 
     id: str
@@ -185,39 +193,49 @@ class Check:
     doc: str
     stages: tuple = ()
     params: Callable | None = None  # g -> surgery entries, once the hypothesis is met
-    info: Callable | None = None  # (alpha, tol) -> info flags
+    info: Callable | None = None  # (alpha block, tols) -> info flags of each row
     note: str = ""
     family: str | None = None
     build: Callable | None = None
     min_m: int = 0
 
 
-def _chain_report(rec: Check, graph: str, surgery: dict, spectra: list, tol) -> InterlacingReport:
-    tol_val = tol if tol is not None else default_tol(*spectra)
-    triples = rec.chain(surgery, *spectra)
-    margins = np.minimum.reduce([_chain_margins(*t) for t in triples])
-    holds, worst, witness = _verdict(margins, tol_val)
-    return InterlacingReport(
-        theorem=rec.id,
-        holds=holds,
-        hypothesis_met=True,
-        worst_slack=worst,
-        witness_position=witness,
-        tol=float(tol_val),
-        spectra={k: s.tolist() for k, s in zip(("alpha", "beta", "mu"), spectra)},
-        graph=graph,
-        surgery=surgery,
-        links_skipped=_links_skipped(triples),
-        note=rec.note,
-        info=rec.info(spectra[0], tol_val) if rec.info else {},
-    )
+def _block_reports(rec: Check, prepared: list, spectra: list, tol) -> list[InterlacingReport]:
+    """Reports for prepared checks of rec whose spectra have equal orders,
+    decided over one 2-D array per matrix slot with a row per check."""
+    slots = [np.array(col) for col in zip(*spectra)]
+    if tol is None:
+        tols = _row_tols(np.concatenate(slots, axis=1))
+    else:
+        tols = np.full(len(prepared), float(tol))
+    triples = rec.chain(_Columns([p[1] for p in prepared]), *slots)
+    lower = reduce(np.logical_or, [t[0] == -_INF for t in triples]).tolist()
+    upper = reduce(np.logical_or, [t[2] == _INF for t in triples]).tolist()
+    info = rec.info(slots[0], tols) if rec.info else [{} for _ in prepared]
+    names = ("alpha", "beta", "mu")
+    return [
+        InterlacingReport(
+            theorem=rec.id, holds=holds, hypothesis_met=True, worst_slack=worst,
+            witness_position=witness, tol=t, spectra=dict(zip(names, rows)), graph=graph,
+            surgery=surgery,
+            # links with no partner, lower links first
+            links_skipped=[f"lower p={p}" for p, x in enumerate(lo, 1) if x]
+            + [f"upper p={p}" for p, x in enumerate(up, 1) if x],
+            note=rec.note, info=flags)
+        for (graph, surgery, _), holds, worst, witness, t, rows, lo, up, flags in zip(
+            prepared, *_verdicts(triples, tols), tols.tolist(), zip(*(x.tolist() for x in slots)),
+            lower, upper, info)
+    ]
 
 
-def _links_skipped(triples) -> list[str]:
-    """Links with no partner (a -inf lower or +inf upper entry), lower links first."""
-    lower = sorted({p for t in triples for p, x in enumerate(t[0].tolist(), 1) if x == -_INF})
-    upper = sorted({p for t in triples for p, x in enumerate(t[2].tolist(), 1) if x == _INF})
-    return [f"lower p={p}" for p in lower] + [f"upper p={p}" for p in upper]
+class _Columns:
+    """The surgeries of a block's rows; [key] is that entry of each row as a (rows, 1) column."""
+
+    def __init__(self, surgeries: list):
+        self.surgeries = surgeries
+
+    def __getitem__(self, key) -> np.ndarray:
+        return np.array([[s[key]] for s in self.surgeries], dtype=np.float64)
 
 
 def _skipped_report(theorem, g_str, surgery, note, tol) -> InterlacingReport:
@@ -276,14 +294,22 @@ def _prepare(rec: Check, tol, *args):
 
 
 def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
-    """Reports for prepared checks of rec, all their matrices solved in one call."""
-    pending = [p for p in prepared if not isinstance(p, InterlacingReport)]
+    """Reports for prepared checks of rec, all their matrices solved in one
+    call and the checks with equal matrix orders decided as one block."""
+    pending = [i for i, p in enumerate(prepared) if not isinstance(p, InterlacingReport)]
     if not pending:
         return prepared
-    spectra = iter(eigenvalues_many([m for _, _, mats in pending for m in mats]))
-    return [p if isinstance(p, InterlacingReport)
-            else _chain_report(rec, p[0], p[1], [next(spectra) for _ in p[2]], tol)
-            for p in prepared]
+    spectra = iter(eigenvalues_many([m for i in pending for m in prepared[i][2]]))
+    blocks: dict[tuple, list] = {}
+    for i in pending:
+        rows = [next(spectra) for _ in prepared[i][2]]
+        blocks.setdefault(tuple(map(len, rows)), []).append((i, rows))
+    reports = list(prepared)
+    for block in blocks.values():
+        index, block_spectra = zip(*block)
+        for i, r in zip(index, _block_reports(rec, [prepared[i] for i in index], block_spectra, tol)):
+            reports[i] = r
+    return reports
 
 
 def _groups(prepared, entries: int):
@@ -375,19 +401,29 @@ _KEEPS_DEGREE = Stage(lambda g, u, v: g.degree(u) >= 2 and g.degree(v) >= 2, "de
 
 # --- chains, parameters and family builders ------------------------------------------
 
+def _pad(a, lo=(), hi=()):
+    """The rows of a with constant columns lo before and hi after them."""
+    k = len(lo)
+    out = np.empty((len(a), k + a.shape[1] + len(hi)))
+    out[:, :k] = lo
+    out[:, k:k + a.shape[1]] = a
+    out[:, k + a.shape[1]:] = hi
+    return out
+
+
 def _interlace(s, a, b):
-    return [(a[:-1], b, a[1:])]
+    return [(a[:, :-1], b, a[:, 1:])]
 
 
 def _cycle_chain(s, a, b):
-    return [(a[:-1] - 1.0, b, a[1:] + 2.0)]
+    return [(a[:, :-1] - 1.0, b, a[:, 1:] + 2.0)]
 
 
 def _coregular_chain(s, a, b, mu):
     """beta_p + 2s <= alpha_p <= mu_p + (1-2s) <= alpha_{p+1} <= beta_{p+1} + 2s."""
     k = 2.0 * s["uniform_neg_degree"]
     mid = mu + (1.0 - k)
-    return [(b + k, a[:-1], mid), (mid, a[1:], np.append(b[1:] + k, _INF))]
+    return [(b + k, a[:, :-1], mid), (mid, a[:, 1:], _pad(b[:, 1:] + k, hi=(_INF,)))]
 
 
 def _neg_degree_range(g: SignedGraph) -> dict:
@@ -395,11 +431,11 @@ def _neg_degree_range(g: SignedGraph) -> dict:
     return {"delta_minus": dmin, "Delta_minus": dmax}
 
 
-def _bound_flags(a, tol: float) -> dict:
-    if not a.size:
-        return {}
-    return {"attains_upper_bound": bool(abs(a[-1] - 2.0) <= tol),
-            "attains_lower_bound": bool(abs(a[0] + 2.0) <= tol)}
+def _bound_flags(a, tols) -> list[dict]:
+    if not a.shape[1]:
+        return [{} for _ in a]
+    ends = np.abs(a[:, [-1, 0]] - [2.0, -2.0]) <= tols[:, None]
+    return [{"attains_upper_bound": hi, "attains_lower_bound": lo} for hi, lo in ends.tolist()]
 
 
 def _random_signs(rng: random.Random, k: int, q: float = 0.5) -> list[int]:
@@ -463,10 +499,10 @@ _NORM = (_norm, _norm)
 _TABLE = (
     # Laplacian
     Check("T2.1", "check_vertex_deletion_laplacian", _VERTEX, _LAP,
-          lambda s, a, b: [(a[:-1], b + 1.0, a[1:] + 1.0)], stages=(_TWO,),
+          lambda s, a, b: [(a[:, :-1], b + 1.0, a[:, 1:] + 1.0)], stages=(_TWO,),
           doc="""T2.1: deleting any vertex, alpha_p <= beta_p + 1 <= alpha_{p+1} + 1."""),
     Check("C2.2", "check_dominating_vertex_deletion", _VERTEX, _LAP,
-          lambda s, a, b: [(a[:-1], b + 1.0, a[1:])],
+          lambda s, a, b: [(a[:, :-1], b + 1.0, a[:, 1:])],
           stages=(Stage(lambda g, v: g.n >= 2 and g.degree(v) == g.n - 1,
                         "vertex {0} is not adjacent to all remaining vertices"),),
           doc="""C2.2: deleting a vertex adjacent to all others tightens the upper link."""),
@@ -506,26 +542,26 @@ _TABLE = (
           params=_neg_degree_range,
           doc="""L3.1: beta_p + 2*min(d-) <= alpha_p <= beta_p + 2*max(d-), same graph."""),
     Check("T3.2", "check_negative_edge_deletion_net", _EDGE, _NET,
-          lambda s, a, b: [(a, b, np.append(a[1:], float(len(a))))], stages=(_NEGATIVE,),
+          lambda s, a, b: [(a, b, _pad(a[:, 1:], hi=(a.shape[1],)))], stages=(_NEGATIVE,),
           doc="""T3.2: deleting a negative edge, alpha_p <= beta_p <= alpha_{p+1} with
     the top position capped by the vertex count."""),
     Check("T3.3", "check_positive_edge_deletion_net", _EDGE, _NET,
-          lambda s, a, b: [(np.append(-float(len(a)), a[:-1]), b, a)], stages=(_POSITIVE,),
+          lambda s, a, b: [(_pad(a[:, :-1], lo=(-a.shape[1],)), b, a)], stages=(_POSITIVE,),
           doc="""T3.3: deleting a positive edge, alpha_{p-1} <= beta_p <= alpha_p with
     the bottom position floored at minus the vertex count."""),
     Check("T3.4", "check_vertex_deletion_net", _VERTEX, _NET,
-          lambda s, a, b: [(a[:-1] - 1.0, b, a[1:] + 1.0)],
+          lambda s, a, b: [(a[:, :-1] - 1.0, b, a[:, 1:] + 1.0)],
           stages=(_TWO, Stage(lambda g: is_connected(g), "graph is not connected", whole=True)),
           doc="""T3.4: deleting a vertex of a connected graph,
     alpha_p - 1 <= beta_p <= alpha_{p+1} + 1."""),
     Check("C3.5", "check_negfree_vertex_deletion", _VERTEX, _NET,
-          lambda s, a, b: [(a[:-1] - 1.0, b, a[1:])],
+          lambda s, a, b: [(a[:, :-1] - 1.0, b, a[:, 1:])],
           stages=(_TWO, Stage(lambda g, v: all(s == PLUS for _, s in g.neighbors(v)),
                               "vertex {0} has a negative edge")),
           doc="""C3.5: deleting a vertex with no negative edges,
     alpha_p - 1 <= beta_p <= alpha_{p+1}."""),
     Check("C3.6", "check_posfree_vertex_deletion", _VERTEX, _NET,
-          lambda s, a, b: [(a[:-1], b, a[1:] + 1.0)],
+          lambda s, a, b: [(a[:, :-1], b, a[:, 1:] + 1.0)],
           stages=(_TWO, Stage(lambda g, v: all(s == MINUS for _, s in g.neighbors(v)),
                               "vertex {0} has a positive edge")),
           doc="""C3.6: deleting a vertex with no positive edges,
@@ -549,19 +585,19 @@ _TABLE = (
     attainment characterizes all-positive / all-negative bipartite components.
     """),
     Check("T4.1", "check_negative_edge_deletion_normalized", _EDGE, _NORM,
-          lambda s, a, b: [(a, b, np.append(a[2:], [_INF, _INF]))],
+          lambda s, a, b: [(a, b, _pad(a[:, 2:], hi=(_INF, _INF)))],
           stages=(_NEGATIVE, _NO_ISOLATED, _KEEPS_DEGREE),
           doc="""T4.1: deleting a negative edge (no isolated vertices before or after),
     alpha_p <= beta_p <= alpha_{p+2}; positions without an upper partner are
     skipped and recorded."""),
     Check("T4.2", "check_positive_edge_deletion_normalized", _EDGE, _NORM,
-          lambda s, a, b: [(np.append(-_INF, a[:-1]), b, np.append(a[1:], _INF))],
+          lambda s, a, b: [(_pad(a[:, :-1], lo=(-_INF,)), b, _pad(a[:, 1:], hi=(_INF,)))],
           stages=(_POSITIVE, _NO_ISOLATED, _KEEPS_DEGREE),
           doc="""T4.2: deleting a positive edge (no isolated vertices before or after),
     alpha_{p-1} <= beta_p <= alpha_{p+1}; boundary links without a partner
     are skipped and recorded."""),
     Check("T4.3", "check_contraction_normalized", _PAIR, _NORM,
-          lambda s, a, b: [(np.append(-2.0, a[:-2]), b, a[1:])],
+          lambda s, a, b: [(_pad(a[:, :-2], lo=(-2.0,)), b, a[:, 1:])],
           stages=(Stage(lambda g, a, b: disjoint_open_neighborhoods(g, a, b),
                         "vertices {0} and {1} share a neighbor"),
                   _NO_ISOLATED,
@@ -724,9 +760,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     Child seeds are derived from (seed, master check index, sample index), so
     each check's stream is independent of which other checks run.  A
     check's samples are drawn and prepared in order, and the matrices of
-    each run of samples that fills one solver stack are solved in one call;
-    a spectrum does not depend on what it is solved with, so each report
-    equals its checker's.
+    each run of samples that fills one solver stack are solved in one call
+    and their reports decided in blocks of equal orders; a spectrum does not
+    depend on what it is solved with, so each report equals its checker's.
     """
     cfg.validate()
     reports: list[InterlacingReport] = []

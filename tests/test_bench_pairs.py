@@ -1,0 +1,73 @@
+"""The pair runner's summary of synthetic perfbench runs."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def run(seed, correct=True, failed=0, **metrics):
+    return {"seed": seed, "exit": 0, "correct": correct, "failed": failed, "attempted": 100,
+            "metrics": metrics}
+
+
+def pairs(parent, change, **extra):
+    return [{"seed": 50 + i, "parent": run(50 + i, campaign_s=p, **extra),
+             "change": run(50 + i, campaign_s=c, **extra)} for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench_pairs.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_summary_counts_wins_in_each_metric_direction():
+    data = pairs([5.0, 4.0, 6.0, 5.0], [4.0, 4.5, 5.0, 4.0])
+    data[1]["change"]["metrics"]["ratio"] = 0.9
+    for p in data:
+        p["parent"]["metrics"]["ratio"] = 0.5
+        p["change"]["metrics"].setdefault("ratio", 0.4)
+    s = bench_pairs.summarize(data, {"campaign_s": "lower", "ratio": "higher"})
+    assert s["pairs"] == 4 and s["seeds"] == [50, 51, 52, 53]
+    assert s["all_correct"] and s["failed"] == 0 and s["attempted"] == 800
+    m = s["metrics"]["campaign_s"]
+    assert m["change_wins"] == 3
+    assert m["parent"]["median"] == 5.0 and m["change"]["median"] == 4.25
+    assert m["change_over_parent_median"] == pytest.approx(0.85)
+    assert m["pairs"] == [[5.0, 4.0], [4.0, 4.5], [6.0, 5.0], [5.0, 4.0]]
+    assert s["metrics"]["ratio"]["change_wins"] == 1
+    assert s["runs"] is data
+
+
+def test_summary_keeps_failed_runs_and_skips_missing_metrics():
+    data = pairs([5.0, 5.0], [4.0, 4.0], peak_rss_mb=50.0)
+    data[0]["change"] = run(50, correct=False, failed=3)  # no result line: no metrics
+    s = bench_pairs.summarize(data, {})
+    assert not s["all_correct"] and s["failed"] == 3
+    assert s["metrics"] == {}
+    assert bench_pairs.summarize([], {})["metrics"] == {}
+
+
+_SPREAD = [5.0, 5.1, 5.2, 5.3, 5.4] * 2  # parent IQR 0.2
+
+
+@pytest.mark.parametrize("parent, change, met", [
+    ([5.0] * 10, [4.0] * 9 + [6.0], True),  # 9 of 10 wins, median gain 1.0 above an IQR of 0
+    ([5.0] * 10, [4.0] * 8 + [6.0] * 2, False),  # 8 of 10 wins
+    (_SPREAD, [x - 0.05 for x in _SPREAD], False),  # 10 of 10 wins, gain 0.05 under the IQR
+    (_SPREAD, [x - 0.5 for x in _SPREAD], True),
+])
+def test_claim_needs_nine_in_ten_wins_and_a_gain_above_the_parent_iqr(parent, change, met):
+    s = bench_pairs.summarize(pairs(parent, change), {"campaign_s": "lower"})
+    result = bench_pairs.claim_result(s, "campaign_s")
+    assert result["met"] is met
+    assert result["change_wins"] == f"{sum(c < p for p, c in zip(parent, change))}/10"
+
+
+def test_seed_list():
+    assert bench_pairs.seed_list("51-54") == [51, 52, 53, 54]
+    assert bench_pairs.seed_list("7") == [7]

@@ -13,6 +13,7 @@ from sgspectra.errors import (
     LengthMismatch,
     NoConvergence,
     NonSymmetric,
+    ZeroDenominator,
     ZeroVector,
 )
 
@@ -172,6 +173,26 @@ class TestEigenvaluesMany:
 
     def test_empty_list(self):
         assert eigenvalues_many([]) == []
+
+    def test_repeats_are_solved_once_and_returned_as_copies(self, monkeypatch):
+        import sgspectra.eigen as eigen_mod
+        lap = sg.laplacian(sg.generate("cycle", 5))
+        norm = sg.normalized_net_laplacian(sg.random_signed_graph(7, 0.6, 0.5, seed=3))
+        zero, neg_zero = np.zeros((2, 2)), np.full((2, 2), -0.0)
+        # lap.T is a non-contiguous view with lap's entries; lap as float64, and
+        # -0.0 against 0.0, differ in dtype or in bytes and are solved apart
+        mats = [lap, norm, lap.copy(), lap.T, lap.astype(float), norm, zero, neg_zero, lap]
+        alone = [spectrum_bytes(sg.eigenvalues(m)) for m in mats]
+        calls = []
+        real = eigen_mod._ql_implicit
+        monkeypatch.setattr(eigen_mod, "_ql_implicit", lambda d, e: calls.append(len(d)) or real(d, e))
+        out = eigenvalues_many(mats)
+        assert sorted(calls) == [2, 2, 5, 5, 7]
+        assert [spectrum_bytes(w) for w in out] == alone
+        assert len({id(w) for w in out}) == len(out)
+        assert not any(np.shares_memory(v, w) for i, v in enumerate(out) for w in out[i + 1:])
+        out[0][:] = 99.0
+        assert [spectrum_bytes(w) for w in out[1:]] == alone[1:]
 
     def test_negative_zero_entries_read_as_zero(self):
         for m in mixed_batch(15)[:60]:
@@ -377,26 +398,29 @@ class TestEdgeDeletionShift:
 
 # Degenerate inputs: each call returns (None below) or raises the typed error
 # given for its role.  A ValueError must be documented by the called function.
-_NS, _LM, _VE, _ZV = NonSymmetric, LengthMismatch, ValueError, ZeroVector
-_DEGENERATE = {  # input: (value, solver, rayleigh's m, oracles, rayleigh's x, check_chain)
-    "0-D": (np.float64(1.0), _NS, _NS, _NS, _LM, _LM),
-    "1-D": (np.array([1.0, 2.0]), _NS, _NS, _NS, None, None),
-    "non-square": (np.ones((2, 3)), _NS, _NS, _NS, _LM, _LM),
-    "3-D": (np.ones((2, 2, 2)), _NS, _NS, _NS, _LM, _LM),
-    "complex": (np.eye(2, dtype=complex), _NS, _NS, _NS, _LM, _LM),
-    "complex-1-D": (np.array([1j, 0.0]), _NS, _NS, _NS, _LM, _LM),
-    "object": (np.array([[None]]), _NS, _VE, _NS, _LM, _LM),
-    "object-1-D": (np.array([None, 1.0], dtype=object), _NS, _NS, _NS, _VE, _VE),
-    "nan": (np.array([[math.nan]]), _NS, _VE, _NS, _LM, _LM),
-    "nan-1-D": (np.array([math.nan, 1.0]), _NS, _NS, _NS, _VE, _VE),
-    "inf": (np.array([[math.inf]]), None, _VE, _NS, _LM, _LM),
-    "-inf": (np.array([[-math.inf]]), None, _VE, _NS, _LM, _LM),
-    "inf-diagonal": (np.array([[1.0, 0.0], [0.0, math.inf]]), None, _VE, _NS, _LM, _LM),
-    "inf-1-D": (np.array([math.inf, 1.0]), _NS, _NS, _NS, _VE, _VE),
-    "-0.0": (np.array([[-0.0, 1.0], [1.0, -0.0]]), None, None, None, _LM, _LM),
-    "-0.0-1-D": (np.array([-0.0, 0.0]), _NS, _NS, _NS, _ZV, None),
-    "0x0": (np.zeros((0, 0)), None, _ZV, None, _LM, _LM),
+_NS, _LM, _VE, _ZV, _ZD = NonSymmetric, LengthMismatch, ValueError, ZeroVector, ZeroDenominator
+_DEGENERATE = {  # input: (value, solver, rayleigh's m, oracles, rayleigh's x, check_chain,
+    #                  the x of quad_form_laplacian and _net_laplacian, the x of quad_form_normalized)
+    "0-D": (np.float64(1.0), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
+    "1-D": (np.array([1.0, 2.0]), _NS, _NS, _NS, None, None, None, None),
+    "non-square": (np.ones((2, 3)), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
+    "3-D": (np.ones((2, 2, 2)), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
+    "complex": (np.eye(2, dtype=complex), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
+    "complex-1-D": (np.array([1j, 0.0]), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
+    "object": (np.array([[None]]), _NS, _VE, _NS, _LM, _LM, _LM, _LM),
+    "object-1-D": (np.array([None, 1.0], dtype=object), _NS, _NS, _NS, _VE, _VE, _VE, _VE),
+    "nan": (np.array([[math.nan]]), _NS, _VE, _NS, _LM, _LM, _LM, _LM),
+    "nan-1-D": (np.array([math.nan, 1.0]), _NS, _NS, _NS, _VE, _VE, _VE, _VE),
+    "inf": (np.array([[math.inf]]), _NS, _VE, _NS, _LM, _LM, _LM, _LM),
+    "-inf": (np.array([[-math.inf]]), _NS, _VE, _NS, _LM, _LM, _LM, _LM),
+    "inf-diagonal": (np.array([[1.0, 0.0], [0.0, math.inf]]), _NS, _VE, _NS, _LM, _LM, _LM, _LM),
+    "inf-diagonal-3x3": (np.diag([1.0, 2.0, math.inf]), _NS, _VE, _NS, _LM, _LM, _LM, _LM),
+    "inf-1-D": (np.array([math.inf, 1.0]), _NS, _NS, _NS, _VE, _VE, _VE, _VE),
+    "-0.0": (np.array([[-0.0, 1.0], [1.0, -0.0]]), None, None, None, _LM, _LM, _LM, _LM),
+    "-0.0-1-D": (np.array([-0.0, 0.0]), _NS, _NS, _NS, _ZV, None, None, _ZD),
+    "0x0": (np.zeros((0, 0)), None, _ZV, None, _LM, _LM, _LM, _LM),
 }
+_K2 = sg.build_graph(2, [(0, 1, 1)])
 _CALLERS = {  # name: (column in _DEGENERATE, call, the function whose docstring counts)
     "eigenvalues": (1, sg.eigenvalues, sg.eigenvalues),
     "eigenvalues_many": (1, lambda x: eigenvalues_many([x]), eigenvalues_many),
@@ -406,6 +430,9 @@ _CALLERS = {  # name: (column in _DEGENERATE, call, the function whose docstring
     "determinant_oracle": (3, sg.determinant_oracle, sg.determinant_oracle),
     "rayleigh-x": (4, lambda x: sg.rayleigh(np.eye(2), x), sg.rayleigh),
     "check_chain": (5, lambda x: sg.check_chain(x, x, x, 0.0), sg.check_chain),
+    "quad_form_laplacian": (6, lambda x: sg.quad_form_laplacian(_K2, x), sg.quad_form_laplacian),
+    "quad_form_net_laplacian": (6, lambda x: sg.quad_form_net_laplacian(_K2, x), sg.quad_form_net_laplacian),
+    "quad_form_normalized": (7, lambda x: sg.quad_form_normalized(_K2, x), sg.quad_form_normalized),
 }
 
 

@@ -126,6 +126,22 @@ class TestDisjointNeighborhoods:
         with pytest.raises(SameVertex):
             sg.disjoint_open_neighborhoods(sg.generate("path", 3), 1, 1)
 
+    def test_out_of_range(self):
+        for a, b in ((0, 3), (3, 0), (-1, 0)):
+            with pytest.raises(VertexOutOfRange):
+                sg.disjoint_open_neighborhoods(sg.generate("path", 3), a, b)
+
+    def test_every_pair_matches_the_frozenset_definition(self):
+        rng = random.Random(21)
+        for _ in range(30):
+            n = rng.randrange(2, 11)
+            g = sg.random_signed_graph(n, rng.random(), 0.5, seed=rng.randrange(10**6))
+            for a in range(n):
+                for b in range(n):
+                    if a != b:
+                        want = not (neighborhoods(g, a)[0] & neighborhoods(g, b)[0])
+                        assert sg.disjoint_open_neighborhoods(g, a, b) is want
+
 
 class TestContract:
     def test_disjoint_neighborhoods_case(self):

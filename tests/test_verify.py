@@ -99,7 +99,8 @@ class TestCheckChain:
 
 
 class TestTol:
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, "x"], ids=["nan", "-1", "-inf", "str"])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, "x", 10**400],
+                             ids=["nan", "-1", "-inf", "str", "huge"])
     def test_nan_or_negative_rejected_on_every_path(self, tol):
         c4 = sg.generate("cycle", 4)
         mixed = sg.generate("star", 3, [1, -1])  # C3.5's gate skips its centre
@@ -918,3 +919,35 @@ class TestSolve:
         reports = verify._solve(rec, gated + [met], None)
         assert calls == [1]
         assert reports[:3] == gated and reports[3].hypothesis_met
+
+    @pytest.mark.parametrize("tol", [None, 1e-6])
+    def test_one_call_on_mixed_orders_equals_each_lone_check(self, tol):
+        # L3.1's chain reads delta_minus and Delta_minus and C3.7's reads
+        # uniform_neg_degree, one column entry per row of a block; campaigns
+        # never meet C3.7's hypothesis, so only this test decides it in blocks
+        rng = random.Random(8)
+        graphs = [sg.random_signed_graph(n, 0.7, q, seed=rng.randrange(10**6))
+                  for n in (5, 5, 5, 6, 6, 7) for q in (0.1, 0.5, 0.9)]
+        k4_matching = sg.build_graph(4, [(0, 1, -1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1),
+                                         (2, 3, -1)])
+        k5_cycle = sg.build_graph(5, [(u, v, -1 if v - u in (1, 4) else 1)
+                                      for u in range(5) for v in range(u + 1, 5)])
+        coregular = [sg.generate("complete", 4), k4_matching, k5_cycle]
+        cases = {"L3.1": [(g,) for g in graphs],
+                 "C3.7": [(g, v) for g in coregular + [sg.generate("cycle", 4)] for v in (0, 3)]}
+        for theorem, args in cases.items():
+            rec = CHECKS[theorem]
+            prepared = [verify._prepare(rec, tol, *a) for a in args]
+            reports = verify._solve(rec, prepared, tol)
+            lone = [CHECKERS[theorem](*a, tol=tol) for a in args]
+            assert [verify.report_to_json(r) for r in reports] == [verify.report_to_json(r) for r in lone]
+        params = {}
+        for r in reports[:6]:
+            params.setdefault(len(r.spectra["alpha"]), set()).add(r.surgery["uniform_neg_degree"])
+        assert params == {4: {0, 1}, 5: {2}}
+        assert [r.hypothesis_met for r in reports] == [True] * 6 + [False] * 2
+        assert not any(r.holds for r in reports[:6])
+        by_order = {}
+        for g in graphs:
+            by_order.setdefault(g.n, set()).add(sg.min_max_neg_degree(g))
+        assert all(len(v) > 1 for v in by_order.values())
