@@ -2,14 +2,14 @@
 """Run perfbench on a parent and a change checkout in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --seeds 51-60 \\
-        --out BENCH_name.json [--workloads campaign_default,single_check] \\
-        [--seconds 15] [--claim campaign_default:campaign_s]
+        --out BENCH_name.json [--claim campaign_default:campaign_s]
 
 Each checkout runs its own `perfbench/run.py --workload W --seed S --seconds T
---trace 0` from its root, as it is.  For each workload, pair i runs both
-sides on the i-th seed, the parent first when i is even and the change first
-when i is odd.  The output keeps every run's metrics, `correct`, `failed`
-and `attempted`, and per end-to-end metric each side's median and quartiles
+--trace 0` from its root, as it is, on every workload and for the run_seconds
+T that the parent's BENCHMARK.json declares.  For each workload, pair i runs
+both sides on the i-th seed, the parent first when i is even and the change
+first when i is odd.  The output keeps every run's metrics, `correct`,
+`failed` and `attempted`, and per end-to-end metric each side's median and quartiles
 (inclusive method), the change/parent median ratio and the pairs the change
 wins, in the direction BENCHMARK.json gives.  A claim holds when the change
 wins at least 9 in 10 pairs and its median beats the parent's by more than
@@ -24,9 +24,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-WORKLOADS = ("campaign_default", "campaign_scarce", "campaign_large", "single_check")
-
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run; a run without a result line reads as incorrect."""
@@ -100,24 +97,23 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--seeds", type=seed_list, required=True, help="e.g. 51-60")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--claim", help="workload:metric judged by the 9-in-10 rule")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    doc = {"command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                      f"{args.seconds:g} --trace 0, from each checkout's root",
+    seconds = spec["run_seconds"]
+    doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
+                      "--trace 0, from each checkout's root",
            "order": "parent first on even pair index, change first on odd",
            "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for i, seed in enumerate(args.seeds):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed}
             for side in sides:
-                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+                pair[side] = run_once(getattr(args, side), workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: correct={pair[side]['correct']} "
                       f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
             pairs.append(pair)

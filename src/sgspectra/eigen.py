@@ -52,13 +52,42 @@ _STACK_ENTRIES = 1 << 16  # per stack; bounds its memory and its temporaries
 
 
 def _square(m) -> np.ndarray:
-    """m as an array, once it is known to be a real square matrix."""
+    """m as an array, once it is known to be a real square matrix; an object
+    array comes back as float64."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {m.shape}")
-    if np.iscomplexobj(m):
+    real = not np.iscomplexobj(m)
+    if real and m.dtype.kind == "O":
+        try:
+            m = m.astype(np.float64)
+        except TypeError:  # a complex entry
+            real = False
+    if not real:
         raise NonSymmetric(f"expected a real matrix, got dtype {m.dtype}")
     return m
+
+
+def _real_vector(x, n: int | None = None, nonfinite: str | None = None) -> np.ndarray:
+    """x as float64, once it is a real vector (of length n unless n is None).
+
+    Raises LengthMismatch otherwise, a complex entry inside an object array
+    included, and ValueError(nonfinite) on a non-finite entry unless
+    nonfinite is None.
+    """
+    x = np.asarray(x)
+    real = None
+    if x.ndim == 1 and n in (None, len(x)) and not np.iscomplexobj(x):
+        try:
+            real = x.astype(np.float64)
+        except TypeError:  # a complex entry in an object array
+            pass
+    if real is None:
+        length = "" if n is None else f" of length {n}"
+        raise LengthMismatch(f"expected a real vector{length}, got {x.dtype} {x.shape}")
+    if nonfinite is not None and not np.isfinite(real).all():
+        raise ValueError(nonfinite)
+    return real
 
 
 def _stack(mats: list[np.ndarray]) -> np.ndarray:
@@ -174,9 +203,14 @@ def eigenvalues_many(mats) -> list[np.ndarray]:
     finite entries.
     """
     mats = [_square(m) for m in mats]
-    first: dict = {}
-    source = [first.setdefault((m.shape, m.dtype.str, m.tobytes()), i) for i, m in enumerate(mats)]
-    slots = sorted(first.values(), key=lambda i: len(mats[i]), reverse=True)
+    first: dict = {}  # (shape, dtype, hash of the bytes) -> index of the first such matrix
+    source = []
+    for i, m in enumerate(mats):
+        data = m.tobytes()
+        j = first.setdefault((m.shape, m.dtype.str, hash(data)), i)
+        # a hash collision between different bytes only costs a second solve
+        source.append(j if j == i or mats[j].tobytes() == data else i)
+    slots = sorted((i for i, j in enumerate(source) if i == j), key=lambda i: len(mats[i]), reverse=True)
     spectra = [None] * len(mats)
     while slots:
         top = len(mats[slots[0]])
@@ -204,11 +238,8 @@ def rayleigh(m, x: Sequence[float]) -> float:
     ZeroVector for x = 0.
     """
     a = np.asarray(_square(m), dtype=np.float64)
-    x = np.asarray(x)
-    if x.shape != (len(a),) or np.iscomplexobj(x):
-        raise LengthMismatch(f"expected a real vector of length {len(a)}, got {x.dtype} {x.shape}")
-    x = x.astype(np.float64)
-    if not (np.isfinite(a).all() and np.isfinite(x).all()):
+    x = _real_vector(x, len(a), "Rayleigh quotient of non-finite entries")
+    if not np.isfinite(a).all():
         raise ValueError("Rayleigh quotient of non-finite entries")
     denom = float(x @ x)
     if denom == 0.0:

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, ZeroDenominator
+from .eigen import _real_vector
+from .errors import ZeroDenominator
 from .graphs import SignedGraph, degree_profile
 
 
@@ -55,24 +56,13 @@ def normalized_net_laplacian(g: SignedGraph) -> np.ndarray:
     return np.divide(n_mat, np.sqrt(dd), out=np.zeros(dd.shape), where=dd > 0)
 
 
-def _check_vector(g: SignedGraph, x: Sequence[float]) -> np.ndarray:
-    """x as float64, once it is a real vector of g's order with finite entries."""
-    x = np.asarray(x)
-    if x.shape != (g.n,) or np.iscomplexobj(x):
-        raise LengthMismatch(f"expected a real vector of length {g.n}, got {x.dtype} {x.shape}")
-    x = x.astype(np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("quadratic form of non-finite entries")
-    return x
-
-
 def quad_form_laplacian(g: SignedGraph, x: Sequence[float]) -> float:
     """Sum over edges of (x_u - sign * x_v)^2; equals x^T L x.
 
     Raises LengthMismatch unless x is a real vector of the graph's order, and
     ValueError on a non-finite entry, as every quad_form_* does.
     """
-    x = _check_vector(g, x)
+    x = _real_vector(x, g.n, "quadratic form of non-finite entries")
     return float(sum((x[u] - s * x[v]) ** 2 for u, v, s in g.edges))
 
 
@@ -81,7 +71,7 @@ def quad_form_net_laplacian(g: SignedGraph, x: Sequence[float]) -> float:
 
     Raises as quad_form_laplacian does (LengthMismatch, ValueError).
     """
-    x = _check_vector(g, x)
+    x = _real_vector(x, g.n, "quadratic form of non-finite entries")
     dm = degree_profile(g).neg_degree
     edge_sum = sum((x[u] - s * x[v]) ** 2 for u, v, s in g.edges)
     return float(edge_sum - 2.0 * sum(m * xi * xi for m, xi in zip(dm, x)))
@@ -95,7 +85,7 @@ def quad_form_normalized(g: SignedGraph, x: Sequence[float]) -> float:
     quad_form_laplacian does (LengthMismatch, ValueError), and ZeroDenominator
     when the degree-weighted square sum is zero.
     """
-    x = _check_vector(g, x)
+    x = _real_vector(x, g.n, "quadratic form of non-finite entries")
     d = degree_profile(g).degree
     denom = float(sum(di * xi * xi for di, xi in zip(d, x)))
     if denom == 0.0:

@@ -38,7 +38,7 @@ from .errors import (
     LengthMismatch,
     NoSuchEdge,
 )
-from .eigen import _STACK_ENTRIES, eigenvalues_many
+from .eigen import _STACK_ENTRIES, _real_vector, eigenvalues_many
 from .fileio import format_spectrum, to_edge_string
 from .graphs import (
     MINUS,
@@ -103,10 +103,10 @@ def check_chain(lower, mid, upper, tol: float):
         raise ConfigInvalid("check_chain has no default tol; pass default_tol(lower, mid, upper)")
     _check_tol(tol)
     chain = [np.asarray(x) for x in (lower, mid, upper)]
-    if chain[0].ndim != 1 or any(x.shape != chain[0].shape or np.iscomplexobj(x) for x in chain):
+    if chain[0].ndim != 1 or any(x.shape != chain[0].shape for x in chain):
         raise LengthMismatch(f"expected three real vectors of one length, got shapes "
                              f"{', '.join(str(x.shape) for x in chain)}")
-    lower, mid, upper = (x.astype(np.float64)[None] for x in chain)
+    lower, mid, upper = (_real_vector(x)[None] for x in chain)
     if not np.isfinite(mid).all() or np.isnan(lower).any() or np.isnan(upper).any():
         raise ValueError("chain entries must not be NaN, and mid entries must be finite")
     holds, worst, witness = _verdicts([(lower, mid, upper)], np.array([float(tol)]))

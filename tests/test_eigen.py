@@ -194,6 +194,18 @@ class TestEigenvaluesMany:
         out[0][:] = 99.0
         assert [spectrum_bytes(w) for w in out[1:]] == alone[1:]
 
+    def test_hash_collisions_keep_distinct_matrices_apart(self, monkeypatch):
+        import sgspectra.eigen as eigen_mod
+        mats = [np.zeros((2, 2)), np.eye(2), 2 * np.eye(2), np.zeros((2, 2)), np.eye(2)]
+        alone = [spectrum_bytes(sg.eigenvalues(m)) for m in mats]
+        calls = []
+        real = eigen_mod._ql_implicit
+        monkeypatch.setattr(eigen_mod, "_ql_implicit", lambda d, e: calls.append(len(d)) or real(d, e))
+        monkeypatch.setattr(eigen_mod, "hash", lambda data: 0, raising=False)  # every key collides
+        out = eigenvalues_many(mats)
+        assert [spectrum_bytes(w) for w in out] == alone
+        assert len(calls) < len(mats)
+
     def test_negative_zero_entries_read_as_zero(self):
         for m in mixed_batch(15)[:60]:
             a = np.array(m, dtype=float)
@@ -407,6 +419,8 @@ _DEGENERATE = {  # input: (value, solver, rayleigh's m, oracles, rayleigh's x, c
     "3-D": (np.ones((2, 2, 2)), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
     "complex": (np.eye(2, dtype=complex), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
     "complex-1-D": (np.array([1j, 0.0]), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
+    "complex-object": (np.array([[1j, 0.0], [0.0, 1.0]], dtype=object), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
+    "complex-object-1-D": (np.array([1j, 0.0], dtype=object), _NS, _NS, _NS, _LM, _LM, _LM, _LM),
     "object": (np.array([[None]]), _NS, _VE, _NS, _LM, _LM, _LM, _LM),
     "object-1-D": (np.array([None, 1.0], dtype=object), _NS, _NS, _NS, _VE, _VE, _VE, _VE),
     "nan": (np.array([[math.nan]]), _NS, _VE, _NS, _LM, _LM, _LM, _LM),
