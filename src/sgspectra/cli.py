@@ -7,6 +7,7 @@ Subcommands: spectrum, check, campaign, surgery, info.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -227,7 +228,9 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call; parsing leaves it unchanged, so later calls share it."""
     parser = argparse.ArgumentParser(
         prog="sgspectra",
         description="Signed-graph spectra: matrices, eigenvalues and interlacing checks.",

@@ -1,5 +1,10 @@
 """End-to-end CLI behaviour: outputs and the exit-code contract."""
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -357,3 +362,65 @@ class TestCampaignCommand:
         res = sg.run_campaign(CampaignConfig(theorems=("T2.1", "B4"), samples=4, seed=6))
         written = sg.campaign_to_csv(res) if fmt == "csv" else sg.campaign_to_json(res)
         assert out.read_text(encoding="utf-8") == written
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process, built on its first call."""
+
+    @pytest.fixture
+    def k3n_file(self, tmp_path):
+        path = tmp_path / "k3n.sg"
+        path.write_text(to_sg_text(sg.generate("cycle", 3, "all_minus")))
+        return str(path)
+
+    def test_parser_is_built_once(self, c4_file, capsys, monkeypatch):
+        argv = ["check", c4_file, "--theorem", "T2.1", "--vertex", "0"]
+        assert main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        for _ in range(5):
+            assert main(argv) == 0
+        assert built == []
+
+    def _outcomes(self, argvs, capsys):
+        """Per argv: (exit code, stdout, stderr); a SystemExit gives its code."""
+        seen = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    def test_no_state_carries_over_between_calls(self, c4_file, k3n_file, capsys, monkeypatch):
+        argvs = [
+            ["check", c4_file, "--vertex", "0"],
+            ["--help"],
+            ["check", "--help"],
+            ["check", c4_file, "--theorem", "L2.3", "--edge", "0;1"],
+            ["check", k3n_file, "--theorem", "T4.1", "--edge", "0,1"],
+            ["check", c4_file, "--theorem", "T2.1", "--vertex", "0"],
+        ]
+        shared = self._outcomes(argvs * 2, capsys)
+        assert [code for code, _, _ in shared] == [2, 0, 0, 2, 4, 0] * 2
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = self._outcomes(argvs, capsys)
+        assert shared == fresh * 2
+        assert "--theorem" in fresh[0][2] and "--edge" in fresh[3][2]
+
+    @pytest.mark.parametrize("flags", [
+        ["--theorem", "T2.1", "--vertex", "0"],
+        ["--theorem", "T2.1", "--vertex", "9"],
+    ], ids=["holds", "vertex-out-of-range"])
+    def test_module_entry_point_matches_main(self, c4_file, flags, capsys):
+        argv = ["check", c4_file, *flags]
+        code = main(argv)
+        captured = capsys.readouterr()
+        env = {**os.environ, "PYTHONPATH": str(Path(sg.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "sgspectra", *argv],
+                              capture_output=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out.encode(), captured.err.encode())
