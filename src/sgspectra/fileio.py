@@ -13,9 +13,10 @@ from .graphs import SignedGraph, build_graph, parse_sign, sign_char
 
 
 def parse_sg(text: str) -> SignedGraph:
-    """Parse .sg text into a SignedGraph; errors carry the offending line number."""
+    """Parse .sg text into a SignedGraph; a ParseError names the first faulty line."""
     n = None
     edges = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -41,12 +42,7 @@ def parse_sg(text: str) -> SignedGraph:
             s = parse_sign(fields[2])
         except ValueError:
             raise ParseError(f"line {lineno}: bad sign token {fields[2]!r}") from None
-        edges.append((lineno, u, v, s))
-    if n is None:
-        raise ParseError("missing 'n <count>' header line")
-    # the graph's own checks, in input order, so each error names its line
-    seen: set[tuple[int, int]] = set()
-    for lineno, u, v, _ in edges:
+        # the graph's own checks, made here so that each error names its line
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -55,7 +51,10 @@ def parse_sg(text: str) -> SignedGraph:
         if pair in seen:
             raise ParseError(f"line {lineno}: duplicate edge ({u}, {v})")
         seen.add(pair)
-    return build_graph(n, [(u, v, s) for _, u, v, s in edges])
+        edges.append((u, v, s))
+    if n is None:
+        raise ParseError("missing 'n <count>' header line")
+    return build_graph(n, edges)
 
 
 def _sg_lines(g: SignedGraph) -> list[str]:

@@ -8,6 +8,7 @@ operation here is a pure function, so graphs can be shared across threads.
 """
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -80,7 +81,12 @@ class SignedGraph:
         object.__setattr__(self, "_nbrs", nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._nbrs[u]
+        try:
+            self._check_vertex(u)
+            self._check_vertex(v)
+        except VertexOutOfRange:
+            return False
+        return v in self._nbrs[u]
 
     def sign(self, u: int, v: int) -> int:
         """Sign of edge {u, v}; raises KeyError if absent."""
@@ -97,9 +103,13 @@ class SignedGraph:
         self._check_vertex(v)
         return len(self._nbrs[v])
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise VertexOutOfRange(f"vertex {v} out of range for n={self.n}")
+    def _check_vertex(self, v: int) -> int:
+        """v, if it is a vertex: an integer 0 <= v < n (numpy integers count; bools,
+        floats and strings do not)."""
+        if not ((type(v) is int or isinstance(v, numbers.Integral) and type(v) is not bool)
+                and 0 <= v < self.n):
+            raise VertexOutOfRange(f"vertex {v!r} out of range for n={self.n}")
+        return v
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
 def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
     """Remove edge {u, v}; returns the new graph and the removed edge's sign."""
     if not g.has_edge(u, v):
-        raise NoSuchEdge(f"no edge ({u}, {v})")
+        raise NoSuchEdge(f"no edge ({u!r}, {v!r})")
     removed = g.sign(u, v)
     a, b = min(u, v), max(u, v)
     edges = tuple(e for e in g.edges if (e[0], e[1]) != (a, b))
@@ -33,10 +33,10 @@ def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
 
 
 def add_edge(g: SignedGraph, u: int, v: int, s: int) -> SignedGraph:
-    if u == v:
-        raise SelfLoop(f"self-loop at vertex {u}")
     g._check_vertex(u)
     g._check_vertex(v)
+    if u == v:
+        raise SelfLoop(f"self-loop at vertex {u}")
     if g.has_edge(u, v):
         raise DuplicateEdge(f"edge ({u}, {v}) already present")
     return build_graph(g.n, list(g.edges) + [(u, v, s)])
@@ -51,10 +51,10 @@ def neighborhoods(g: SignedGraph, t: int) -> tuple[frozenset[int], frozenset[int
 def disjoint_open_neighborhoods(g: SignedGraph, a: int, b: int) -> bool:
     """Whether a and b have disjoint open neighborhoods (no common
     neighbour), tested without building them."""
-    if a == b:
-        raise SameVertex(f"vertices must differ, both are {a}")
     g._check_vertex(a)
     g._check_vertex(b)
+    if a == b:
+        raise SameVertex(f"vertices must differ, both are {a}")
     return g._nbrs[a].keys().isdisjoint(g._nbrs[b].keys())
 
 
@@ -68,10 +68,10 @@ def contract(g: SignedGraph, a: int, b: int) -> tuple[SignedGraph, dict[int, int
 
     Returns (graph, survivor old->new map, merged vertex's new index).
     """
-    if a == b:
-        raise SameVertex(f"vertices must differ, both are {a}")
     na = dict(g.neighbors(a))
     nb = dict(g.neighbors(b))
+    if a == b:
+        raise SameVertex(f"vertices must differ, both are {a}")
     for t in sorted(na.keys() & nb.keys()):
         if na[t] != nb[t]:
             raise NotAllowable(

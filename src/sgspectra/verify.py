@@ -274,9 +274,9 @@ def _prepare(rec: Check, tol, *args):
     """The hypothesis gate, surgery and matrices of one check: a skipped
     report when the hypothesis fails, else (graph string, surgery, matrices)."""
     if rec.build is not None:
-        if args[0] < rec.min_m:
+        if not isinstance(args[0], numbers.Integral) or args[0] < rec.min_m:
             what = "cycle" if rec.family == "cycle" else "tree"
-            raise BadOrder(f"{what} comparison needs m >= {rec.min_m}, got {args[0]}")
+            raise BadOrder(f"{what} comparison needs m >= {rec.min_m}, got {args[0]!r}")
         graph, surgery, g, sub = rec.build(rec.family, *args)
     else:
         g, *arg = args
@@ -348,14 +348,9 @@ def _checker(rec: Check) -> Callable:
 
 # --- argument kinds ------------------------------------------------------------
 
-def _vertex_surgery(g: SignedGraph, v: int) -> dict:
-    g._check_vertex(v)
-    return {"vertex": v}
-
-
 def _edge_surgery(g: SignedGraph, u: int, v: int) -> dict:
     if not g.has_edge(u, v):
-        raise NoSuchEdge(f"no edge ({u}, {v})")
+        raise NoSuchEdge(f"no edge ({u!r}, {v!r})")
     return {"edge": [min(u, v), max(u, v)], "sign": sign_char(g.sign(u, v))}
 
 
@@ -371,12 +366,13 @@ def _any_pair(g: SignedGraph, rng: random.Random):
 
 
 _GRAPH = ArgKind("graph", ("g",), surgery=lambda g: {}, cut=lambda g: (g, {}))
-_VERTEX = ArgKind("vertex", ("g", "v"), _vertex_surgery, lambda g, v: (delete_vertex(g, v)[0], {}),
+_VERTEX = ArgKind("vertex", ("g", "v"), lambda g, v: {"vertex": g._check_vertex(v)},
+                  lambda g, v: (delete_vertex(g, v)[0], {}),
                   pool=lambda g: [(v,) for v in range(g.n)])
 _EDGE = ArgKind("edge", ("g", "u", "v"), _edge_surgery, lambda g, u, v: (delete_edge(g, u, v)[0], {}),
                 pool=lambda g: [(u, v) for u, v, _ in g.edges], empty="graph has no usable edge")
-_PAIR = ArgKind("pair", ("g", "a", "b"), lambda g, a, b: {"pair": [min(a, b), max(a, b)]}, _contract,
-                pool=lambda g: [(a, b) for a in range(g.n) for b in range(a + 1, g.n)],
+_PAIR = ArgKind("pair", ("g", "a", "b"), lambda g, a, b: {"pair": sorted(map(g._check_vertex, (a, b)))},
+                _contract, pool=lambda g: [(a, b) for a in range(g.n) for b in range(a + 1, g.n)],
                 empty="no contractible pair", fallback=_any_pair)
 _CYCLE = ArgKind("cycle", ("m", "sig1", "sign_last"))
 _SEEDED = ArgKind("seeded", ("m", "seed"))
@@ -834,7 +830,6 @@ def campaign_to_json(result: CampaignResult) -> str:
 # to json.dumps, whose text or exception is the reference.
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii  # TypeError on a non-str
-_LITERALS = {None: "null", True: "true", False: "false"}  # looked up for bool and None only
 
 
 def _json_text(doc) -> str:
@@ -857,6 +852,11 @@ def _float_json(x: float) -> str:
     return float.__repr__(x)
 
 
+# exact type -> the text of a scalar of that type; any other type is a container or goes to json.dumps
+_SCALARS = {str: _ENCODE_STR, float: _float_json, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda x: "null"}
+
+
 def _put_json(o, out: list, nl: str) -> None:
     """Append the text of o, a dict, list or tuple, to out; nl is a newline
     and the pad of o's own line."""
@@ -868,18 +868,12 @@ def _put_json(o, out: list, nl: str) -> None:
         sep = "{" + inner
         for k, x in o.items():
             head = sep + _ENCODE_STR(k) + ": "
-            t = type(x)
-            if t is str:
-                out.append(head + _ENCODE_STR(x))
-            elif t is float:
-                out.append(head + _float_json(x))
-            elif t is int:
-                out.append(head + int.__repr__(x))
-            elif t is bool or x is None:
-                out.append(head + _LITERALS[x])
-            else:
+            scalar = _SCALARS.get(type(x))
+            if scalar is None:
                 out.append(head)
                 _put_json(x, out, inner)
+            else:
+                out.append(head + scalar(x))
             sep = "," + inner
         out.append(nl + "}")
     elif type(o) is list or type(o) is tuple:
@@ -897,18 +891,12 @@ def _put_json(o, out: list, nl: str) -> None:
                 return
         sep = "[" + inner
         for x in o:
-            t = type(x)
-            if t is str:
-                out.append(sep + _ENCODE_STR(x))
-            elif t is float:
-                out.append(sep + _float_json(x))
-            elif t is int:
-                out.append(sep + int.__repr__(x))
-            elif t is bool or x is None:
-                out.append(sep + _LITERALS[x])
-            else:
+            scalar = _SCALARS.get(type(x))
+            if scalar is None:
                 out.append(sep)
                 _put_json(x, out, inner)
+            else:
+                out.append(sep + scalar(x))
             sep = "," + inner
         out.append(nl + "]")
     else:
@@ -923,17 +911,13 @@ _CSV_FIELDS = (
 _SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
 
 
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def campaign_to_csv(result: CampaignResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
     writer.writerows(
-        (r.theorem, r.hypothesis_met, r.holds, _fmt17(r.worst_slack), r.witness_position,
-         _fmt17(r.tol), r.graph, _SORTED_JSON(r.surgery),
+        (r.theorem, r.hypothesis_met, r.holds, format_spectrum((r.worst_slack,)), r.witness_position,
+         format_spectrum((r.tol,)), r.graph, _SORTED_JSON(r.surgery),
          format_spectrum(r.spectra.get("alpha", ())), format_spectrum(r.spectra.get("beta", ())),
          format_spectrum(r.spectra.get("mu", ())), ";".join(r.links_skipped), r.note)
         for r in result.reports
@@ -944,7 +928,7 @@ def campaign_to_csv(result: CampaignResult) -> str:
 def summary_lines(result: CampaignResult) -> list[str]:
     lines = []
     for s in result.summary:
-        worst = "n/a" if s["worst_slack"] is None else _fmt17(s["worst_slack"])
+        worst = "n/a" if s["worst_slack"] is None else format_spectrum((s["worst_slack"],))
         lines.append(
             f"{s['theorem']}: samples={s['samples']} met={s['hypothesis_met']} "
             f"holds={s['holds']} fails={s['fails']} skipped={s['skipped']} "

@@ -424,3 +424,47 @@ class TestParserReuse:
                               capture_output=True, env=env, check=False)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             code, captured.out.encode(), captured.err.encode())
+
+
+# Every subcommand on degenerate and malformed .sg files: a documented exit
+# code, never an uncaught exception.  The malformed files fail to parse (exit
+# 2 with one error line).  A huge header count (n 99999999999999999999) is
+# left out: it exhausts memory before any check runs.
+_DEGENERATE_SG = {
+    "n0": ("n 0\n", False),
+    "n1": ("n 1\n", False),
+    "n2-no-edges": ("n 2\n", False),
+    "isolated-vertex": ("n 3\n0 1 -\n", False),
+    "empty-file": ("", True),
+    "negative-count": ("n -1\n", True),
+    "vertex-out-of-range": ("n 2\n0 5 +\n", True),
+}
+_CHECK_FLAGS = {"vertex": ["--vertex", "0"], "edge": ["--edge", "0,1"], "pair": ["--pair", "0,1"],
+                "cycle": ["--sign-last", "+"], "seeded": [], "graph": []}
+_COMMANDS = {
+    **{f"check-{t}": ["check", "{f}", "--theorem", t, *_CHECK_FLAGS[ARG_KINDS[t]]] for t in CHECK_IDS},
+    **{f"spectrum-{m}": ["spectrum", "{f}", "--matrix", m, "--dump-matrix"]
+       for m in ("laplacian", "net", "normalized", "adjacency")},
+    "info": ["info", "{f}"],
+    "delete-vertex": ["surgery", "{f}", "delete-vertex", "--vertex", "0"],
+    "delete-edge": ["surgery", "{f}", "delete-edge", "--edge", "0,1"],
+    "add-edge": ["surgery", "{f}", "add-edge", "--edge", "0,1", "--sign", "-"],
+    "contract": ["surgery", "{f}", "contract", "--pair", "0,1"],
+    "switch": ["surgery", "{f}", "switch", "--alpha", "+-"],
+}
+
+
+@pytest.mark.parametrize("graph", list(_DEGENERATE_SG))
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_degenerate_file_exits_with_a_documented_code(command, graph, tmp_path, capsys):
+    text, malformed = _DEGENERATE_SG[graph]
+    path = tmp_path / "g.sg"
+    path.write_text(text)
+    code = main([str(path) if a == "{f}" else a for a in _COMMANDS[command]])
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in out + err
+    if malformed:
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    elif code in (2, 5):
+        assert err.startswith("error: ")

@@ -56,6 +56,17 @@ def test_parse_errors_carry_line_numbers():
         parse_sg("n 3\n0 b +\n")
 
 
+@pytest.mark.parametrize("text, first", [
+    ("n 3\n0 0 +\n1 2 x\n", "line 2: self-loop at vertex 0"),
+    ("n 3\n0 5 +\n1 2\n", r"line 2: vertex out of range in edge \(0, 5\)"),
+    ("n 3\n0 1 +\n1 0 -\n0 b +\n", r"line 3: duplicate edge \(1, 0\)"),
+], ids=["self-loop", "out-of-range", "duplicate"])
+def test_parse_error_names_the_first_faulty_line(text, first):
+    # a graph fault is reported before a format fault on a later line
+    with pytest.raises(ParseError, match=f"^{first}$"):
+        parse_sg(text)
+
+
 def test_write_canonical_order():
     g = sg.build_graph(3, [(2, 1, -1), (1, 0, 1)])
     assert to_sg_text(g) == "n 3\n0 1 +\n1 2 -\n"

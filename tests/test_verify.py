@@ -26,6 +26,7 @@ from sgspectra.errors import (
     NoSuchEdge,
     VertexOutOfRange,
 )
+from sgspectra.surgery import add_edge, contract, delete_edge, delete_vertex
 from sgspectra.verify import (
     CHECK_IDS,
     CHECKERS,
@@ -92,6 +93,9 @@ class TestCheckChain:
         with pytest.raises(ConfigInvalid, match="no default tol"):
             check_chain([0], [1], [2], None)
 
+    def test_empty_chain_holds_with_no_witness(self):
+        assert check_chain([], [], [], 0.0) == (True, math.inf, 0)
+
     def test_tightening_tol_never_flips_fail_to_hold(self):
         holds_loose, *_ = check_chain([0], [1.2], [1], 0.5)
         holds_tight, *_ = check_chain([0], [1.2], [1], 0.01)
@@ -126,6 +130,17 @@ class TestTol:
         assert check_vertex_deletion_laplacian(sg.generate("cycle", 4), 0, tol).tol == tol
         res = run_campaign(CampaignConfig(theorems=("T2.1",), samples=2, tol=tol))
         assert [r.tol for r in res.reports] == [tol, tol]
+
+    @pytest.mark.parametrize("theorem, args", [
+        ("T2.1", (sg.generate("cycle", 5, "all_minus"), 0)),
+        ("L3.1", (sg.generate("complete", 6, "random", seed=3),)),
+        ("C3.7", (sg.generate("complete", 4), 0)),  # three spectra
+        ("B4", (k2(-1),)),  # spectrum [-2, 0]: the scale is a magnitude
+    ])
+    def test_default_tol_is_the_reported_tol(self, theorem, args):
+        r = CHECKERS[theorem](*args)
+        assert r.hypothesis_met
+        assert r.tol == verify.default_tol(*r.spectra.values())
 
 
 class TestVertexDeletionLaplacian:
@@ -483,6 +498,11 @@ class TestNormalizedBounds:
 
     def test_isolated_vertices_fine(self):
         assert check_normalized_spectrum_bounds(sg.generate("empty", 4)).holds
+
+    def test_no_vertices(self):
+        r = check_normalized_spectrum_bounds(sg.SignedGraph(0, ()))
+        assert r.hypothesis_met and r.holds
+        assert (r.worst_slack, r.witness_position, r.info) == (math.inf, 0, {})
 
 
 class TestNormalizedEdgeDeletion:
@@ -843,6 +863,17 @@ class TestJsonWriter:
         assert [campaign_to_json(res), campaign_to_json(with_mu)] == expected
         assert [verify.report_to_json(r) for r in by_kind.values()] == expected_reports
 
+    def test_string_after_the_first_list_item_is_written_in_place(self, monkeypatch):
+        # lists no join takes: each item, strings included, is written by the writer itself
+        docs = [[1, "a"], [None, "b", 2.5], {"k": [{"x": 1}, "c"]}, [[], "d", True, -0.0]]
+        expected = [json.dumps(doc, indent=2) for doc in docs]
+
+        def dumps(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(verify, "json", types.SimpleNamespace(dumps=dumps))
+        assert [verify._json_text(doc) for doc in docs] == expected
+
     @pytest.mark.parametrize("i", range(len(_JSON_EDGE_DOCS)))
     def test_edge_values(self, i):
         doc = _JSON_EDGE_DOCS[i]
@@ -951,3 +982,49 @@ class TestSolve:
         for g in graphs:
             by_order.setdefault(g.n, set()).add(sg.min_max_neg_degree(g))
         assert all(len(v) > 1 for v in by_order.values())
+
+
+# Degenerate integer arguments.  Each caller takes the value x at one integer
+# slot: (call, an integer x at which it returns, the error for any non-integer
+# x).  Vertices and edge ends are ints 0..n-1 (numpy integers too), family
+# orders are ints >= the family's minimum; L3.1 and B4 take only a graph.
+_C4 = sg.generate("cycle", 4, [1, 1, 1, -1])
+_INTEGER_SLOTS = {
+    **{f"{t}(g, x)": (lambda x, t=t: CHECKERS[t](_C4, x), 0, VertexOutOfRange)
+       for t in CHECK_IDS if verify.ARG_KINDS[t] == "vertex"},
+    **{f"{t}(g, 0, x)": (lambda x, t=t: CHECKERS[t](_C4, 0, x), 1, NoSuchEdge)
+       for t in CHECK_IDS if verify.ARG_KINDS[t] == "edge"},
+    **{f"{t}(g, x, 1)": (lambda x, t=t: CHECKERS[t](_C4, x, 1), 0, NoSuchEdge)
+       for t in CHECK_IDS if verify.ARG_KINDS[t] == "edge"},
+    "T4.3(g, 0, x)": (lambda x: CHECKERS["T4.3"](_C4, 0, x), 2, VertexOutOfRange),
+    "T4.3(g, x, 2)": (lambda x: CHECKERS["T4.3"](_C4, x, 2), 0, VertexOutOfRange),
+    "T2.4(x, sig1, +)": (lambda x: CHECKERS["T2.4"](x, [1, 1, 1, -1], 1), 3, BadOrder),
+    **{f"{t}(x, seed)": (lambda x, t=t: CHECKERS[t](x, 0), 3, BadOrder)
+       for t in CHECK_IDS if verify.ARG_KINDS[t] == "seeded"},
+    "delete_vertex(g, x)": (lambda x: delete_vertex(_C4, x), 0, VertexOutOfRange),
+    "delete_edge(g, 0, x)": (lambda x: delete_edge(_C4, 0, x), 1, NoSuchEdge),
+    "delete_edge(g, x, 1)": (lambda x: delete_edge(_C4, x, 1), 0, NoSuchEdge),
+    "add_edge(g, 0, x, +)": (lambda x: add_edge(_C4, 0, x, 1), 2, VertexOutOfRange),
+    "add_edge(g, x, 2, +)": (lambda x: add_edge(_C4, x, 2, 1), 0, VertexOutOfRange),
+    "contract(g, 0, x)": (lambda x: contract(_C4, 0, x), 1, VertexOutOfRange),
+    "contract(g, x, 1)": (lambda x: contract(_C4, x, 1), 0, VertexOutOfRange),
+    "disjoint_open_neighborhoods(g, 0, x)": (lambda x: sg.disjoint_open_neighborhoods(_C4, 0, x), 2,
+                                             VertexOutOfRange),
+    "g.degree(x)": (lambda x: _C4.degree(x), 0, VertexOutOfRange),
+}
+_NON_INTEGERS = {"str": "0", "float-0": 0.0, "float-1": 1.0, "float-2.5": 2.5,
+                 "np.float64": np.float64(1.0), "bool": True}
+
+
+@pytest.mark.parametrize("value", list(_NON_INTEGERS))
+@pytest.mark.parametrize("caller", list(_INTEGER_SLOTS))
+def test_non_integer_argument_raises_typed(caller, value):
+    call, _, error = _INTEGER_SLOTS[caller]
+    with pytest.raises(error):
+        call(_NON_INTEGERS[value])
+
+
+@pytest.mark.parametrize("caller", list(_INTEGER_SLOTS))
+def test_numpy_integer_argument_accepted(caller):
+    call, x, _ = _INTEGER_SLOTS[caller]
+    assert call(np.int64(x)) == call(x)
