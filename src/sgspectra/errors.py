@@ -37,8 +37,8 @@ class BadOrder(SgError):
     pass
 
 
-class NoSuchEdge(SgError):
-    pass
+class NoSuchEdge(SgError, KeyError):
+    __str__ = Exception.__str__  # the message as given, not KeyError's quoted repr
 
 
 class NotAllowable(SgError):

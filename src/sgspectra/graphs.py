@@ -19,6 +19,7 @@ from .errors import (
     DuplicateEdge,
     EmptyGraph,
     LengthMismatch,
+    NoSuchEdge,
     SelfLoop,
     UnderlyingGraphMismatch,
     VertexOutOfRange,
@@ -89,9 +90,9 @@ class SignedGraph:
         return v in self._nbrs[u]
 
     def sign(self, u: int, v: int) -> int:
-        """Sign of edge {u, v}; raises KeyError if absent."""
+        """Sign of edge {u, v}; raises NoSuchEdge, a KeyError, if absent."""
         if not self.has_edge(u, v):
-            raise KeyError((min(u, v), max(u, v)))
+            raise NoSuchEdge(f"no edge ({u!r}, {v!r})")
         return self._nbrs[u][v]
 
     def neighbors(self, v: int) -> ItemsView[int, int]:
@@ -104,12 +105,17 @@ class SignedGraph:
         return len(self._nbrs[v])
 
     def _check_vertex(self, v: int) -> int:
-        """v, if it is a vertex: an integer 0 <= v < n (numpy integers count; bools,
-        floats and strings do not)."""
-        if not ((type(v) is int or isinstance(v, numbers.Integral) and type(v) is not bool)
-                and 0 <= v < self.n):
+        """v as a plain int, if it is a vertex: an integer (see _as_int) 0 <= v < n."""
+        i = v if type(v) is int else _as_int(v)
+        if i is None or not 0 <= i < self.n:
             raise VertexOutOfRange(f"vertex {v!r} out of range for n={self.n}")
-        return v
+        return i
+
+
+def _as_int(x) -> int | None:
+    """x as a plain int if it is an integer: an int or another numbers.Integral
+    such as a numpy integer, but never a bool.  None for anything else."""
+    return int(x) if isinstance(x, numbers.Integral) and type(x) is not bool else None
 
 
 @dataclass(frozen=True)

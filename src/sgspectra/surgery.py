@@ -5,13 +5,13 @@ and return the old-index -> new-index map alongside the new graph.
 """
 from __future__ import annotations
 
-from .errors import DuplicateEdge, NoSuchEdge, NotAllowable, SameVertex, SelfLoop
+from .errors import DuplicateEdge, NotAllowable, SameVertex, SelfLoop
 from .graphs import SignedGraph, build_graph
 
 
 def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
     """Remove v and its incident edges; survivors keep their relative order."""
-    g._check_vertex(v)
+    v = g._check_vertex(v)
     vmap = {old: old - (old > v) for old in range(g.n) if old != v}
     # relabelling is monotone, so the surviving edges stay canonical
     edges = tuple(
@@ -23,9 +23,7 @@ def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
 
 
 def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
-    """Remove edge {u, v}; returns the new graph and the removed edge's sign."""
-    if not g.has_edge(u, v):
-        raise NoSuchEdge(f"no edge ({u!r}, {v!r})")
+    """Remove edge {u, v}; returns the new graph and the removed edge's sign (g.sign raises NoSuchEdge)."""
     removed = g.sign(u, v)
     a, b = min(u, v), max(u, v)
     edges = tuple(e for e in g.edges if (e[0], e[1]) != (a, b))
@@ -33,8 +31,7 @@ def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
 
 
 def add_edge(g: SignedGraph, u: int, v: int, s: int) -> SignedGraph:
-    g._check_vertex(u)
-    g._check_vertex(v)
+    u, v = g._check_vertex(u), g._check_vertex(v)
     if u == v:
         raise SelfLoop(f"self-loop at vertex {u}")
     if g.has_edge(u, v):
@@ -77,17 +74,10 @@ def contract(g: SignedGraph, a: int, b: int) -> tuple[SignedGraph, dict[int, int
             raise NotAllowable(
                 f"shared neighbor {t} sees {a} and {b} with conflicting signs"
             )
-    lo, hi = min(a, b), max(a, b)
-    vmap = {old: old - (old > hi) for old in range(g.n) if old not in (a, b)}
-    merged = lo
-    edges = [
-        (vmap[u], vmap[w], s)
-        for u, w, s in g.edges
-        if u not in (a, b) and w not in (a, b)
-    ]
-    merged_signs = {**nb, **na}  # equal on shared keys by the check above
-    for t in sorted(merged_signs):
-        if t in (a, b):
-            continue
-        edges.append((merged, vmap[t], merged_signs[t]))
-    return build_graph(g.n - 1, edges), vmap, merged
+    # delete the larger vertex; the smaller keeps its slot and edges and
+    # gains the other's remaining neighbours (shared ones agree in sign)
+    (lo, n_lo), (hi, n_hi) = ((a, na), (b, nb)) if a < b else ((b, nb), (a, na))
+    sub, vmap = delete_vertex(g, hi)
+    merged = vmap.pop(lo)
+    gained = [(merged, vmap[t], s) for t, s in n_hi.items() if t != lo and t not in n_lo]
+    return build_graph(g.n - 1, [*sub.edges, *gained]), vmap, merged

@@ -33,10 +33,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ArgMismatch,
     BadOrder,
     ConfigInvalid,
     LengthMismatch,
-    NoSuchEdge,
 )
 from .eigen import _STACK_ENTRIES, _real_vector, eigenvalues_many
 from .fileio import format_spectrum, to_edge_string
@@ -44,6 +44,7 @@ from .graphs import (
     MINUS,
     PLUS,
     SignedGraph,
+    _as_int,
     all_positive,
     co_regularity,
     degree_profile,
@@ -238,6 +239,14 @@ class _Columns:
         return np.array([[s[key]] for s in self.surgeries], dtype=np.float64)
 
 
+def _int_field(x, name: str) -> int:
+    """x as a plain int (the integer rule of graphs._as_int), else ConfigInvalid."""
+    i = _as_int(x)
+    if i is None:
+        raise ConfigInvalid(f"{name} must be an integer, got {x!r}")
+    return i
+
+
 def _skipped_report(theorem, g_str, surgery, note, tol) -> InterlacingReport:
     return InterlacingReport(
         theorem=theorem,
@@ -274,12 +283,17 @@ def _prepare(rec: Check, tol, *args):
     """The hypothesis gate, surgery and matrices of one check: a skipped
     report when the hypothesis fails, else (graph string, surgery, matrices)."""
     if rec.build is not None:
-        if not isinstance(args[0], numbers.Integral) or args[0] < rec.min_m:
+        m = _as_int(args[0])
+        if m is None or m < rec.min_m:
             what = "cycle" if rec.family == "cycle" else "tree"
             raise BadOrder(f"{what} comparison needs m >= {rec.min_m}, got {args[0]!r}")
+        if rec.kind is _SEEDED:
+            args = (m, _int_field(args[1], "seed"))
         graph, surgery, g, sub = rec.build(rec.family, *args)
     else:
         g, *arg = args
+        if not isinstance(g, SignedGraph):
+            raise ArgMismatch(f"{rec.id} takes a SignedGraph, got {type(g).__name__}")
         surgery = rec.kind.surgery(g, *arg)
         graph = to_edge_string(g)
         _, failed = _narrow(rec, g, [tuple(arg)])
@@ -349,9 +363,8 @@ def _checker(rec: Check) -> Callable:
 # --- argument kinds ------------------------------------------------------------
 
 def _edge_surgery(g: SignedGraph, u: int, v: int) -> dict:
-    if not g.has_edge(u, v):
-        raise NoSuchEdge(f"no edge ({u!r}, {v!r})")
-    return {"edge": [min(u, v), max(u, v)], "sign": sign_char(g.sign(u, v))}
+    sign = sign_char(g.sign(u, v))
+    return {"edge": sorted(map(g._check_vertex, (u, v))), "sign": sign}
 
 
 def _contract(g: SignedGraph, a: int, b: int):
@@ -663,6 +676,13 @@ class CampaignConfig:
     tol: float | None = None
 
     def validate(self) -> None:
+        """Raise ConfigInvalid on any invalid field; store integer fields as plain ints."""
+        for name in ("samples", "n_min", "n_max", "seed"):
+            setattr(self, name, _int_field(getattr(self, name), name))
+        for name in ("p", "q"):
+            x = getattr(self, name)
+            if not isinstance(x, numbers.Real) or type(x) is bool:
+                raise ConfigInvalid(f"{name} must be a real number, got {x!r}")
         if self.samples < 1:
             raise ConfigInvalid(f"samples must be >= 1, got {self.samples}")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):

@@ -211,8 +211,10 @@ class TestSurgery:
         assert main(["surgery", str(f), "contract", "--pair", "0,1"]) == 5
         assert "conflicting" in capsys.readouterr().err
 
-    def test_delete_missing_edge_exit_5(self, p3_file):
+    def test_delete_missing_edge_exit_5(self, p3_file, capsys):
         assert main(["surgery", p3_file, "delete-edge", "--edge", "0,2"]) == 5
+        # NoSuchEdge is a KeyError, but prints its message unquoted
+        assert capsys.readouterr().err == "error: no edge (0, 2)\n"
 
     def test_switch(self, c4_file, capsys):
         assert main(["surgery", c4_file, "switch", "--alpha", "+-+-"]) == 0

@@ -11,6 +11,7 @@ from sgspectra.errors import (
     DuplicateEdge,
     EmptyGraph,
     LengthMismatch,
+    NoSuchEdge,
     SelfLoop,
     UnderlyingGraphMismatch,
     VertexOutOfRange,
@@ -120,6 +121,14 @@ class TestNeighbourMap:
         for u in (-1, 3):
             with pytest.raises(KeyError):
                 g.sign(u, 1)
+
+    @pytest.mark.parametrize("u, v", [(0, 2), (0, "1"), ("0", 1), (0, 1.0), (None, 0), (0, True)])
+    def test_missing_edge_raises_no_such_edge(self, u, v):
+        g = sg.generate("cycle", 4)
+        with pytest.raises(NoSuchEdge) as caught:
+            g.sign(u, v)
+        assert isinstance(caught.value, KeyError)
+        assert str(caught.value) == f"no edge ({u!r}, {v!r})"
 
 
 class TestDegrees:

@@ -204,3 +204,41 @@ class TestContract:
             assert len(sub.edges) == len(g.edges)
             assert sub.n == g.n - 1
             checked += 1
+
+
+def _contract_by_definition(g, a, b):
+    """Contraction from its definition: the merged vertex is adjacent to the
+    union of the open neighborhoods of a and b, the a-b edge is dropped, and
+    the survivors and the merged vertex (in the smaller slot) keep their order.
+    None when a shared neighbor sees a and b with different signs."""
+    nbrs = [{w: s for u, w, s in g.edges if u == x} | {u: s for u, w, s in g.edges if w == x}
+            for x in (a, b)]
+    if any(nbrs[0][t] != nbrs[1][t] for t in nbrs[0].keys() & nbrs[1].keys()):
+        return None
+    slots = sorted({x for x in range(g.n) if x not in (a, b)} | {min(a, b)})
+    label = {old: new for new, old in enumerate(slots)}
+    merged = label.pop(min(a, b))
+    edges = [(label[u], label[w], s) for u, w, s in g.edges if not {u, w} & {a, b}]
+    union = {**nbrs[1], **nbrs[0]}
+    edges += [(merged, label[t], s) for t, s in union.items() if t not in (a, b)]
+    return sg.build_graph(g.n - 1, edges), label, merged
+
+
+def test_contract_matches_its_definition_on_every_ordered_pair():
+    rng = random.Random(31)
+    allowable = 0
+    for _ in range(36):
+        n = rng.randrange(2, 10)
+        g = sg.random_signed_graph(n, rng.random(), rng.random(), seed=rng.randrange(10**6))
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                want = _contract_by_definition(g, a, b)
+                if want is None:
+                    with pytest.raises(NotAllowable):
+                        contract(g, a, b)
+                    continue
+                allowable += 1
+                assert contract(g, a, b) == want
+    assert allowable > 500

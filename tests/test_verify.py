@@ -19,6 +19,7 @@ import pytest
 import sgspectra as sg
 from sgspectra import verify
 from sgspectra.errors import (
+    ArgMismatch,
     BadOrder,
     ConfigInvalid,
     EmptyGraph,
@@ -1001,6 +1002,8 @@ _INTEGER_SLOTS = {
     "T2.4(x, sig1, +)": (lambda x: CHECKERS["T2.4"](x, [1, 1, 1, -1], 1), 3, BadOrder),
     **{f"{t}(x, seed)": (lambda x, t=t: CHECKERS[t](x, 0), 3, BadOrder)
        for t in CHECK_IDS if verify.ARG_KINDS[t] == "seeded"},
+    **{f"{t}(m, x)": (lambda x, t=t: CHECKERS[t](3, x), 0, ConfigInvalid)
+       for t in CHECK_IDS if verify.ARG_KINDS[t] == "seeded"},
     "delete_vertex(g, x)": (lambda x: delete_vertex(_C4, x), 0, VertexOutOfRange),
     "delete_edge(g, 0, x)": (lambda x: delete_edge(_C4, 0, x), 1, NoSuchEdge),
     "delete_edge(g, x, 1)": (lambda x: delete_edge(_C4, x, 1), 0, NoSuchEdge),
@@ -1026,5 +1029,46 @@ def test_non_integer_argument_raises_typed(caller, value):
 
 @pytest.mark.parametrize("caller", list(_INTEGER_SLOTS))
 def test_numpy_integer_argument_accepted(caller):
+    # np.int64(0) == 0, so equality alone would not see a numpy integer
+    # carried into the result; a report's JSON and any other result's repr do
     call, x, _ = _INTEGER_SLOTS[caller]
-    assert call(np.int64(x)) == call(x)
+    got, want = call(np.int64(x)), call(x)
+    assert got == want
+    if isinstance(want, InterlacingReport):
+        assert verify.report_to_json(got) == verify.report_to_json(want)
+    else:
+        assert repr(got) == repr(want)
+
+
+_GRAPH_IDS = [t for t in CHECK_IDS if CHECKS[t].kind.params[0] == "g"]
+_NON_GRAPHS = {"str": "0", "None": None, "int": 0, "dict": {}}
+
+
+@pytest.mark.parametrize("value", list(_NON_GRAPHS))
+@pytest.mark.parametrize("theorem", _GRAPH_IDS)
+def test_non_graph_argument_raises_typed(theorem, value):
+    rest = (0, 1)[: len(CHECKS[theorem].kind.params) - 1]
+    with pytest.raises(ArgMismatch, match="takes a SignedGraph"):
+        CHECKERS[theorem](_NON_GRAPHS[value], *rest)
+
+
+_BAD_CONFIGS = {
+    "seed-str": {"seed": "x"}, "seed-float": {"seed": 1.5}, "seed-bool": {"seed": True},
+    "samples-str": {"samples": "5"}, "samples-float": {"samples": 2.5},
+    "n_min-float": {"n_min": 2.5}, "n_max-None": {"n_max": None},
+    "p-str": {"p": "0.5"}, "p-bool": {"p": True}, "q-None": {"q": None},
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CONFIGS))
+def test_config_field_of_wrong_type_raises_config_invalid(case):
+    with pytest.raises(ConfigInvalid, match="must be"):
+        CampaignConfig(**_BAD_CONFIGS[case]).validate()
+
+
+def test_config_numpy_integers_run_as_ints():
+    ints = dict(samples=3, n_min=4, n_max=6, seed=3)
+    want = run_campaign(CampaignConfig(theorems=("T2.1", "C2.5"), **ints))
+    got = run_campaign(CampaignConfig(theorems=("T2.1", "C2.5"), **{k: np.int64(v) for k, v in ints.items()}))
+    assert campaign_to_json(got) == campaign_to_json(want)
+    assert all(type(getattr(got.config, k)) is int for k in ints)
