@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import numbers
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import ItemsView, Iterable, Sequence
+from typing import ItemsView, Sequence
 
 from .errors import (
     BadOrder,
+    ConfigInvalid,
     DuplicateEdge,
     EmptyGraph,
     LengthMismatch,
@@ -43,9 +45,12 @@ def sign_char(s: int) -> str:
     return "+" if s == PLUS else "-"
 
 
-def _check_sign(s: int) -> None:
-    if s not in (PLUS, MINUS):
+def _check_sign(s) -> int:
+    """s as a plain int if it is an integer (see _as_int) +1 or -1, else ValueError."""
+    i = _as_int(s)
+    if i not in (PLUS, MINUS):
         raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -53,24 +58,36 @@ class SignedGraph:
     """A simple undirected graph on vertices 0..n-1 with signed edges.
 
     edges must be canonical (see the module docstring); equality, hashing and
-    the .sg writers rely on that order.  build_graph sorts any edge list."""
+    the .sg writers rely on that order.  build_graph sorts any edge list.  n,
+    endpoints and signs may be any integers (see _as_int) and are stored as
+    plain ints: BadOrder, VertexOutOfRange and ValueError reject the rest."""
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
     _nbrs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = self.n if type(self.n) is int else _as_int(self.n)
+        if n is None:
+            raise BadOrder(f"vertex count must be an integer, got {self.n!r}")
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         # canonical order fills each neighbour map in ascending order
-        nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n))
+        nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(n))
         prev = (-1, -1)
+        plain = True
         for u, v, s in self.edges:
+            # plain ints skip the integer rule; anything else is stored converted
+            if type(u) is not int or type(v) is not int:
+                u, v = _ends(u, v)
+                plain = False
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) is not 0 <= u < v < n for n={self.n}")
-            _check_sign(s)
+            if not (0 <= u < v < n):
+                raise VertexOutOfRange(f"edge ({u}, {v}) is not 0 <= u < v < n for n={n}")
+            if type(s) is not int or (s != PLUS and s != MINUS):
+                s = _check_sign(s)
+                plain = False
             pair = (u, v)
             if pair <= prev:
                 if pair == prev:
@@ -79,6 +96,9 @@ class SignedGraph:
             prev = pair
             nbrs[u][v] = s
             nbrs[v][u] = s
+        object.__setattr__(self, "n", n)
+        if not plain:
+            object.__setattr__(self, "edges", tuple((int(u), int(v), int(s)) for u, v, s in self.edges))
         object.__setattr__(self, "_nbrs", nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -118,6 +138,24 @@ def _as_int(x) -> int | None:
     return int(x) if isinstance(x, numbers.Integral) and type(x) is not bool else None
 
 
+def _ends(u, v) -> tuple[int, int]:
+    """Edge endpoints u and v as plain ints; VertexOutOfRange unless both are integers."""
+    if type(u) is int and type(v) is int:
+        return u, v
+    iu, iv = _as_int(u), _as_int(v)
+    if iu is None or iv is None:
+        raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+    return iu, iv
+
+
+def _int_field(x, name: str) -> int:
+    """x as a plain int (the integer rule of _as_int), else ConfigInvalid."""
+    i = _as_int(x)
+    if i is None:
+        raise ConfigInvalid(f"{name} must be an integer, got {x!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class DegreeProfile:
     """Per-vertex degree bookkeeping: total, positive, negative, net."""
@@ -140,9 +178,13 @@ class CoRegularity:
 def build_graph(n: int, edge_list: Iterable[tuple[int, int, int]]) -> SignedGraph:
     """Construct a SignedGraph, canonicalizing each edge to u < v and sorting by pair.
 
-    SignedGraph rejects self-loops, duplicate pairs, out-of-range endpoints and bad signs.
+    SignedGraph rejects self-loops, duplicate pairs, out-of-range endpoints and bad signs;
+    a non-integer endpoint raises VertexOutOfRange before the sort.
     """
-    canonical = [(u, v, s) if u < v else (v, u, s) for u, v, s in edge_list]
+    canonical = []
+    for u, v, s in edge_list:
+        u, v = _ends(u, v)
+        canonical.append((u, v, s) if u < v else (v, u, s))
     canonical.sort(key=itemgetter(0, 1))
     return SignedGraph(n, tuple(canonical))
 
@@ -182,8 +224,7 @@ def apply_switching(g: SignedGraph, alpha: Sequence[int]) -> SignedGraph:
     """
     if len(alpha) != g.n:
         raise LengthMismatch(f"switching function has length {len(alpha)}, graph order is {g.n}")
-    for a in alpha:
-        _check_sign(a)
+    alpha = [_check_sign(a) for a in alpha]
     edges = tuple((u, v, alpha[u] * s * alpha[v]) for u, v, s in g.edges)
     return SignedGraph(g.n, edges)
 
@@ -261,9 +302,12 @@ def family_edge_pairs(family: str, n: int) -> list[tuple[int, int]]:
     if family not in _FAMILIES:
         raise BadOrder(f"unknown family {family!r}")
     min_n, pairs = _FAMILIES[family]
-    if n < min_n:
+    i = _as_int(n)
+    if i is None:
+        raise BadOrder(f"{family} order must be an integer, got {n!r}")
+    if i < min_n:
         raise BadOrder(f"{family} needs n >= {min_n}, got {n}")
-    return pairs(n)
+    return pairs(i)
 
 
 def generate(
@@ -279,6 +323,8 @@ def generate(
     signs is "all_plus", "all_minus", "random" (each edge negative with
     probability q, seeded), or an explicit sign sequence (+-1 values or a
     string of +/- characters) matching the family's canonical edge order.
+    A seed that is not an integer raises ConfigInvalid, and signs that are
+    no sequence LengthMismatch.
     """
     pairs = family_edge_pairs(family, n)
     if isinstance(signs, str) and signs in ("all_plus", "all_minus", "random"):
@@ -287,18 +333,24 @@ def generate(
         elif signs == "all_minus":
             sig = [MINUS] * len(pairs)
         else:
-            rng = random.Random(seed)
-            sig = [MINUS if rng.random() < q else PLUS for _ in pairs]
+            sig = _random_signs(random.Random(_int_field(seed, "seed")), len(pairs), q)
     else:
         if isinstance(signs, str):
             sig = [parse_sign(c) for c in signs]
-        else:
+        elif isinstance(signs, Iterable):
             sig = list(signs)
+        else:
+            raise LengthMismatch(f"signs must be a sequence of +-1 values, got {signs!r}")
         if len(sig) != len(pairs):
             raise LengthMismatch(
                 f"{family} on {n} vertices has {len(pairs)} edges, got {len(sig)} signs"
             )
     return build_graph(n, [(u, v, s) for (u, v), s in zip(pairs, sig)])
+
+
+def _random_signs(rng: random.Random, k: int, q: float = 0.5) -> list[int]:
+    """k signs, each MINUS with probability q, one rng.random() draw apiece."""
+    return [MINUS if rng.random() < q else PLUS for _ in range(k)]
 
 
 def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
@@ -307,11 +359,12 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
 
     Pairs are visited in lexicographic order and only rng.random() is drawn
     (one draw per pair, plus one per present edge), so a fixed (n, p, q, seed)
-    replays bit-exactly across platforms and Python versions.
+    replays bit-exactly across platforms and Python versions.  The seed must
+    be an integer (ConfigInvalid otherwise).
     """
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         raise ValueError("edge and sign probabilities must lie in [0, 1]")
-    rng = random.Random(seed)
+    rng = random.Random(_int_field(seed, "seed"))
     edges = []
     for u in range(n):
         for v in range(u + 1, n):

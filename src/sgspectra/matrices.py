@@ -67,14 +67,13 @@ def quad_form_laplacian(g: SignedGraph, x: Sequence[float]) -> float:
 
 
 def quad_form_net_laplacian(g: SignedGraph, x: Sequence[float]) -> float:
-    """Edge sum of (x_u - sign * x_v)^2 minus twice the d- weighted square sum.
+    """quad_form_laplacian's edge sum minus twice the d- weighted square sum.
 
     Raises as quad_form_laplacian does (LengthMismatch, ValueError).
     """
     x = _real_vector(x, g.n, "quadratic form of non-finite entries")
     dm = degree_profile(g).neg_degree
-    edge_sum = sum((x[u] - s * x[v]) ** 2 for u, v, s in g.edges)
-    return float(edge_sum - 2.0 * sum(m * xi * xi for m, xi in zip(dm, x)))
+    return float(quad_form_laplacian(g, x) - 2.0 * sum(m * xi * xi for m, xi in zip(dm, x)))
 
 
 def quad_form_normalized(g: SignedGraph, x: Sequence[float]) -> float:

@@ -5,7 +5,7 @@ and return the old-index -> new-index map alongside the new graph.
 """
 from __future__ import annotations
 
-from .errors import DuplicateEdge, NotAllowable, SameVertex, SelfLoop
+from .errors import DuplicateEdge, NotAllowable, SameVertex
 from .graphs import SignedGraph, build_graph
 
 
@@ -31,9 +31,8 @@ def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
 
 
 def add_edge(g: SignedGraph, u: int, v: int, s: int) -> SignedGraph:
+    """g with edge {u, v} of sign s added; SignedGraph rejects a self-loop or a bad sign."""
     u, v = g._check_vertex(u), g._check_vertex(v)
-    if u == v:
-        raise SelfLoop(f"self-loop at vertex {u}")
     if g.has_edge(u, v):
         raise DuplicateEdge(f"edge ({u}, {v}) already present")
     return build_graph(g.n, list(g.edges) + [(u, v, s)])

@@ -45,6 +45,8 @@ from .graphs import (
     PLUS,
     SignedGraph,
     _as_int,
+    _int_field,
+    _random_signs,
     all_positive,
     co_regularity,
     degree_profile,
@@ -177,7 +179,7 @@ class Check:
     `matrices` holds the builders whose spectra are alpha, of the input
     graph, and beta and mu, of the derived graph.  `chain(surgery, alpha,
     beta[, mu])` takes a block of checks with equal orders: each spectrum
-    slot is a 2-D array with one row per check, and surgery[key] is that
+    slot is a 2-D array with one row per check, and surgery(key) is that
     surgery entry of each row as a (rows, 1) column.  It returns 2-D (lower,
     mid, upper) triples, and each row's verdict takes the per-position
     minimum of their margins.  A -inf lower or +inf upper entry is a link
@@ -209,7 +211,7 @@ def _block_reports(rec: Check, prepared: list, spectra: list, tol) -> list[Inter
         tols = _row_tols(np.concatenate(slots, axis=1))
     else:
         tols = np.full(len(prepared), float(tol))
-    triples = rec.chain(_Columns([p[1] for p in prepared]), *slots)
+    triples = rec.chain(lambda key: np.array([[p[1][key]] for p in prepared], dtype=np.float64), *slots)
     lower = reduce(np.logical_or, [t[0] == -_INF for t in triples]).tolist()
     upper = reduce(np.logical_or, [t[2] == _INF for t in triples]).tolist()
     info = rec.info(slots[0], tols) if rec.info else [{} for _ in prepared]
@@ -227,24 +229,6 @@ def _block_reports(rec: Check, prepared: list, spectra: list, tol) -> list[Inter
             prepared, *_verdicts(triples, tols), tols.tolist(), zip(*(x.tolist() for x in slots)),
             lower, upper, info)
     ]
-
-
-class _Columns:
-    """The surgeries of a block's rows; [key] is that entry of each row as a (rows, 1) column."""
-
-    def __init__(self, surgeries: list):
-        self.surgeries = surgeries
-
-    def __getitem__(self, key) -> np.ndarray:
-        return np.array([[s[key]] for s in self.surgeries], dtype=np.float64)
-
-
-def _int_field(x, name: str) -> int:
-    """x as a plain int (the integer rule of graphs._as_int), else ConfigInvalid."""
-    i = _as_int(x)
-    if i is None:
-        raise ConfigInvalid(f"{name} must be an integer, got {x!r}")
-    return i
 
 
 def _skipped_report(theorem, g_str, surgery, note, tol) -> InterlacingReport:
@@ -430,7 +414,7 @@ def _cycle_chain(s, a, b):
 
 def _coregular_chain(s, a, b, mu):
     """beta_p + 2s <= alpha_p <= mu_p + (1-2s) <= alpha_{p+1} <= beta_{p+1} + 2s."""
-    k = 2.0 * s["uniform_neg_degree"]
+    k = 2.0 * s("uniform_neg_degree")
     mid = mu + (1.0 - k)
     return [(b + k, a[:, :-1], mid), (mid, a[:, 1:], _pad(b[:, 1:] + k, hi=(_INF,)))]
 
@@ -445,10 +429,6 @@ def _bound_flags(a, tols) -> list[dict]:
         return [{} for _ in a]
     ends = np.abs(a[:, [-1, 0]] - [2.0, -2.0]) <= tols[:, None]
     return [{"attains_upper_bound": hi, "attains_lower_bound": lo} for hi, lo in ends.tolist()]
-
-
-def _random_signs(rng: random.Random, k: int, q: float = 0.5) -> list[int]:
-    return [MINUS if rng.random() < q else PLUS for _ in range(k)]
 
 
 def _cycles(family: str, m: int, sig1, sign_last: int):
@@ -512,8 +492,8 @@ _TABLE = (
           doc="""T2.1: deleting any vertex, alpha_p <= beta_p + 1 <= alpha_{p+1} + 1."""),
     Check("C2.2", "check_dominating_vertex_deletion", _VERTEX, _LAP,
           lambda s, a, b: [(a[:, :-1], b + 1.0, a[:, 1:])],
-          stages=(Stage(lambda g, v: g.n >= 2 and g.degree(v) == g.n - 1,
-                        "vertex {0} is not adjacent to all remaining vertices"),),
+          stages=(_TWO, Stage(lambda g, v: g.degree(v) == g.n - 1,
+                              "vertex {0} is not adjacent to all remaining vertices")),
           doc="""C2.2: deleting a vertex adjacent to all others tightens the upper link."""),
     Check("L2.3", "check_edge_deletion_laplacian", _EDGE, _LAP, lambda s, a, b: [(b, a, b + 2.0)],
           doc="""L2.3: deleting any edge, beta_p <= alpha_p <= beta_p + 2."""),
@@ -547,7 +527,7 @@ _TABLE = (
           doc="""C2.9: check_tree_shrink on stars."""),
     # net-Laplacian
     Check("L3.1", "check_laplacian_net_gap", _GRAPH, (_lap, _net),
-          lambda s, a, b: [(b + 2.0 * s["delta_minus"], a, b + 2.0 * s["Delta_minus"])],
+          lambda s, a, b: [(b + 2.0 * s("delta_minus"), a, b + 2.0 * s("Delta_minus"))],
           params=_neg_degree_range,
           doc="""L3.1: beta_p + 2*min(d-) <= alpha_p <= beta_p + 2*max(d-), same graph."""),
     Check("T3.2", "check_negative_edge_deletion_net", _EDGE, _NET,

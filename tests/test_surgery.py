@@ -83,8 +83,12 @@ class TestAddEdge:
             add_edge(sg.generate("path", 3), 0, 1, 1)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoop):
+        with pytest.raises(SelfLoop, match=r"^self-loop at vertex 1$"):
             add_edge(sg.generate("path", 3), 1, 1, 1)
+
+    def test_self_loop_checked_before_sign(self):
+        with pytest.raises(SelfLoop, match=r"^self-loop at vertex 1$"):
+            add_edge(sg.generate("path", 3), 1, 1, 5)
 
     def test_delete_then_add_is_identity(self):
         rng = random.Random(14)

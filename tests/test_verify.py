@@ -180,6 +180,12 @@ class TestDominatingVertexDeletion:
         r = check_dominating_vertex_deletion(sg.generate("path", 3), 0)
         assert not r.hypothesis_met and r.holds  # vacuous
 
+    def test_one_vertex_gate_names_the_order(self):
+        # no other vertex to be adjacent to: the two-vertex stage fails first, as in T2.1
+        for t in ("C2.2", "T2.1"):
+            r = CHECKERS[t](sg.SignedGraph(1, ()), 0)
+            assert not r.hypothesis_met and r.note == "graph has fewer than 2 vertices"
+
 
 class TestEdgeDeletionLaplacian:
     def test_balanced_triangle(self):
@@ -1014,6 +1020,17 @@ _INTEGER_SLOTS = {
     "disjoint_open_neighborhoods(g, 0, x)": (lambda x: sg.disjoint_open_neighborhoods(_C4, 0, x), 2,
                                              VertexOutOfRange),
     "g.degree(x)": (lambda x: _C4.degree(x), 0, VertexOutOfRange),
+    "SignedGraph(x, ())": (lambda x: sg.SignedGraph(x, ()), 3, BadOrder),
+    "SignedGraph(3, ((x, 2, +),))": (lambda x: sg.SignedGraph(3, ((x, 2, 1),)), 0, VertexOutOfRange),
+    "SignedGraph(3, ((0, x, +),))": (lambda x: sg.SignedGraph(3, ((0, x, 1),)), 2, VertexOutOfRange),
+    "SignedGraph(3, ((0, 1, x),))": (lambda x: sg.SignedGraph(3, ((0, 1, x),)), -1, ValueError),
+    "build_graph(3, [(0, x, +)])": (lambda x: sg.build_graph(3, [(0, x, 1)]), 2, VertexOutOfRange),
+    "generate(cycle, x)": (lambda x: sg.generate("cycle", x), 4, BadOrder),
+    "random_signed_graph(4, p, q, x)": (lambda x: sg.random_signed_graph(4, 0.5, 0.5, x), 3, ConfigInvalid),
+    "generate(cycle, 4, random, seed=x)": (lambda x: sg.generate("cycle", 4, "random", seed=x), 3,
+                                           ConfigInvalid),
+    "add_edge(g, 0, 2, x)": (lambda x: add_edge(_C4, 0, 2, x), -1, ValueError),
+    "apply_switching(g, [1, x, 1, 1])": (lambda x: sg.apply_switching(_C4, [1, x, 1, 1]), -1, ValueError),
 }
 _NON_INTEGERS = {"str": "0", "float-0": 0.0, "float-1": 1.0, "float-2.5": 2.5,
                  "np.float64": np.float64(1.0), "bool": True}
@@ -1038,6 +1055,13 @@ def test_numpy_integer_argument_accepted(caller):
         assert verify.report_to_json(got) == verify.report_to_json(want)
     else:
         assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("call", [lambda: sg.generate("cycle", 4, None),
+                                  lambda: CHECKERS["T2.4"](3, None, 1)], ids=["generate", "T2.4"])
+def test_missing_sign_sequence_raises_length_mismatch(call):
+    with pytest.raises(LengthMismatch, match="signs must be a sequence"):
+        call()
 
 
 _GRAPH_IDS = [t for t in CHECK_IDS if CHECKS[t].kind.params[0] == "g"]
