@@ -21,10 +21,10 @@ For the same reason a matrix that repeats an earlier one of the same call
 (same shape, dtype and bytes) is solved once and gets a copy of its spectrum;
 nothing is kept between calls.  An entry -0.0 is read as 0.0.
 
-charpoly_spectrum_oracle takes a completely different route for matrices of
-order <= 6: characteristic-polynomial coefficients by the Faddeev-LeVerrier
-recurrence in exact rational arithmetic, square-free factorization (Yun), and
-Sturm-chain bisection inside Gershgorin bounds.  Every sign evaluation is
+charpoly_spectrum_oracle takes a completely different route, at any order:
+characteristic-polynomial coefficients by the Faddeev-LeVerrier recurrence in
+exact rational arithmetic, square-free factorization (Yun), and Sturm-chain
+bisection inside the polynomial's Cauchy bound.  Every sign evaluation is
 exact, so the oracle is immune to the iterative solver's failure modes and is
 used to cross-validate it.
 """
@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import (
     BadOrder,
-    DimensionTooLarge,
     LengthMismatch,
     NoConvergence,
     NonSymmetric,
@@ -247,11 +246,10 @@ def rayleigh(m, x: Sequence[float]) -> float:
     return float(x @ (a @ x)) / denom
 
 
-# --- exact characteristic-polynomial oracle (order <= 6) -------------------
+# --- exact characteristic-polynomial oracle --------------------------------
 #
 # Polynomials are coefficient lists of Fractions, lowest degree first.
 
-_ORACLE_MAX_DIM = 6
 _ROOT_WIDTH = Fraction(1, 2**50)
 
 
@@ -392,28 +390,21 @@ def _isolated_real_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> list[
     return roots
 
 
-def _fraction_matrix(m: np.ndarray) -> list[list[Fraction]]:
-    """m's entries as exact rationals: integers as they are, the rest as floats."""
-    if not np.issubdtype(m.dtype, np.integer):
-        m = m.astype(np.float64)
-        if not np.isfinite(m).all():
-            raise NonSymmetric("expected finite entries")
-    return [[Fraction(x) for x in row] for row in m.tolist()]
-
-
 def characteristic_polynomial(m) -> list[Fraction]:
     """Exact monic coefficients of det(xI - m), lowest degree first.
 
     Faddeev-LeVerrier recurrence over rationals; float entries convert
     exactly, so no rounding enters the coefficients.  Raises NonSymmetric
-    unless m is a real square matrix with finite entries, DimensionTooLarge
-    above order 6.
+    unless m is a real square matrix with finite entries.
     """
     m = _square(m)
     n = m.shape[0]
-    if n > _ORACLE_MAX_DIM:
-        raise DimensionTooLarge(f"oracle accepts order <= {_ORACLE_MAX_DIM}, got {n}")
-    a = _fraction_matrix(m)
+    # entries as exact rationals: integers as they are, the rest as floats
+    if not np.issubdtype(m.dtype, np.integer):
+        m = m.astype(np.float64)
+        if not np.isfinite(m).all():
+            raise NonSymmetric("expected finite entries")
+    a = [[Fraction(x) for x in row] for row in m.tolist()]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     work = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -430,32 +421,21 @@ def characteristic_polynomial(m) -> list[Fraction]:
     return coeffs
 
 
-def _gershgorin_bounds(m: np.ndarray) -> tuple[Fraction, Fraction]:
-    a = _fraction_matrix(m)
-    n = len(a)
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for i in range(n):
-        radius = sum(abs(a[i][j]) for j in range(n) if j != i)
-        lo = min(lo, a[i][i] - radius)
-        hi = max(hi, a[i][i] + radius)
-    return lo - 1, hi + 1
-
-
 def charpoly_spectrum_oracle(m) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix of order <= 6, computed without the
-    iterative solver: exact characteristic polynomial, Yun square-free split,
-    Sturm bisection within Gershgorin bounds.  Multiplicities are exact.
+    """Eigenvalues of a symmetric matrix, computed without the iterative
+    solver: exact characteristic polynomial, Yun square-free split, Sturm
+    bisection within (-B, B], where B = 1 + max |c_i| is the Cauchy bound of
+    the monic polynomial.  Multiplicities are exact.
     """
     a = _square(m)
     if not np.array_equal(a, a.T):
         raise NonSymmetric("matrix is not exactly symmetric")
     n = a.shape[0]
     poly = characteristic_polynomial(a)
-    lo, hi = _gershgorin_bounds(a)
+    bound = 1 + max(map(abs, poly[:-1]), default=0)
     values: list[float] = []
     for factor, mult in _squarefree_factors(poly):
-        for root in _isolated_real_roots(factor, lo, hi):
+        for root in _isolated_real_roots(factor, -bound, bound):
             values.extend([float(root)] * mult)
     if len(values) != n:
         raise NoConvergence(f"root isolation found {len(values)} of {n} eigenvalues")

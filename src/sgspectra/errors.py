@@ -53,10 +53,6 @@ class NoConvergence(SgError):
     pass
 
 
-class DimensionTooLarge(SgError):
-    pass
-
-
 class ZeroVector(SgError):
     pass
 

@@ -58,7 +58,7 @@ class SignedGraph:
     """A simple undirected graph on vertices 0..n-1 with signed edges.
 
     edges must be canonical (see the module docstring); equality, hashing and
-    the .sg writers rely on that order.  build_graph sorts any edge list.  n,
+    the .sg writers rely on that order; any iterable is stored as a tuple.  n,
     endpoints and signs may be any integers (see _as_int) and are stored as
     plain ints: BadOrder, VertexOutOfRange and ValueError reject the rest."""
 
@@ -67,16 +67,15 @@ class SignedGraph:
     _nbrs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n if type(self.n) is int else _as_int(self.n)
-        if n is None:
-            raise BadOrder(f"vertex count must be an integer, got {self.n!r}")
+        n = _order(self.n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         # canonical order fills each neighbour map in ascending order
         nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(n))
+        edges = self.edges if type(self.edges) is tuple else tuple(self.edges)
         prev = (-1, -1)
         plain = True
-        for u, v, s in self.edges:
+        for u, v, s in edges:
             # plain ints skip the integer rule; anything else is stored converted
             if type(u) is not int or type(v) is not int:
                 u, v = _ends(u, v)
@@ -97,8 +96,7 @@ class SignedGraph:
             nbrs[u][v] = s
             nbrs[v][u] = s
         object.__setattr__(self, "n", n)
-        if not plain:
-            object.__setattr__(self, "edges", tuple((int(u), int(v), int(s)) for u, v, s in self.edges))
+        object.__setattr__(self, "edges", edges if plain else tuple(tuple(map(int, e)) for e in edges))
         object.__setattr__(self, "_nbrs", nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -138,6 +136,14 @@ def _as_int(x) -> int | None:
     return int(x) if isinstance(x, numbers.Integral) and type(x) is not bool else None
 
 
+def _order(n, what: str = "vertex count") -> int:
+    """Order n as a plain int (the integer rule of _as_int), else BadOrder."""
+    i = n if type(n) is int else _as_int(n)
+    if i is None:
+        raise BadOrder(f"{what} must be an integer, got {n!r}")
+    return i
+
+
 def _ends(u, v) -> tuple[int, int]:
     """Edge endpoints u and v as plain ints; VertexOutOfRange unless both are integers."""
     if type(u) is int and type(v) is int:
@@ -154,6 +160,20 @@ def _int_field(x, name: str) -> int:
     if i is None:
         raise ConfigInvalid(f"{name} must be an integer, got {x!r}")
     return i
+
+
+def _real_field(x, name: str):
+    """x if it is a real number (a numbers.Real, but never a bool), else ConfigInvalid."""
+    # plain floats skip the slow abstract-class test
+    if type(x) is not float and (not isinstance(x, numbers.Real) or type(x) is bool):
+        raise ConfigInvalid(f"{name} must be a real number, got {x!r}")
+    return x
+
+
+def _probability(x, name: str) -> None:
+    """ConfigInvalid unless x is a real number (see _real_field), ValueError unless in [0, 1]."""
+    if not 0.0 <= _real_field(x, name) <= 1.0:
+        raise ValueError("edge and sign probabilities must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -302,9 +322,7 @@ def family_edge_pairs(family: str, n: int) -> list[tuple[int, int]]:
     if family not in _FAMILIES:
         raise BadOrder(f"unknown family {family!r}")
     min_n, pairs = _FAMILIES[family]
-    i = _as_int(n)
-    if i is None:
-        raise BadOrder(f"{family} order must be an integer, got {n!r}")
+    i = _order(n, f"{family} order")
     if i < min_n:
         raise BadOrder(f"{family} needs n >= {min_n}, got {n}")
     return pairs(i)
@@ -323,8 +341,8 @@ def generate(
     signs is "all_plus", "all_minus", "random" (each edge negative with
     probability q, seeded), or an explicit sign sequence (+-1 values or a
     string of +/- characters) matching the family's canonical edge order.
-    A seed that is not an integer raises ConfigInvalid, and signs that are
-    no sequence LengthMismatch.
+    A non-integer seed or non-real q raises ConfigInvalid, a q outside
+    [0, 1] ValueError, and signs that are no sequence LengthMismatch.
     """
     pairs = family_edge_pairs(family, n)
     if isinstance(signs, str) and signs in ("all_plus", "all_minus", "random"):
@@ -333,6 +351,7 @@ def generate(
         elif signs == "all_minus":
             sig = [MINUS] * len(pairs)
         else:
+            _probability(q, "q")
             sig = _random_signs(random.Random(_int_field(seed, "seed")), len(pairs), q)
     else:
         if isinstance(signs, str):
@@ -359,12 +378,13 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
 
     Pairs are visited in lexicographic order and only rng.random() is drawn
     (one draw per pair, plus one per present edge), so a fixed (n, p, q, seed)
-    replays bit-exactly across platforms and Python versions.  The seed must
-    be an integer (ConfigInvalid otherwise).
+    replays bit-exactly across platforms and Python versions.  A non-integer
+    n raises BadOrder, a non-real p or q or a non-integer seed ConfigInvalid.
     """
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ValueError("edge and sign probabilities must lie in [0, 1]")
+    _probability(p, "p")
+    _probability(q, "q")
     rng = random.Random(_int_field(seed, "seed"))
+    n = _order(n)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):

@@ -47,6 +47,7 @@ from .graphs import (
     _as_int,
     _int_field,
     _random_signs,
+    _real_field,
     all_positive,
     co_regularity,
     degree_profile,
@@ -660,9 +661,7 @@ class CampaignConfig:
         for name in ("samples", "n_min", "n_max", "seed"):
             setattr(self, name, _int_field(getattr(self, name), name))
         for name in ("p", "q"):
-            x = getattr(self, name)
-            if not isinstance(x, numbers.Real) or type(x) is bool:
-                raise ConfigInvalid(f"{name} must be a real number, got {x!r}")
+            _real_field(getattr(self, name), name)
         if self.samples < 1:
             raise ConfigInvalid(f"samples must be >= 1, got {self.samples}")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):

@@ -9,7 +9,6 @@ import sgspectra as sg
 from sgspectra.eigen import _STACK_ENTRIES, characteristic_polynomial, eigenvalues_many
 from sgspectra.errors import (
     BadOrder,
-    DimensionTooLarge,
     LengthMismatch,
     NoConvergence,
     NonSymmetric,
@@ -290,12 +289,27 @@ class TestCharpolyOracle:
         w = sg.charpoly_spectrum_oracle(sg.laplacian(sg.generate("cycle", 4)))
         assert w == pytest.approx([0.0, 2.0, 2.0, 4.0], abs=1e-10)
 
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            sg.charpoly_spectrum_oracle(np.eye(7))
-        with pytest.raises(DimensionTooLarge):
-            sg.determinant_oracle(np.eye(7))
+    def test_no_dimension_cap(self):
+        assert sg.charpoly_spectrum_oracle(np.eye(7)).tolist() == [1.0] * 7
+        assert sg.determinant_oracle(np.eye(7)) == 1.0
         assert sg.charpoly_spectrum_oracle(np.zeros((0, 0))).size == 0
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_agrees_with_solver_and_lapack_at_campaign_orders(self, n):
+        # the campaign draws orders 4..12; the oracle has no order cap, so it
+        # checks the solver on every matrix family at the orders it runs
+        g = sg.random_signed_graph(n, 0.5, 0.5, seed=n)
+        for build in (sg.laplacian, sg.net_laplacian, sg.normalized_net_laplacian):
+            m = build(g)
+            w_oracle = sg.charpoly_spectrum_oracle(m)
+            w_lapack = np.linalg.eigvalsh(m.astype(float))
+            scale = max(1.0, float(np.abs(w_lapack).max()))
+            assert np.abs(w_oracle - sg.eigenvalues(m)).max() <= 1e-9 * scale
+            assert np.abs(w_oracle - w_lapack).max() <= 1e-9 * scale
+            # net-Laplacian and normalized matrices are singular: their
+            # determinants are 0 up to rounding, so an absolute floor applies
+            det = np.linalg.det(m.astype(float))
+            assert sg.determinant_oracle(m) == pytest.approx(det, rel=1e-9, abs=1e-9)
 
     def test_input_checks(self):
         with pytest.raises(NonSymmetric, match="not exactly symmetric"):

@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import sgspectra as sg
@@ -82,6 +83,14 @@ class TestSignedGraphValidation:
     def test_order_message_names_both_pairs(self):
         with pytest.raises(ValueError, match=r"edge \(0, 2\) follows \(1, 2\)"):
             sg.SignedGraph(3, ((1, 2, 1), (0, 2, 1)))
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 1), (1, 2, -1)], iter([(0, 1, 1), (1, 2, -1)]),
+                                       [(0, 1, 1), (1, 2, np.int64(-1))]],
+                             ids=["list", "iterator", "list-numpy-sign"])
+    def test_any_edge_iterable_stored_as_tuple(self, edges):
+        g, want = sg.SignedGraph(3, edges), sg.SignedGraph(3, ((0, 1, 1), (1, 2, -1)))
+        assert type(g.edges) is tuple and g.edges == want.edges
+        assert g == want and hash(g) == hash(want) and g.degree(1) == 2
 
 
 def _seeded_graphs():
@@ -338,6 +347,9 @@ class TestRandomGraph:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             sg.random_signed_graph(4, 1.5, 0.5, 0)
+        for q in (-0.5, 2.0, float("nan")):
+            with pytest.raises(ValueError, match="probabilities must lie in"):
+                sg.generate("cycle", 4, "random", q=q)
 
 
 class TestConnectivity:

@@ -1026,6 +1026,7 @@ _INTEGER_SLOTS = {
     "SignedGraph(3, ((0, 1, x),))": (lambda x: sg.SignedGraph(3, ((0, 1, x),)), -1, ValueError),
     "build_graph(3, [(0, x, +)])": (lambda x: sg.build_graph(3, [(0, x, 1)]), 2, VertexOutOfRange),
     "generate(cycle, x)": (lambda x: sg.generate("cycle", x), 4, BadOrder),
+    "random_signed_graph(x, p, q, seed)": (lambda x: sg.random_signed_graph(x, 0.5, 0.5, 0), 4, BadOrder),
     "random_signed_graph(4, p, q, x)": (lambda x: sg.random_signed_graph(4, 0.5, 0.5, x), 3, ConfigInvalid),
     "generate(cycle, 4, random, seed=x)": (lambda x: sg.generate("cycle", 4, "random", seed=x), 3,
                                            ConfigInvalid),
@@ -1055,6 +1056,30 @@ def test_numpy_integer_argument_accepted(caller):
         assert verify.report_to_json(got) == verify.report_to_json(want)
     else:
         assert repr(got) == repr(want)
+
+
+# Real-number slots: the probabilities p and q.  Each is a real number (int,
+# float or a numpy float, never a bool) or raises ConfigInvalid.
+_REAL_SLOTS = {
+    "random_signed_graph(4, x, q, seed)": lambda x: sg.random_signed_graph(4, x, 0.5, 0),
+    "random_signed_graph(4, p, x, seed)": lambda x: sg.random_signed_graph(4, 0.5, x, 0),
+    "generate(cycle, 4, random, q=x)": lambda x: sg.generate("cycle", 4, "random", q=x),
+}
+_NON_REALS = {"str": "0.5", "None": None, "bool": True, "complex": 0.5j}
+
+
+@pytest.mark.parametrize("value", list(_NON_REALS))
+@pytest.mark.parametrize("caller", list(_REAL_SLOTS))
+def test_non_real_probability_raises_config_invalid(caller, value):
+    with pytest.raises(ConfigInvalid, match="must be a real number"):
+        _REAL_SLOTS[caller](_NON_REALS[value])
+
+
+@pytest.mark.parametrize("caller", list(_REAL_SLOTS))
+def test_real_probability_of_any_type_accepted(caller):
+    call = _REAL_SLOTS[caller]
+    assert call(np.float64(0.5)) == call(0.5)
+    assert call(1) == call(1.0)
 
 
 @pytest.mark.parametrize("call", [lambda: sg.generate("cycle", 4, None),
