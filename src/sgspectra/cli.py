@@ -7,6 +7,7 @@ Subcommands: spectrum, check, campaign, surgery, info.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -65,14 +66,29 @@ _SURGERY_ERRORS = (
 )
 
 
-def _parse_pair(text: str, flag: str) -> tuple[int, int]:
+# each graph-argument kind is read from the flag of its name; how a usage error names it
+_GRAPH_ARGS = {"vertex": "--vertex", "edge": "--edge U,V", "pair": "--pair A,B"}
+
+# the surgeries that take one graph argument and return the new graph first
+_SURGERIES = {"delete-vertex": ("vertex", delete_vertex), "delete-edge": ("edge", delete_edge),
+              "contract": ("pair", contract)}
+
+
+def _graph_args(args, kind: str, who: str) -> tuple[int, ...]:
+    """The ints of flag --<kind> for a graph-argument kind; ArgMismatch if the
+    flag is absent (naming who needs it) or is not two comma-separated ints."""
+    text = getattr(args, kind)
+    if text is None:
+        raise ArgMismatch(f"{who} needs {_GRAPH_ARGS[kind]}")
+    if kind == "vertex":  # argparse made it an int
+        return (text,)
     parts = text.split(",")
     if len(parts) != 2:
-        raise ArgMismatch(f"{flag} expects 'A,B', got {text!r}")
+        raise ArgMismatch(f"--{kind} expects 'A,B', got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise ArgMismatch(f"{flag} expects integers, got {text!r}") from None
+        raise ArgMismatch(f"--{kind} expects integers, got {text!r}") from None
 
 
 def _require_family(g, family: str, theorem: str):
@@ -100,18 +116,8 @@ def cmd_check(args) -> int:
     g = fileio.read_sg(args.file)
     rec = CHECKS[theorem]
     kind = rec.kind.name
-    if kind == "vertex":
-        if args.vertex is None:
-            raise ArgMismatch(f"{theorem} needs --vertex")
-        arg = (g, args.vertex)
-    elif kind == "edge":
-        if args.edge is None:
-            raise ArgMismatch(f"{theorem} needs --edge U,V")
-        arg = (g, *_parse_pair(args.edge, "--edge"))
-    elif kind == "pair":
-        if args.pair is None:
-            raise ArgMismatch(f"{theorem} needs --pair A,B")
-        arg = (g, *_parse_pair(args.pair, "--pair"))
+    if kind in _GRAPH_ARGS:
+        arg = (g, *_graph_args(args, kind, theorem))
     elif kind == "cycle":
         if args.sign_last is None:
             raise ArgMismatch(f"{theorem} needs --sign-last")
@@ -132,19 +138,13 @@ def cmd_check(args) -> int:
 
 
 def _campaign_config(args) -> CampaignConfig:
-    theorems = tuple(CHECK_IDS) if args.theorems is None else tuple(
-        t.strip() for t in args.theorems.split(",") if t.strip()
-    )
-    return CampaignConfig(
-        theorems=theorems,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        p=args.p,
-        q=args.q,
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    """The config from the campaign flags, which bear its field names;
+    --theorems is a comma-separated list, all ids when absent."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(CampaignConfig)}
+    theorems = given.pop("theorems")
+    if theorems is not None:
+        given["theorems"] = tuple(t.strip() for t in theorems.split(",") if t.strip())
+    return CampaignConfig(**given)
 
 
 def cmd_campaign(args) -> int:
@@ -163,36 +163,21 @@ def cmd_campaign(args) -> int:
 def cmd_surgery(args) -> int:
     g = fileio.read_sg(args.file)
     op = args.op
-    if op == "delete-vertex":
-        if args.vertex is None:
-            raise ArgMismatch("delete-vertex needs --vertex")
-        out, _ = delete_vertex(g, args.vertex)
-    elif op == "delete-edge":
-        if args.edge is None:
-            raise ArgMismatch("delete-edge needs --edge U,V")
-        u, v = _parse_pair(args.edge, "--edge")
-        out, _ = delete_edge(g, u, v)
+    if op in _SURGERIES:
+        kind, surgery = _SURGERIES[op]
+        out = surgery(g, *_graph_args(args, kind, op))[0]
     elif op == "add-edge":
         if args.edge is None or args.sign is None:
             raise ArgMismatch("add-edge needs --edge U,V and --sign")
-        u, v = _parse_pair(args.edge, "--edge")
-        out = add_edge(g, u, v, parse_sign(args.sign))
-    elif op == "contract":
-        if args.pair is None:
-            raise ArgMismatch("contract needs --pair A,B")
-        a, b = _parse_pair(args.pair, "--pair")
-        out, _, _ = contract(g, a, b)
+        out = add_edge(g, *_graph_args(args, "edge", op), parse_sign(args.sign))
     else:  # switch
         if args.alpha is None:
             raise ArgMismatch("switch needs --alpha (string of + and - characters)")
-        alpha = [parse_sign(c) for c in args.alpha]
-        out = apply_switching(g, alpha)
-    text = fileio.to_sg_text(out)
+        out = apply_switching(g, [parse_sign(c) for c in args.alpha])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fileio.write_sg(args.out, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.to_sg_text(out))
     return EXIT_OK
 
 
@@ -256,14 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser("campaign", help="seeded random verification campaign")
     p_camp.add_argument("--theorems", help="comma-separated check ids (default: all)")
-    defaults = CampaignConfig()
-    p_camp.add_argument("--n-min", type=int, default=defaults.n_min)
-    p_camp.add_argument("--n-max", type=int, default=defaults.n_max)
-    p_camp.add_argument("--p", type=float, default=defaults.p)
-    p_camp.add_argument("--q", type=float, default=defaults.q)
-    p_camp.add_argument("--samples", type=int, default=defaults.samples)
-    p_camp.add_argument("--seed", type=int, default=defaults.seed)
-    p_camp.add_argument("--tol", type=float)
+    for f in dataclasses.fields(CampaignConfig)[1:]:  # after theorems; only tol defaults to None
+        p_camp.add_argument(f"--{f.name.replace('_', '-')}", default=f.default,
+                            type=float if f.default is None else type(f.default))
     p_camp.add_argument("--out")
     p_camp.add_argument("--format", choices=["json", "csv"], default="json")
     p_camp.set_defaults(func=cmd_campaign)

@@ -60,7 +60,8 @@ class SignedGraph:
     edges must be canonical (see the module docstring); equality, hashing and
     the .sg writers rely on that order; any iterable is stored as a tuple.  n,
     endpoints and signs may be any integers (see _as_int) and are stored as
-    plain ints: BadOrder, VertexOutOfRange and ValueError reject the rest."""
+    plain ints: BadOrder, VertexOutOfRange and ValueError reject the rest, and
+    LengthMismatch edges that are not iterable or an edge that is not a triple."""
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
@@ -72,10 +73,18 @@ class SignedGraph:
             raise ValueError("vertex count must be non-negative")
         # canonical order fills each neighbour map in ascending order
         nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(n))
-        edges = self.edges if type(self.edges) is tuple else tuple(self.edges)
+        try:
+            edges = self.edges if type(self.edges) is tuple else tuple(self.edges)
+        except TypeError:
+            raise LengthMismatch(f"edges must be an iterable of (u, v, sign) triples, "
+                                 f"got {self.edges!r}") from None
         prev = (-1, -1)
         plain = True
-        for u, v, s in edges:
+        for e in edges:
+            try:
+                u, v, s = e
+            except (TypeError, ValueError):
+                raise LengthMismatch(f"edge {e!r} is not a (u, v, sign) triple") from None
             # plain ints skip the integer rule; anything else is stored converted
             if type(u) is not int or type(v) is not int:
                 u, v = _ends(u, v)

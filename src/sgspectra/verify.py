@@ -119,8 +119,8 @@ def check_chain(lower, mid, upper, tol: float):
 
 def _check_tol(tol) -> None:
     """Reject a tol that is not a non-negative number a float can hold (inf
-    included); None stands for default_tol."""
-    if tol is not None and not (isinstance(tol, numbers.Real) and 0 <= tol
+    included), or is a bool; None stands for default_tol."""
+    if tol is not None and not (isinstance(tol, numbers.Real) and type(tol) is not bool and 0 <= tol
                                 and (tol <= sys.float_info.max or tol == _INF)):
         raise ConfigInvalid(f"tol must be a non-negative number within float range, got {tol}")
 
@@ -657,7 +657,8 @@ class CampaignConfig:
     tol: float | None = None
 
     def validate(self) -> None:
-        """Raise ConfigInvalid on any invalid field; store integer fields as plain ints."""
+        """Raise ConfigInvalid on any invalid field; store integer fields as plain
+        ints, and p, q and tol as floats unless each is a plain int, float or None."""
         for name in ("samples", "n_min", "n_max", "seed"):
             setattr(self, name, _int_field(getattr(self, name), name))
         for name in ("p", "q"):
@@ -677,6 +678,9 @@ class CampaignConfig:
         if not self.theorems:
             raise ConfigInvalid("at least one check id required")
         _check_tol(self.tol)
+        for name in ("p", "q", "tol"):
+            if type(getattr(self, name)) not in (int, float, type(None)):
+                setattr(self, name, float(getattr(self, name)))
 
 
 @dataclass

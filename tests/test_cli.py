@@ -65,6 +65,24 @@ class TestSpectrum:
         assert "error:" in capsys.readouterr().err
 
 
+# argv after the file -> the one stderr line (after "error: ") of each graph-argument usage error
+_GRAPH_ARGUMENT_ERRORS = {
+    "check --theorem T2.1": "T2.1 needs --vertex",
+    "check --theorem T2.1 --edge 1": "T2.1 needs --vertex",
+    "check --theorem T2.1 --pair 0,x": "T2.1 needs --vertex",
+    "check --theorem L2.3": "L2.3 needs --edge U,V",
+    "check --theorem L2.3 --edge 1": "--edge expects 'A,B', got '1'",
+    "check --theorem L2.3 --pair 0,x": "L2.3 needs --edge U,V",
+    "check --theorem T4.3": "T4.3 needs --pair A,B",
+    "check --theorem T4.3 --edge 1": "T4.3 needs --pair A,B",
+    "check --theorem T4.3 --pair 0,x": "--pair expects integers, got '0,x'",
+    "surgery delete-vertex": "delete-vertex needs --vertex",
+    "surgery delete-edge": "delete-edge needs --edge U,V",
+    "surgery contract": "contract needs --pair A,B",
+    "surgery add-edge": "add-edge needs --edge U,V and --sign",
+}
+
+
 class TestCheck:
     def test_t21_holds_exit_0(self, c4_file, capsys):
         assert main(["check", c4_file, "--theorem", "T2.1", "--vertex", "0"]) == 0
@@ -94,6 +112,13 @@ class TestCheck:
         """Usage errors exit 2 and name the flag at fault."""
         assert main([argv[0], c4_file, *argv[1:]]) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", list(_GRAPH_ARGUMENT_ERRORS))
+    def test_graph_argument_usage_error_text(self, c4_file, capsys, argv):
+        """The one reader of --vertex, --edge and --pair words each error as before."""
+        cmd, *rest = argv.split()
+        assert main([cmd, c4_file, *rest]) == 2
+        assert capsys.readouterr() == ("", f"error: {_GRAPH_ARGUMENT_ERRORS[argv]}\n")
 
     def test_unknown_theorem_exit_2(self, c4_file):
         assert main(["check", c4_file, "--theorem", "T9.9", "--vertex", "0"]) == 2

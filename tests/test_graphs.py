@@ -84,6 +84,17 @@ class TestSignedGraphValidation:
         with pytest.raises(ValueError, match=r"edge \(0, 2\) follows \(1, 2\)"):
             sg.SignedGraph(3, ((1, 2, 1), (0, 2, 1)))
 
+    @pytest.mark.parametrize("edges, message", [
+        (None, "edges must be an iterable of (u, v, sign) triples, got None"),
+        (5, "edges must be an iterable of (u, v, sign) triples, got 5"),
+        (((0, 1),), "edge (0, 1) is not a (u, v, sign) triple"),
+        (((0, 1, 1, 1),), "edge (0, 1, 1, 1) is not a (u, v, sign) triple"),
+    ], ids=["None", "int", "pair", "four-tuple"])
+    def test_malformed_edge_container_raises_length_mismatch(self, edges, message):
+        with pytest.raises(LengthMismatch) as exc:
+            sg.SignedGraph(3, edges)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("edges", [[(0, 1, 1), (1, 2, -1)], iter([(0, 1, 1), (1, 2, -1)]),
                                        [(0, 1, 1), (1, 2, np.int64(-1))]],
                              ids=["list", "iterator", "list-numpy-sign"])

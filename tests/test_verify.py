@@ -104,8 +104,8 @@ class TestCheckChain:
 
 
 class TestTol:
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, "x", 10**400],
-                             ids=["nan", "-1", "-inf", "str", "huge"])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, "x", 10**400, True],
+                             ids=["nan", "-1", "-inf", "str", "huge", "bool"])
     def test_nan_or_negative_rejected_on_every_path(self, tol):
         c4 = sg.generate("cycle", 4)
         mixed = sg.generate("star", 3, [1, -1])  # C3.5's gate skips its centre
@@ -650,6 +650,18 @@ class TestCampaign:
             CampaignConfig(n_min=10, n_max=4).validate()
         with pytest.raises(ConfigInvalid):
             CampaignConfig(theorems=("T9.9",)).validate()
+
+    def test_numpy_reals_stored_as_plain_floats(self):
+        # a numpy float would send the whole document to the slow json.dumps path
+        ids = ("T2.1", "B4")
+        cfg = CampaignConfig(ids, p=np.float64(0.5), q=np.float32(0.25), samples=3, tol=np.float64(1e-9))
+        cfg.validate()
+        assert [type(x) for x in (cfg.p, cfg.q, cfg.tol)] == [float, float, float]
+        plain = CampaignConfig(ids, p=0.5, q=0.25, samples=3, tol=1e-9)
+        assert campaign_to_json(run_campaign(cfg)) == campaign_to_json(run_campaign(plain))
+        ints = CampaignConfig(ids, p=1, q=0)
+        ints.validate()
+        assert (type(ints.p), type(ints.q), ints.tol) == (int, int, None)
 
     def test_repeated_check_ids_rejected(self):
         with pytest.raises(ConfigInvalid, match=r"repeated check ids: \['B4', 'T4.1'\]"):
