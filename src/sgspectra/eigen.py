@@ -23,10 +23,11 @@ nothing is kept between calls.  An entry -0.0 is read as 0.0.
 
 charpoly_spectrum_oracle takes a completely different route, at any order:
 characteristic-polynomial coefficients by the Faddeev-LeVerrier recurrence in
-exact rational arithmetic, square-free factorization (Yun), and Sturm-chain
-bisection inside the polynomial's Cauchy bound.  Every sign evaluation is
-exact, so the oracle is immune to the iterative solver's failure modes and is
-used to cross-validate it.
+exact rational arithmetic, then bisection by the Budan-Fourier count of sign
+changes in the polynomial and its derivatives, which is exact because a
+symmetric matrix has only real eigenvalues.  Every sign evaluation is exact,
+so the oracle is immune to the iterative solver's failure modes and is used
+to cross-validate it.
 """
 from __future__ import annotations
 
@@ -253,18 +254,6 @@ def rayleigh(m, x: Sequence[float]) -> float:
 _ROOT_WIDTH = Fraction(1, 2**50)
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    if len(p) <= 1:
-        return [Fraction(0)]
-    return _poly_trim([k * c for k, c in enumerate(p)][1:])
-
-
 def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -272,122 +261,19 @@ def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    quot = [Fraction(0)] * max(1, len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        factor = a[k] / lb
-        quot[k - db] = factor
-        for j in range(db + 1):
-            a[k - db + j] -= factor * b[j]
-    return _poly_trim(quot), _poly_trim(a)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_monic(p: list[Fraction]) -> list[Fraction]:
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while not (len(b) == 1 and b[0] == 0):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(a)
-
-
-def _squarefree_factors(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's decomposition of monic p into (square-free factor, multiplicity)."""
-    dp = _poly_deriv(p)
-    g = _poly_gcd(p, dp)
-    if len(g) == 1:
-        return [(_poly_monic(p), 1)]
-    b, _ = _poly_divmod(p, g)
-    c, _ = _poly_divmod(dp, g)
-    d = _poly_sub(c, _poly_deriv(b))
-    factors = []
-    mult = 1
-    while len(b) > 1:
-        a = _poly_gcd(b, d)
-        if len(a) > 1:
-            factors.append((_poly_monic(a), mult))
-        b, _ = _poly_divmod(b, a)
-        c, _ = _poly_divmod(d, a)
-        d = _poly_sub(c, _poly_deriv(b))
-        mult += 1
-    return factors
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p, _poly_deriv(p)]
-    while len(chain[-1]) > 1:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if len(r) == 1 and r[0] == 0:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _refine_root(p: list[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    """Bisect the single simple root of p inside (lo, hi]."""
-    if _poly_eval(p, hi) == 0:
-        return hi
-    fa = _poly_eval(p, lo)
-    if fa == 0:
-        # lo is itself a (different, uncounted) root; p is square-free, so
-        # the sign just right of lo is the derivative's sign there
-        fa = _poly_eval(_poly_deriv(p), lo)
-    sign_lo = 1 if fa > 0 else -1
+def _refine_root(p: list[Fraction], lo: Fraction, hi: Fraction, positive: bool) -> Fraction:
+    """Bisect the single simple root of p inside (lo, hi); positive tells
+    whether p is positive just right of lo."""
     while hi - lo > _ROOT_WIDTH:
         mid = (lo + hi) / 2
         val = _poly_eval(p, mid)
         if val == 0:
             return mid
-        if (1 if val > 0 else -1) == sign_lo:
+        if (val > 0) == positive:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def _isolated_real_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """All real roots of square-free monic p inside (lo, hi]."""
-    if len(p) == 2:
-        return [-p[0] / p[1]]
-    chain = _sturm_chain(p)
-    roots: list[Fraction] = []
-    stack = [(lo, hi, _sign_changes(chain, lo) - _sign_changes(chain, hi))]
-    while stack:
-        a, b, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            roots.append(_refine_root(p, a, b))
-            continue
-        mid = (a + b) / 2
-        left = _sign_changes(chain, a) - _sign_changes(chain, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, count - left))
-    return roots
 
 
 def characteristic_polynomial(m) -> list[Fraction]:
@@ -423,20 +309,49 @@ def characteristic_polynomial(m) -> list[Fraction]:
 
 def charpoly_spectrum_oracle(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, computed without the iterative
-    solver: exact characteristic polynomial, Yun square-free split, Sturm
-    bisection within (-B, B], where B = 1 + max |c_i| is the Cauchy bound of
-    the monic polynomial.  Multiplicities are exact.
+    solver: the exact characteristic polynomial p, then bisection of (-B, B),
+    where B is the power of two above the Cauchy bound 1 + max |c_i| of the
+    monic p, by the Budan-Fourier count of p, p', ..., p^(n).
+
+    The roots are real, so the count is exact on every interval, multiplicity
+    included.  Bisection points are dyadic, so a dyadic eigenvalue such as
+    0.25 or 3 comes out exactly.  Multiplicities are exact for roots more than
+    2^-50 apart; closer roots are given at their cluster's midpoint.
     """
     a = _square(m)
     if not np.array_equal(a, a.T):
         raise NonSymmetric("matrix is not exactly symmetric")
     n = a.shape[0]
     poly = characteristic_polynomial(a)
-    bound = 1 + max(map(abs, poly[:-1]), default=0)
+    derivs = [poly]
+    while len(derivs[-1]) > 1:
+        derivs.append([k * c for k, c in enumerate(derivs[-1])][1:])
+    top = Fraction(1 << math.ceil(1 + max(map(abs, poly[:-1]), default=0)).bit_length())
     values: list[float] = []
-    for factor, mult in _squarefree_factors(poly):
-        for root in _isolated_real_roots(factor, -bound, bound):
-            values.extend([float(root)] * mult)
+    # (lo, hi, whether p is positive just right of lo, sign changes of the
+    # sequence just right of lo and just left of hi); their difference counts
+    # the roots in (lo, hi).  At -top the sequence alternates in sign, at top
+    # it is positive.
+    stack = [(-top, top, n % 2 == 0, n, 0)]
+    while stack:
+        lo, hi, positive, left, right = stack.pop()
+        count = left - right
+        if count == 1:
+            values.append(float(_refine_root(poly, lo, hi, positive)))
+        elif count and hi - lo <= _ROOT_WIDTH:
+            values.extend([float((lo + hi) / 2)] * count)
+        elif count:
+            mid = (lo + hi) / 2
+            at = [_poly_eval(d, mid) for d in derivs]
+            # with zeros dropped these are the changes just right of mid; a
+            # root there of multiplicity mult (p, ..., p^(mult-1) vanish) adds
+            # mult more just left of it
+            mult = next(k for k, v in enumerate(at) if v)
+            signs = [v > 0 for v in at if v]
+            changes = sum(s != t for s, t in zip(signs, signs[1:]))
+            values.extend([float(mid)] * mult)
+            stack.append((lo, mid, positive, left, changes + mult))
+            stack.append((mid, hi, signs[0], changes, right))
     if len(values) != n:
         raise NoConvergence(f"root isolation found {len(values)} of {n} eigenvalues")
     return np.sort(np.array(values))

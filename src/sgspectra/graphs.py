@@ -85,8 +85,8 @@ class SignedGraph:
                 u, v, s = e
             except (TypeError, ValueError):
                 raise LengthMismatch(f"edge {e!r} is not a (u, v, sign) triple") from None
-            # plain ints skip the integer rule; anything else is stored converted
-            if type(u) is not int or type(v) is not int:
+            # tuples of plain ints skip the integer rule; anything else is stored converted
+            if type(u) is not int or type(v) is not int or type(e) is not tuple:
                 u, v = _ends(u, v)
                 plain = False
             if u == v:

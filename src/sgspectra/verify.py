@@ -332,10 +332,15 @@ def _run(rec: Check, tol, *args) -> InterlacingReport:
 
 
 def _checker(rec: Check) -> Callable:
-    """rec's public checker: the kind's arguments, then an optional tol."""
+    """rec's public checker: the kind's arguments, then an optional tol given
+    once, by position or keyword; ArgMismatch for any other count."""
     arity = len(rec.kind.params)
+    usage = f"{rec.id} takes ({', '.join(rec.kind.params)}[, tol])"
 
     def check(*args, tol=None):
+        given = len(args) + (tol is not None)
+        if not arity <= len(args) <= given <= arity + 1:
+            raise ArgMismatch(f"{usage}, got {given} argument{'s' * (given != 1)}")
         if len(args) > arity:
             *args, tol = args
         return _run(rec, tol, *args)

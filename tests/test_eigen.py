@@ -311,6 +311,20 @@ class TestCharpolyOracle:
             det = np.linalg.det(m.astype(float))
             assert sg.determinant_oracle(m) == pytest.approx(det, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("m, spectrum", [
+        *[(sg.laplacian(sg.generate("cycle", n)), w)
+          for n, w in [(3, [0, 3, 3]), (4, [0, 2, 2, 4]), (6, [0, 1, 1, 3, 3, 4])]],
+        *[(sg.laplacian(sg.generate("complete", n)), [0] + [n] * (n - 1)) for n in range(2, 9)],
+        *[(sg.laplacian(sg.generate("star", n)), [0] + [1] * (n - 2) + [n]) for n in range(2, 9)],
+        (0.5 * np.eye(3), [0.5] * 3),
+        (np.diag([0.25, -1.5, 3.0]), [-1.5, 0.25, 3.0]),
+    ], ids=["C3", "C4", "C6", *[f"K{n}" for n in range(2, 9)], *[f"S{n}" for n in range(2, 9)],
+            "half-identity", "dyadic-diagonal"])
+    def test_dyadic_spectrum_exact(self, m, spectrum):
+        # bisection points are dyadic, so these eigenvalues are hit exactly,
+        # each as often as its multiplicity
+        assert sg.charpoly_spectrum_oracle(m).tolist() == spectrum
+
     def test_input_checks(self):
         with pytest.raises(NonSymmetric, match="not exactly symmetric"):
             sg.charpoly_spectrum_oracle(np.array([[0, 1], [2, 0]]))

@@ -96,8 +96,10 @@ class TestSignedGraphValidation:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("edges", [[(0, 1, 1), (1, 2, -1)], iter([(0, 1, 1), (1, 2, -1)]),
-                                       [(0, 1, 1), (1, 2, np.int64(-1))]],
-                             ids=["list", "iterator", "list-numpy-sign"])
+                                       [(0, 1, 1), (1, 2, np.int64(-1))],
+                                       [[0, 1, 1], [1, 2, -1]], ([0, 1, 1], (1, 2, -1))],
+                             ids=["list", "iterator", "list-numpy-sign", "list-of-lists",
+                                  "tuple-with-list-edge"])
     def test_any_edge_iterable_stored_as_tuple(self, edges):
         g, want = sg.SignedGraph(3, edges), sg.SignedGraph(3, ((0, 1, 1), (1, 2, -1)))
         assert type(g.edges) is tuple and g.edges == want.edges

@@ -132,6 +132,19 @@ class TestTol:
         res = run_campaign(CampaignConfig(theorems=("T2.1",), samples=2, tol=tol))
         assert [r.tol for r in res.reports] == [tol, tol]
 
+    @pytest.mark.parametrize("theorem", CHECK_IDS)
+    def test_wrong_argument_count_raises_arg_mismatch(self, theorem):
+        params = {"graph": "g", "vertex": "g, v", "edge": "g, u, v", "pair": "g, a, b",
+                  "cycle": "m, sig1, sign_last", "seeded": "m, seed"}[verify.ARG_KINDS[theorem]]
+        usage = f"{theorem} takes ({params}[, tol])"
+        args = (sg.generate("cycle", 4),) + (0,) * params.count(",")
+        calls = [(args[:-1], {}), (args + (1e-9, 1e-9), {}), (args + (1e-9,), {"tol": 1e-9})]
+        for call_args, kw in calls:
+            given = len(call_args) + len(kw)
+            with pytest.raises(ArgMismatch) as exc:
+                CHECKERS[theorem](*call_args, **kw)
+            assert str(exc.value) == f"{usage}, got {given} argument{'s' * (given != 1)}"
+
     @pytest.mark.parametrize("theorem, args", [
         ("T2.1", (sg.generate("cycle", 5, "all_minus"), 0)),
         ("L3.1", (sg.generate("complete", 6, "random", seed=3),)),
