@@ -6,28 +6,31 @@ per eigenvalue and off-diagonals below 1e-15 * scale are deflated to zero.
 It computes eigenvalues only, since no check reads an eigenvector.  The QL
 sweeps run on Python floats, which round as float64 does and index faster.
 
-eigenvalues_many solves many matrices with one Householder reduction, which
-runs over a stack of them with np.vecdot and np.matvec (numpy >= 2.2) on a
-leading batch axis; eigenvalues is a batch of one.  The matrices go largest first into
-stacks of at most _STACK_ENTRIES entries, each front-padded: a matrix of
-order n sits in the trailing block of a zero slot of the stack's order top.
-Its first top - n steps are then no-ops, which the reduction skips, and each
-of its own steps slices vectors of exactly its own length and applies the
-same float64 operations in the same order as a lone solve.  So a spectrum
-does not depend on what it is solved with: bit for bit, it is what the
-matrix gives alone.  Padding at the end would not keep this, since dot
-products over padded lengths round differently (by up to 2.7e-15 * scale).
-For the same reason a matrix that repeats an earlier one of the same call
-(same shape, dtype and bytes) is solved once and gets a copy of its spectrum;
-nothing is kept between calls.  An entry -0.0 is read as 0.0.
+eigenvalues_stack solves a stack of matrices with one Householder reduction,
+which runs over the stack with np.vecdot and np.matvec (numpy >= 2.2) on a
+leading batch axis.  The stack is front-padded: a matrix of order n sits in
+the trailing block of a zero slot of the stack's order top.  Its first
+top - n steps are then no-ops, which the reduction skips, and each of its own
+steps slices vectors of exactly its own length and applies the same float64
+operations in the same order as a lone solve.  So a spectrum does not depend
+on what it is solved with: bit for bit, it is what the matrix gives alone.
+Padding at the end would not keep this, since dot products over padded
+lengths round differently (by up to 2.7e-15 * scale).  For the same reason a
+slot that repeats an earlier one of the stack (same order and bytes) is
+solved once and gets a copy of its spectrum; nothing is kept between calls.
+An entry -0.0 is read as 0.0.  The campaign and the checkers write their
+stacks with matrices.assemble; eigenvalues_many is the front end for arrays:
+it widens them to float64 and writes them largest first into stacks of at
+most _STACK_ENTRIES entries, and eigenvalues is a batch of one.
 
 charpoly_spectrum_oracle takes a completely different route, at any order:
 characteristic-polynomial coefficients by the Faddeev-LeVerrier recurrence in
 exact rational arithmetic, then bisection by the Budan-Fourier count of sign
 changes in the polynomial and its derivatives, which is exact because a
-symmetric matrix has only real eigenvalues.  Every sign evaluation is exact,
-so the oracle is immune to the iterative solver's failure modes and is used
-to cross-validate it.
+symmetric matrix has only real eigenvalues; an isolated root is refined by
+bisection with p evaluated in integers at each dyadic point.  Every sign
+evaluation is exact, so the oracle is immune to the iterative solver's
+failure modes and is used to cross-validate it.
 """
 from __future__ import annotations
 
@@ -91,28 +94,23 @@ def _real_vector(x, n: int | None = None, nonfinite: str | None = None) -> np.nd
 
 
 def _stack(mats: list[np.ndarray]) -> np.ndarray:
-    """One float64 stack at the largest order (mats come largest first), each
-    matrix written into the trailing block of its slot, and -0.0 read as 0.0."""
-    top = len(mats[0])
+    """One float64 stack at the largest order, each matrix written into the
+    trailing block of its slot."""
+    top = max(map(len, mats))
     a = np.zeros((len(mats), top, top))
     for slot, m in zip(a, mats):
         slot[top - len(m):, top - len(m):] = m
-    if not (a == a.swapaxes(1, 2)).all():
-        raise NonSymmetric("matrix is not exactly symmetric")
-    if not np.isfinite(a).all():
-        raise NonSymmetric("expected finite entries")
-    a += 0.0  # -0.0 + 0.0 is 0.0; _tridiagonalize relies on having no -0.0
     return a
 
 
 def _tridiagonalize(a: np.ndarray, orders: list[int]) -> None:
-    """Householder reduction of a stack from _stack, in place: afterwards each
+    """Householder reduction of a front-padded stack, in place: afterwards each
     matrix's diagonal and subdiagonal hold its tridiagonal form.
 
-    orders[i] is the order of a[i].  Step k runs on the prefix of the stack
-    whose matrices have begun their own steps, each on vectors of exactly
-    its own length.  No entry a step reads is -0.0: the stack has none, and
-    b - s is -0.0 only when b is.
+    orders[i] is the order of a[i], largest first.  Step k runs on the prefix
+    of the stack whose matrices have begun their own steps, each on vectors
+    of exactly its own length.  No entry a step reads is -0.0: the stack has
+    none, and b - s is -0.0 only when b is.
     """
     top = a.shape[1]
     ascending = orders[::-1]
@@ -193,36 +191,63 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
+def eigenvalues_stack(a: np.ndarray, orders: list[int], kinds=None) -> list[np.ndarray]:
+    """The eigenvalues of each matrix of a front-padded float64 stack, sorted
+    ascending; each equals what that matrix gives when solved alone, bit for bit.
+
+    orders[i] is the order of a[i], whose matrix fills its trailing block; the
+    rest of the slot is zero.  The slots may come in any order.  A slot with
+    the order, bytes and kinds[i] (when kinds is given) of an earlier one is
+    not solved again: it gets its own copy of that slot's spectrum.  a may be
+    overwritten.  Raises NonSymmetric unless each matrix is exactly symmetric
+    with finite entries.
+    """
+    kinds = kinds or [None] * len(orders)
+    first: dict = {}  # (order, kind, hash of the bytes) -> index of the first such slot
+    source = []
+    for i, (n, kind, data) in enumerate(zip(orders, kinds, map(np.ndarray.tobytes, a))):
+        j = first.setdefault((n, kind, hash(data)), i)
+        # a hash collision between different bytes only costs a second solve
+        source.append(j if j == i or a[j].tobytes() == data else i)
+    slots = sorted((i for i, j in enumerate(source) if i == j), key=orders.__getitem__, reverse=True)
+    if slots != list(range(len(orders))):
+        a = a[slots]
+    if not (a == a.swapaxes(1, 2)).all():
+        raise NonSymmetric("matrix is not exactly symmetric")
+    if not np.isfinite(a).all():
+        raise NonSymmetric("expected finite entries")
+    a += 0.0  # -0.0 + 0.0 is 0.0; _tridiagonalize relies on having no -0.0
+    top = a.shape[1]
+    kept = [orders[i] for i in slots]
+    _tridiagonalize(a, kept)
+    spectra = [None] * len(orders)
+    for i, n, d, e in zip(slots, kept, np.diagonal(a, 0, 1, 2).tolist(), np.diagonal(a, -1, 1, 2).tolist()):
+        spectra[i] = np.sort(_ql_implicit(d[top - n:], e[top - n:]))
+    return [spectra[i] if i == j else spectra[j].copy() for i, j in enumerate(source)]
+
+
 def eigenvalues_many(mats) -> list[np.ndarray]:
     """The eigenvalues of each symmetric matrix in mats, sorted ascending;
     each equals what that matrix gives when solved alone, bit for bit.
 
-    A matrix with the shape, dtype and bytes of an earlier one in mats is
-    not solved again: it gets its own copy of that matrix's spectrum.
-    Raises NonSymmetric unless each is a real, exactly symmetric matrix with
-    finite entries.
+    The matrices go largest first into stacks of at most _STACK_ENTRIES
+    entries.  A matrix with the shape, dtype and bytes of an earlier one in
+    its stack is not solved again: it gets its own copy of that matrix's
+    spectrum.  Raises NonSymmetric unless each is a real, exactly symmetric
+    matrix with finite entries.
     """
     mats = [_square(m) for m in mats]
-    first: dict = {}  # (shape, dtype, hash of the bytes) -> index of the first such matrix
-    source = []
-    for i, m in enumerate(mats):
-        data = m.tobytes()
-        j = first.setdefault((m.shape, m.dtype.str, hash(data)), i)
-        # a hash collision between different bytes only costs a second solve
-        source.append(j if j == i or mats[j].tobytes() == data else i)
-    slots = sorted((i for i, j in enumerate(source) if i == j), key=lambda i: len(mats[i]), reverse=True)
+    order = sorted(range(len(mats)), key=lambda i: len(mats[i]), reverse=True)
     spectra = [None] * len(mats)
-    while slots:
-        top = len(mats[slots[0]])
-        chunk = slots[:max(1, _STACK_ENTRIES // max(1, top * top))]
-        slots = slots[len(chunk):]
-        orders = [len(mats[i]) for i in chunk]
-        a = _stack([mats[i] for i in chunk])
-        _tridiagonalize(a, orders)
-        for i, n, d, e in zip(chunk, orders, np.diagonal(a, 0, 1, 2).tolist(),
-                              np.diagonal(a, -1, 1, 2).tolist()):
-            spectra[i] = np.sort(_ql_implicit(d[top - n:], e[top - n:]))
-    return [spectra[i] if i == j else spectra[j].copy() for i, j in enumerate(source)]
+    while order:
+        top = len(mats[order[0]])
+        chunk = order[:max(1, _STACK_ENTRIES // max(1, top * top))]
+        order = order[len(chunk):]
+        group = [mats[i] for i in chunk]
+        solved = eigenvalues_stack(_stack(group), list(map(len, group)), [m.dtype.str for m in group])
+        for i, w in zip(chunk, solved):
+            spectra[i] = w
+    return spectra
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -262,18 +287,30 @@ def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
 
 
 def _refine_root(p: list[Fraction], lo: Fraction, hi: Fraction, positive: bool) -> Fraction:
-    """Bisect the single simple root of p inside (lo, hi); positive tells
-    whether p is positive just right of lo."""
-    while hi - lo > _ROOT_WIDTH:
-        mid = (lo + hi) / 2
-        val = _poly_eval(p, mid)
+    """Bisect the single simple root of p inside (lo, hi), dyadic rationals;
+    positive tells whether p is positive just right of lo.
+
+    p is evaluated in integers: at j / 2^s, the value of scale * p times
+    2^(s * deg p), for scale the lcm of p's denominators, has p's sign.
+    """
+    scale = math.lcm(*(c.denominator for c in p))
+    coeffs = [c.numerator * (scale // c.denominator) for c in reversed(p)]
+    s = max(lo.denominator, hi.denominator).bit_length() - 1
+    a = lo.numerator << (s - lo.denominator.bit_length() + 1)  # lo = a / 2^s
+    b = hi.numerator << (s - hi.denominator.bit_length() + 1)  # hi = b / 2^s
+    while (b - a) * _ROOT_WIDTH.denominator > 1 << s:
+        mid = a + b  # (lo + hi) / 2 = mid / 2^(s + 1)
+        s += 1
+        val = 0
+        for k, c in enumerate(coeffs):  # Horner, homogenised by powers of 2^s
+            val = val * mid + (c << (s * k))
         if val == 0:
-            return mid
+            return Fraction(mid, 1 << s)
         if (val > 0) == positive:
-            lo = mid
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return (lo + hi) / 2
+            a, b = 2 * a, mid
+    return Fraction(a + b, 1 << (s + 1))
 
 
 def characteristic_polynomial(m) -> list[Fraction]:

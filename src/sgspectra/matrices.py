@@ -1,16 +1,23 @@
 """The four matrices of a signed graph and their combinatorial quadratic forms.
 
-Integer-valued matrices (adjacency, Laplacian, net-Laplacian) are built in
-exact integer arithmetic (int64) from the adjacency, so identities like
-L - N = 2*diag(d-) can be tested exactly; `eigenvalues` widens them to float.
-The normalized net-Laplacian is assembled from the entrywise scaling formula,
-which keeps it exactly symmetric (no post-hoc symmetrization).
+assemble writes any number of them, of any orders, into one front-padded
+stack: each graph's matrix fills the trailing block of its slot.  In float64
+that is the stack eigen.eigenvalues_stack solves, and adjacency, laplacian,
+net_laplacian and normalized_net_laplacian are its one-graph case, so each
+formula is written once.  The entries come from the edge lists in a few
+vectorised scatters.  The integer matrices (adjacency, Laplacian,
+net-Laplacian) are built from the degrees and signs in exact integers: the
+one-graph builders return int64, so identities like L - N = 2*diag(d-) can be
+tested exactly.  The normalized net-Laplacian's entries are
+N[i,j] / sqrt(d_i * d_j) in one division, which keeps the matrix exactly
+symmetric (no post-hoc symmetrization).
 
 The quad_form_* functions evaluate edge-sum formulas directly, independent of
 any matrix product, and serve as oracles for the matrix quadratic forms.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -20,25 +27,61 @@ from .errors import ZeroDenominator
 from .graphs import SignedGraph, degree_profile
 
 
+def assemble(slots: Sequence, dtype=np.float64) -> np.ndarray:
+    """Stack of the matrices named by slots, a sequence of (builder, order,
+    edges): builder one of this module's four matrix functions, order and
+    edges a graph's, its edges flattened into an int64 array u0, v0, sign0,
+    u1, ...
+
+    Slot i of the returned (len(slots), top, top) array of dtype, top the
+    largest order, holds that builder's matrix of that graph in its trailing
+    block and zeros elsewhere.  An integer dtype holds the integer matrices
+    exactly.
+    """
+    k = len(slots)
+    orders = [n for _, n, _ in slots]
+    top = max(orders, default=0)
+    out = np.zeros((k, top, top), dtype)
+    if not k:
+        return out
+    counts = [len(flat) // 3 for _, _, flat in slots]
+    edges = np.concatenate([flat for _, _, flat in slots]).reshape(-1, 3)
+    # each edge end's vertex in the stack's k * top, and the flat positions
+    # of the edge's entries (u, v) and (v, u)
+    first = np.array([i * top + top - n for i, n in enumerate(orders)], np.int64).repeat(counts)
+    ends = edges[:, :2] + first[:, None]
+    at = ends * top + (ends % top)[:, ::-1]
+    s = edges[:, 2]
+
+    def sums(weights=None):  # (k, top): each vertex's degree, or its edge ends' sum of weights
+        return np.bincount(ends.ravel(), weights, k * top).reshape(k, top)
+
+    kinds = list(dict.fromkeys([b for b, _, _ in slots]))
+    entries = [_ENTRIES[b](s, ends, sums) for b in kinds]
+    if len(kinds) == 1:
+        (off, diag), = entries
+    else:  # each slot's entries from its own builder
+        which = np.array([kinds.index(b) for b, _, _ in slots])
+        off = np.choose(which.repeat(counts), [o for o, _ in entries])
+        diag = np.choose(which[:, None], [d for _, d in entries])
+    out.reshape(-1)[at] = off[:, None]
+    out.reshape(k, top * top)[:, ::top + 1] = diag
+    return out
+
+
 def adjacency(g: SignedGraph) -> np.ndarray:
     """Signed adjacency: entry (i, j) is the edge sign, 0 if not adjacent."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v, s in g.edges:
-        a[u, v] = s
-        a[v, u] = s
-    return a
+    return assemble([(adjacency, g.n, _flat(g))], np.int64)[0]
 
 
 def laplacian(g: SignedGraph) -> np.ndarray:
     """Degree diagonal (row sums of |A|) minus signed adjacency A."""
-    a = adjacency(g)
-    return np.diag(np.abs(a).sum(axis=1)) - a
+    return assemble([(laplacian, g.n, _flat(g))], np.int64)[0]
 
 
 def net_laplacian(g: SignedGraph) -> np.ndarray:
     """Net-degree diagonal (row sums of A) minus signed adjacency A."""
-    a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    return assemble([(net_laplacian, g.n, _flat(g))], np.int64)[0]
 
 
 def normalized_net_laplacian(g: SignedGraph) -> np.ndarray:
@@ -49,11 +92,29 @@ def normalized_net_laplacian(g: SignedGraph) -> np.ndarray:
     N[i,j] / sqrt(d_i * d_j) in one division, which keeps the matrix exactly
     symmetric and integer ratios (e.g. degree-regular graphs) exact.
     """
-    a = adjacency(g)
-    d = np.abs(a).sum(axis=1)
-    dd = np.outer(d, d)
-    n_mat = np.diag(a.sum(axis=1)) - a
-    return np.divide(n_mat, np.sqrt(dd), out=np.zeros(dd.shape), where=dd > 0)
+    return assemble([(normalized_net_laplacian, g.n, _flat(g))])[0]
+
+
+def _flat(g: SignedGraph) -> np.ndarray:
+    """g's edges flattened into one int64 array, as assemble takes them."""
+    return np.fromiter(chain.from_iterable(g.edges), np.int64, 3 * len(g.edges))
+
+
+def _normalized_entries(s, ends, sums):
+    d, t = sums(), sums(s.repeat(2))  # degrees and net degrees
+    du, dv = d.ravel()[ends].T
+    d = np.maximum(d, 1)  # an isolated vertex has t = 0, and 0 / 1 is its 0
+    return -s / np.sqrt(du * dv), t / np.sqrt(d * d)
+
+
+# builder -> (its entries at edges of signs s, whose ends are the stack's
+# vertices ends, and its diagonal), from the assembler's per-vertex sums
+_ENTRIES = {
+    adjacency: lambda s, ends, sums: (s, 0),
+    laplacian: lambda s, ends, sums: (-s, sums()),
+    net_laplacian: lambda s, ends, sums: (-s, sums(s.repeat(2))),
+    normalized_net_laplacian: _normalized_entries,
+}
 
 
 def quad_form_laplacian(g: SignedGraph, x: Sequence[float]) -> float:

@@ -28,6 +28,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import reduce
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     ConfigInvalid,
     LengthMismatch,
 )
-from .eigen import _STACK_ENTRIES, _real_vector, eigenvalues_many
+from .eigen import _STACK_ENTRIES, _real_vector, eigenvalues_stack
 from .fileio import format_spectrum, to_edge_string
 from .graphs import (
     MINUS,
@@ -58,7 +59,7 @@ from .graphs import (
     random_signed_graph,
     sign_char,
 )
-from .matrices import laplacian, net_laplacian, normalized_net_laplacian
+from .matrices import assemble, laplacian, net_laplacian, normalized_net_laplacian
 from .surgery import contract, delete_edge, delete_vertex, disjoint_open_neighborhoods
 
 _INF = math.inf
@@ -142,8 +143,8 @@ def _verdicts(triples, tols: np.ndarray):
 # One Check record per id; _prepare and _solve evaluate any record.
 # CHECKERS, ARG_KINDS, the public check_* names, the CLI's argument handling
 # and the campaign samplers are derived from the table.  Records reach the
-# eigensolver, the matrices and the surgeries through this module's globals at
-# call time, so a tracer that rebinds those names sees every call.
+# matrix assembler, the eigensolver and the surgeries through this module's
+# globals at call time, so a tracer that rebinds those names sees every call.
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,9 @@ class ArgKind:
 class Check:
     """One check id.
 
-    `matrices` holds the builders whose spectra are alpha, of the input
-    graph, and beta and mu, of the derived graph.  `chain(surgery, alpha,
+    `matrices` holds the builders from `matrices` whose spectra are alpha, of
+    the input graph, and beta and mu, of the derived graph; each check's
+    matrices are assembled into its group's stack.  `chain(surgery, alpha,
     beta[, mu])` takes a block of checks with equal orders: each spectrum
     slot is a 2-D array with one row per check, and surgery(key) is that
     surgery entry of each row as a (rows, 1) column.  It returns 2-D (lower,
@@ -264,9 +266,19 @@ def _narrow(rec: Check, g: SignedGraph, pool: list):
     return pool, None
 
 
-def _prepare(rec: Check, tol, *args):
+# _prepare's default: the argument has not been through the stages yet
+_UNGATED = object()
+
+
+def _prepare(rec: Check, tol, *args, failed=_UNGATED):
     """The hypothesis gate, surgery and matrices of one check: a skipped
-    report when the hypothesis fails, else (graph string, surgery, matrices)."""
+    report when the hypothesis fails, else (graph string, surgery, slots),
+    with a matrices.assemble slot (builder, order, flat edges) per matrix.
+
+    failed is the first stage the argument fails, or None when it meets every
+    stage, for a campaign draw that knows it already; by default the stages
+    run here.
+    """
     if rec.build is not None:
         m = _as_int(args[0])
         if m is None or m < rec.min_m:
@@ -281,7 +293,8 @@ def _prepare(rec: Check, tol, *args):
             raise ArgMismatch(f"{rec.id} takes a SignedGraph, got {type(g).__name__}")
         surgery = rec.kind.surgery(g, *arg)
         graph = to_edge_string(g)
-        _, failed = _narrow(rec, g, [tuple(arg)])
+        if failed is _UNGATED:
+            _, failed = _narrow(rec, g, [tuple(arg)])
         if failed is not None:
             note = failed.note.format(*arg, deg=[g.degree(x) for x in arg])
             return _skipped_report(rec.id, graph, surgery, note, tol)
@@ -289,16 +302,25 @@ def _prepare(rec: Check, tol, *args):
             surgery.update(rec.params(g))
         sub, entries = rec.kind.cut(g, *arg)
         surgery.update(entries)
-    return graph, surgery, [build(h) for build, h in zip(rec.matrices, (g, sub, sub))]
+    # a slot holds its graph's edges as one array, not the graph: the graphs
+    # of a group waiting for its stack would keep tens of tuples each alive
+    # and set the garbage collector off several times as often.  The array is
+    # built here, not by a matrices function, so that a tracer of this
+    # module's globals sees one matrices call per stack.
+    return graph, surgery, tuple((build, h.n, np.fromiter(chain.from_iterable(h.edges), np.int64,
+                                                          3 * len(h.edges)))
+                                 for build, h in zip(rec.matrices, (g, sub, sub)))
 
 
 def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
-    """Reports for prepared checks of rec, all their matrices solved in one
-    call and the checks with equal matrix orders decided as one block."""
+    """Reports for prepared checks of rec, all their matrices assembled into
+    one stack and solved in one call, and the checks with equal matrix orders
+    decided as one block."""
     pending = [i for i, p in enumerate(prepared) if not isinstance(p, InterlacingReport)]
     if not pending:
         return prepared
-    spectra = iter(eigenvalues_many([m for i in pending for m in prepared[i][2]]))
+    slots = [slot for i in pending for slot in prepared[i][2]]
+    spectra = iter(eigenvalues_stack(assemble(slots), [n for _, n, _ in slots]))
     blocks: dict[tuple, list] = {}
     for i in pending:
         rows = [next(spectra) for _ in prepared[i][2]]
@@ -313,12 +335,12 @@ def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
 
 def _groups(prepared, entries: int):
     """prepared checks in consecutive groups whose matrices hold about
-    `entries` entries each, so that only one group's matrices are held."""
+    `entries` entries each, so that only one group's stack is held."""
     group, size = [], 0
     for p in prepared:
         group.append(p)
         if not isinstance(p, InterlacingReport):
-            size += sum(m.size for m in p[2])
+            size += sum(n * n for _, n, _ in p[2])
         if size >= entries:
             yield group
             group, size = [], 0
@@ -475,21 +497,9 @@ def _tree_pair(family: str, m: int, seed: int):
     return to_edge_string(big), surgery, all_positive(big), all_positive(small)
 
 
-def _lap(g: SignedGraph) -> np.ndarray:
-    return laplacian(g)
-
-
-def _net(g: SignedGraph) -> np.ndarray:
-    return net_laplacian(g)
-
-
-def _norm(g: SignedGraph) -> np.ndarray:
-    return normalized_net_laplacian(g)
-
-
-_LAP = (_lap, _lap)
-_NET = (_net, _net)
-_NORM = (_norm, _norm)
+_LAP = (laplacian, laplacian)
+_NET = (net_laplacian, net_laplacian)
+_NORM = (normalized_net_laplacian, normalized_net_laplacian)
 
 _TABLE = (
     # Laplacian
@@ -532,7 +542,7 @@ _TABLE = (
           family="star", build=_tree_pair, min_m=2,
           doc="""C2.9: check_tree_shrink on stars."""),
     # net-Laplacian
-    Check("L3.1", "check_laplacian_net_gap", _GRAPH, (_lap, _net),
+    Check("L3.1", "check_laplacian_net_gap", _GRAPH, (laplacian, net_laplacian),
           lambda s, a, b: [(b + 2.0 * s("delta_minus"), a, b + 2.0 * s("Delta_minus"))],
           params=_neg_degree_range,
           doc="""L3.1: beta_p + 2*min(d-) <= alpha_p <= beta_p + 2*max(d-), same graph."""),
@@ -561,7 +571,7 @@ _TABLE = (
                               "vertex {0} has a positive edge")),
           doc="""C3.6: deleting a vertex with no positive edges,
     alpha_p <= beta_p <= alpha_{p+1} + 1."""),
-    Check("C3.7", "check_complete_coregular_deletion", _VERTEX, _NET + (_lap,),
+    Check("C3.7", "check_complete_coregular_deletion", _VERTEX, _NET + (laplacian,),
           _coregular_chain,
           stages=(_TWO, Stage(_complete_coregular,
                               "graph is not complete co-regular with uniform negative degree", whole=True)),
@@ -572,7 +582,7 @@ _TABLE = (
     The final link has no partner at p = m and is skipped.
     """),
     # normalized net-Laplacian
-    Check("B4", "check_normalized_spectrum_bounds", _GRAPH, (_norm,),
+    Check("B4", "check_normalized_spectrum_bounds", _GRAPH, (normalized_net_laplacian,),
           lambda s, a: [(np.full(a.shape, -2.0), a, np.full(a.shape, 2.0))], info=_bound_flags,
           doc="""B4: every normalized net-Laplacian eigenvalue lies in [-2, 2].
 
@@ -726,22 +736,26 @@ def _choice(rng: random.Random, seq):
 
 
 def _draw(rec: Check, cfg: CampaignConfig, child: int):
-    """One campaign sample's checker arguments, or a skipped report when its
-    graph offers no candidate argument."""
+    """One campaign sample: its checker arguments and their gate outcome as
+    _prepare's `failed` takes it, or a skipped report when its graph offers no
+    candidate argument."""
     rng = random.Random(child)
     if rec.build is not None:
         m = _rand_range(rng, max(rec.min_m, cfg.n_min), max(rec.min_m, cfg.n_max))
         if rec.kind is _SEEDED:
-            return m, _mix(child, 1)
+            return (m, _mix(child, 1)), _UNGATED
         *sig1, sign_last = _random_signs(rng, m + 2, cfg.q)
-        return m, sig1, sign_last
+        return (m, sig1, sign_last), _UNGATED
 
     n = _rand_range(rng, cfg.n_min, cfg.n_max)
     g = random_signed_graph(n, cfg.p, cfg.q, _mix(child, 2))
-    arg = () if rec.kind.pool is None else _pick(rec, g, rng)
-    if arg is None:
+    if rec.kind.pool is None:
+        return (g,), _UNGATED
+    picked = _pick(rec, g, rng)
+    if picked is None:
         return _skipped_report(rec.id, to_edge_string(g), {}, rec.kind.empty, cfg.tol)
-    return (g, *arg)
+    arg, failed = picked
+    return (g, *arg), failed
 
 
 def _pick(rec: Check, g: SignedGraph, rng: random.Random):
@@ -749,13 +763,16 @@ def _pick(rec: Check, g: SignedGraph, rng: random.Random):
 
     Draws from the pool the stages narrow, unless some stage would empty it
     and the kind has its own fallback draw; None when there is no candidate.
+    Returns the argument and the first stage it fails: None when the stages
+    kept a candidate, else the stage that emptied the pool (the argument kept
+    every earlier one), or _UNGATED for a fallback draw.
     """
     pool, failed = _narrow(rec, g, rec.kind.pool(g))
     if not pool:
         return None
     if failed is None or rec.kind.fallback is None:
-        return _choice(rng, pool)
-    return rec.kind.fallback(g, rng)
+        return _choice(rng, pool), failed
+    return rec.kind.fallback(g, rng), _UNGATED
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
@@ -775,7 +792,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         ti = CHECK_IDS.index(theorem)
         rec = CHECKS[theorem]
         draws = (_draw(rec, cfg, _mix(cfg.seed, ti, i)) for i in range(cfg.samples))
-        prepared = (d if isinstance(d, InterlacingReport) else _prepare(rec, cfg.tol, *d)
+        prepared = (d if isinstance(d, InterlacingReport) else _prepare(rec, cfg.tol, *d[0], failed=d[1])
                     for d in draws)
         t_reports = [r for group in _groups(prepared, _STACK_ENTRIES)
                      for r in _solve(rec, group, cfg.tol)]

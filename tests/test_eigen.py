@@ -193,6 +193,31 @@ class TestEigenvaluesMany:
         out[0][:] = 99.0
         assert [spectrum_bytes(w) for w in out[1:]] == alone[1:]
 
+    def test_stack_repeats_are_solved_once_and_returned_as_copies(self, monkeypatch):
+        # the graph path's twin: a stack from matrices.assemble, whose slots
+        # repeat when their bytes do, whatever builder or graph wrote them
+        import sgspectra.eigen as eigen_mod
+        from sgspectra.matrices import _flat, assemble
+        g = sg.random_signed_graph(7, 0.6, 0.5, seed=3)
+        pos = sg.random_signed_graph(5, 0.7, 0.0, seed=4)
+        assert any(s < 0 for *_, s in g.edges) and pos.edges and all(s > 0 for *_, s in pos.edges)
+        assert sg.laplacian(pos).tobytes() == sg.net_laplacian(pos).tobytes()
+        slots = [(sg.laplacian, g), (sg.normalized_net_laplacian, g), (sg.laplacian, pos),
+                 (sg.net_laplacian, pos), (sg.laplacian, g), (sg.net_laplacian, g),
+                 (sg.laplacian, sg.generate("empty", 2)), (sg.normalized_net_laplacian, g),
+                 (sg.net_laplacian, sg.generate("empty", 2))]
+        alone = [spectrum_bytes(sg.eigenvalues(build(h))) for build, h in slots]
+        calls = []
+        real = eigen_mod._ql_implicit
+        monkeypatch.setattr(eigen_mod, "_ql_implicit", lambda d, e: calls.append(len(d)) or real(d, e))
+        stack = assemble([(build, h.n, _flat(h)) for build, h in slots])
+        out = eigen_mod.eigenvalues_stack(stack, [h.n for _, h in slots])
+        assert sorted(calls) == [2, 5, 7, 7, 7]
+        assert [spectrum_bytes(w) for w in out] == alone
+        assert not any(np.shares_memory(v, w) for i, v in enumerate(out) for w in out[i + 1:])
+        out[0][:] = 99.0
+        assert [spectrum_bytes(w) for w in out[1:]] == alone[1:]
+
     def test_hash_collisions_keep_distinct_matrices_apart(self, monkeypatch):
         import sgspectra.eigen as eigen_mod
         mats = [np.zeros((2, 2)), np.eye(2), 2 * np.eye(2), np.zeros((2, 2)), np.eye(2)]

@@ -7,6 +7,7 @@ import pytest
 
 import sgspectra as sg
 from sgspectra.errors import LengthMismatch, ZeroDenominator
+from sgspectra.matrices import _flat, assemble
 
 
 def k2n():
@@ -184,6 +185,70 @@ class TestMatricesAgreeWithDegreeProfile:
                     dd = d[i] * d[j]
                     want = float(net[i, j]) / math.sqrt(float(dd)) if dd else 0.0
                     assert norm[i, j] == want, (g, i, j)
+
+
+def _entrywise(build, g):
+    """build(g) entry by entry from degree_profile and the edge signs, in
+    Python ints and floats, as TestMatricesAgreeWithDegreeProfile states them."""
+    prof = sg.degree_profile(g)
+    d = prof.degree
+
+    def adj(i, j):
+        return g.sign(i, j) if i != j and g.has_edge(i, j) else 0
+
+    def net(i, j):
+        return prof.net_degree[i] if i == j else -adj(i, j)
+
+    entry = {
+        sg.adjacency: adj,
+        sg.laplacian: lambda i, j: d[i] if i == j else -adj(i, j),
+        sg.net_laplacian: net,
+        sg.normalized_net_laplacian:
+            lambda i, j: float(net(i, j)) / math.sqrt(float(d[i] * d[j])) if d[i] * d[j] else 0.0,
+    }[build]
+    return [[entry(i, j) for j in range(g.n)] for i in range(g.n)]
+
+
+class TestAssemble:
+    """A stack from assemble holds, slot by slot, what each builder gives alone."""
+
+    BUILDERS = (sg.adjacency, sg.laplacian, sg.net_laplacian, sg.normalized_net_laplacian)
+
+    def mixed_slots(self, seed):
+        rng = random.Random(seed)
+        orders = [0, 1, 2, 3, 5, 8, 13, 21, 34, 64] + [rng.randrange(65) for _ in range(10)]
+        graphs = [sg.random_signed_graph(n, rng.choice((0.05, 0.3, 0.8)), rng.choice((0.0, 0.5, 1.0)),
+                                         seed=rng.randrange(10**6)) for n in orders]
+        graphs += [sg.generate("empty", 4), sg.build_graph(5, [(0, 1, -1), (2, 3, 1)])]
+        slots = [(build, g) for g in graphs for build in self.BUILDERS]
+        slots += [rng.choice(slots) for _ in range(12)]  # repeated graphs, same and other builders
+        rng.shuffle(slots)
+        return slots
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_slot_is_its_matrix_alone_padded_in_front(self, seed):
+        slots = self.mixed_slots(seed)
+        assert sum(0 in sg.degree_profile(g).degree for _, g in slots) >= 10  # isolated vertices
+        a = assemble([(build, g.n, _flat(g)) for build, g in slots])
+        top = max(g.n for _, g in slots)
+        assert a.dtype == np.float64 and a.shape == (len(slots), top, top) and top == 64
+        for slot, (build, g) in zip(a, slots):
+            pad = top - g.n
+            alone = build(g)
+            assert slot[pad:, pad:].tobytes() == alone.astype(np.float64).tobytes(), (build, g)
+            assert slot[pad:, pad:].tolist() == _entrywise(build, g)
+            assert not slot[:pad].any() and not slot[:, :pad].any()
+
+    def test_integer_matrices_in_an_integer_stack(self):
+        slots = [(build, g) for build, g in self.mixed_slots(2) if build is not sg.normalized_net_laplacian]
+        a = assemble([(build, g.n, _flat(g)) for build, g in slots], np.int64)
+        top = a.shape[1]
+        assert a.dtype == np.int64
+        for slot, (build, g) in zip(a, slots):
+            alone = build(g)
+            assert alone.dtype == np.int64 and alone.shape == (g.n, g.n)
+            assert np.array_equal(slot[top - g.n:, top - g.n:], alone)
+            assert alone.tolist() == _entrywise(build, g)
 
 
 class TestSwitchingConjugation:

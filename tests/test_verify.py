@@ -722,7 +722,8 @@ class TestCampaign:
             for i in range(cfg.samples):
                 drawn = _draw(CHECKS[theorem], cfg, _mix(cfg.seed, ti, i))
                 if not isinstance(drawn, InterlacingReport):
-                    drawn = CHECKERS[theorem](*drawn, cfg.tol)
+                    args, _ = drawn  # the checker runs the hypothesis stages itself
+                    drawn = CHECKERS[theorem](*args, cfg.tol)
                 got = res.reports[ti * cfg.samples + i]
                 assert json.dumps(report_to_dict(got)) == json.dumps(report_to_dict(drawn))
         one = run_campaign(CampaignConfig(samples=1, seed=11))
@@ -735,13 +736,13 @@ class TestCampaign:
         cfg = CampaignConfig(theorems=("T2.1", "C3.7", "B4"), samples=40, seed=4)
         whole = campaign_to_json(run_campaign(cfg))
         sizes = []
-        real = verify.eigenvalues_many
+        real = verify.eigenvalues_stack
 
-        def spy(mats):
-            sizes.append(sum(m.size for m in mats))
-            return real(mats)
+        def spy(a, orders):
+            sizes.append(sum(n * n for n in orders))
+            return real(a, orders)
 
-        monkeypatch.setattr(verify, "eigenvalues_many", spy)
+        monkeypatch.setattr(verify, "eigenvalues_stack", spy)
         monkeypatch.setattr(verify, "_STACK_ENTRIES", 300)
         assert campaign_to_json(run_campaign(cfg)) == whole
         assert len(sizes) > 3 * len(cfg.theorems)
@@ -750,19 +751,22 @@ class TestCampaign:
         assert max(sizes) < 300 + 3 * 12 * 12
 
     def test_builders_looked_up_at_call_time(self, monkeypatch):
-        # records reach the matrix builders through the module's globals, so
-        # a tracer that rebinds those names sees every call
+        # records reach the matrix assembler and the eigensolver through the
+        # module's globals, so a tracer that rebinds those names sees every
+        # call: one of each per stack, the stack naming each check's builders
         calls = []
-        for name in ("laplacian", "net_laplacian", "normalized_net_laplacian"):
-            real = getattr(verify, name)
-            monkeypatch.setattr(verify, name,
-                                lambda g, name=name, real=real: calls.append(name) or real(g))
+        assemble, solve = verify.assemble, verify.eigenvalues_stack
+        monkeypatch.setattr(verify, "assemble", lambda slots: calls.append(
+            tuple(build.__name__ for build, _, _ in slots)) or assemble(slots))
+        monkeypatch.setattr(verify, "eigenvalues_stack",
+                            lambda a, orders: calls.append(a.shape) or solve(a, orders))
         g = sg.generate("cycle", 5)
         check_laplacian_net_gap(g)
         check_normalized_spectrum_bounds(g)
         check_vertex_deletion_net(g, 0)
-        assert calls == ["laplacian", "net_laplacian", "normalized_net_laplacian",
-                         "net_laplacian", "net_laplacian"]
+        assert calls == [("laplacian", "net_laplacian"), (2, 5, 5),
+                         ("normalized_net_laplacian",), (1, 5, 5),
+                         ("net_laplacian", "net_laplacian"), (2, 5, 5)]
 
     def test_all_checker_ids_runnable(self):
         res = run_campaign(CampaignConfig(samples=2, seed=77))
@@ -971,8 +975,8 @@ class TestJsonWriter:
 class TestSolve:
     def test_no_solver_call_when_every_check_stops_at_the_gate(self, monkeypatch):
         calls = []
-        real = verify.eigenvalues_many
-        monkeypatch.setattr(verify, "eigenvalues_many", lambda mats: calls.append(1) or real(mats))
+        real = verify.eigenvalues_stack
+        monkeypatch.setattr(verify, "eigenvalues_stack", lambda a, orders: calls.append(1) or real(a, orders))
         rec = CHECKS["C2.2"]
         gated = [verify._prepare(rec, None, sg.generate("path", 4), 0) for _ in range(3)]
         assert all(isinstance(p, InterlacingReport) for p in gated)
