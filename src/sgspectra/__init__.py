@@ -13,7 +13,6 @@ from .eigen import (
     closed_form_path_spectrum,
     determinant_oracle,
     eigenvalues,
-    eigenvalues_many,
     rayleigh,
 )
 from .fileio import (

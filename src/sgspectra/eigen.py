@@ -19,9 +19,9 @@ lengths round differently (by up to 2.7e-15 * scale).  For the same reason a
 slot that repeats an earlier one of the stack (same order and bytes) is
 solved once and gets a copy of its spectrum; nothing is kept between calls.
 An entry -0.0 is read as 0.0.  The campaign and the checkers write their
-stacks with matrices.assemble; eigenvalues_many is the front end for arrays:
-it widens them to float64 and writes them largest first into stacks of at
-most _STACK_ENTRIES entries, and eigenvalues is a batch of one.
+stacks with matrices.assemble; eigenvalues is the front end for one array: it
+widens it to float64 and solves it as a stack of one.  It raises NonSymmetric
+unless its matrix is real, square, exactly symmetric and finite.
 
 charpoly_spectrum_oracle takes a completely different route, at any order:
 characteristic-polynomial coefficients by the Faddeev-LeVerrier recurrence in
@@ -51,7 +51,6 @@ from .errors import (
 
 _DEFLATE = 1e-15
 _MAX_SWEEPS = 64
-_STACK_ENTRIES = 1 << 16  # per stack; bounds its memory and its temporaries
 
 
 def _square(m) -> np.ndarray:
@@ -91,16 +90,6 @@ def _real_vector(x, n: int | None = None, nonfinite: str | None = None) -> np.nd
     if nonfinite is not None and not np.isfinite(real).all():
         raise ValueError(nonfinite)
     return real
-
-
-def _stack(mats: list[np.ndarray]) -> np.ndarray:
-    """One float64 stack at the largest order, each matrix written into the
-    trailing block of its slot."""
-    top = max(map(len, mats))
-    a = np.zeros((len(mats), top, top))
-    for slot, m in zip(a, mats):
-        slot[top - len(m):, top - len(m):] = m
-    return a
 
 
 def _tridiagonalize(a: np.ndarray, orders: list[int]) -> None:
@@ -191,22 +180,20 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
-def eigenvalues_stack(a: np.ndarray, orders: list[int], kinds=None) -> list[np.ndarray]:
+def eigenvalues_stack(a: np.ndarray, orders: list[int]) -> list[np.ndarray]:
     """The eigenvalues of each matrix of a front-padded float64 stack, sorted
     ascending; each equals what that matrix gives when solved alone, bit for bit.
 
     orders[i] is the order of a[i], whose matrix fills its trailing block; the
     rest of the slot is zero.  The slots may come in any order.  A slot with
-    the order, bytes and kinds[i] (when kinds is given) of an earlier one is
-    not solved again: it gets its own copy of that slot's spectrum.  a may be
-    overwritten.  Raises NonSymmetric unless each matrix is exactly symmetric
-    with finite entries.
+    the order and bytes of an earlier one is not solved again: it gets its own
+    copy of that slot's spectrum.  a may be overwritten.  Raises NonSymmetric
+    unless each matrix is exactly symmetric with finite entries.
     """
-    kinds = kinds or [None] * len(orders)
-    first: dict = {}  # (order, kind, hash of the bytes) -> index of the first such slot
+    first: dict = {}  # (order, hash of the bytes) -> index of the first such slot
     source = []
-    for i, (n, kind, data) in enumerate(zip(orders, kinds, map(np.ndarray.tobytes, a))):
-        j = first.setdefault((n, kind, hash(data)), i)
+    for i, (n, data) in enumerate(zip(orders, map(np.ndarray.tobytes, a))):
+        j = first.setdefault((n, hash(data)), i)
         # a hash collision between different bytes only costs a second solve
         source.append(j if j == i or a[j].tobytes() == data else i)
     slots = sorted((i for i, j in enumerate(source) if i == j), key=orders.__getitem__, reverse=True)
@@ -226,33 +213,14 @@ def eigenvalues_stack(a: np.ndarray, orders: list[int], kinds=None) -> list[np.n
     return [spectra[i] if i == j else spectra[j].copy() for i, j in enumerate(source)]
 
 
-def eigenvalues_many(mats) -> list[np.ndarray]:
-    """The eigenvalues of each symmetric matrix in mats, sorted ascending;
-    each equals what that matrix gives when solved alone, bit for bit.
-
-    The matrices go largest first into stacks of at most _STACK_ENTRIES
-    entries.  A matrix with the shape, dtype and bytes of an earlier one in
-    its stack is not solved again: it gets its own copy of that matrix's
-    spectrum.  Raises NonSymmetric unless each is a real, exactly symmetric
-    matrix with finite entries.
-    """
-    mats = [_square(m) for m in mats]
-    order = sorted(range(len(mats)), key=lambda i: len(mats[i]), reverse=True)
-    spectra = [None] * len(mats)
-    while order:
-        top = len(mats[order[0]])
-        chunk = order[:max(1, _STACK_ENTRIES // max(1, top * top))]
-        order = order[len(chunk):]
-        group = [mats[i] for i in chunk]
-        solved = eigenvalues_stack(_stack(group), list(map(len, group)), [m.dtype.str for m in group])
-        for i, w in zip(chunk, solved):
-            spectra[i] = w
-    return spectra
-
-
 def eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending."""
-    return eigenvalues_many([m])[0]
+    """All eigenvalues of a symmetric matrix, sorted ascending.
+
+    Raises NonSymmetric unless m is a real, exactly symmetric square matrix
+    with finite entries.
+    """
+    m = _square(m)
+    return eigenvalues_stack(np.array(m, dtype=np.float64)[None], [len(m)])[0]
 
 
 def rayleigh(m, x: Sequence[float]) -> float:

@@ -249,10 +249,15 @@ def co_regularity(g: SignedGraph) -> CoRegularity | None:
 def apply_switching(g: SignedGraph, alpha: Sequence[int]) -> SignedGraph:
     """Multiply each edge sign by the +-1 values of its endpoints.
 
-    Applying the same alpha twice is the identity.
+    Applying the same alpha twice is the identity.  Raises LengthMismatch
+    unless alpha is a sequence of g.n values, and ValueError on one not +-1.
     """
-    if len(alpha) != g.n:
-        raise LengthMismatch(f"switching function has length {len(alpha)}, graph order is {g.n}")
+    try:
+        k = len(alpha)
+    except TypeError:  # no length: an int, or a 0-d array
+        raise LengthMismatch(f"switching signs must be a sequence of +-1 values, got {alpha!r}") from None
+    if k != g.n:
+        raise LengthMismatch(f"switching function has length {k}, graph order is {g.n}")
     alpha = [_check_sign(a) for a in alpha]
     edges = tuple((u, v, alpha[u] * s * alpha[v]) for u, v, s in g.edges)
     return SignedGraph(g.n, edges)
@@ -328,7 +333,7 @@ def family_edge_pairs(family: str, n: int) -> list[tuple[int, int]]:
     path:  (0,1), ..., (n-2,n-1).  star: center 0, spokes (0,1)..(0,n-1).
     complete: lexicographic pairs.  empty: none.
     """
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise BadOrder(f"unknown family {family!r}")
     min_n, pairs = _FAMILIES[family]
     i = _order(n, f"{family} order")

@@ -56,12 +56,12 @@ def assemble(slots: Sequence, dtype=np.float64) -> np.ndarray:
     def sums(weights=None):  # (k, top): each vertex's degree, or its edge ends' sum of weights
         return np.bincount(ends.ravel(), weights, k * top).reshape(k, top)
 
-    kinds = list(dict.fromkeys([b for b, _, _ in slots]))
-    entries = [_ENTRIES[b](s, ends, sums) for b in kinds]
-    if len(kinds) == 1:
+    builders = list(dict.fromkeys([b for b, _, _ in slots]))
+    entries = [_ENTRIES[b](s, ends, sums) for b in builders]
+    if len(builders) == 1:
         (off, diag), = entries
     else:  # each slot's entries from its own builder
-        which = np.array([kinds.index(b) for b, _, _ in slots])
+        which = np.array([builders.index(b) for b, _, _ in slots])
         off = np.choose(which.repeat(counts), [o for o, _ in entries])
         diag = np.choose(which[:, None], [d for _, d in entries])
     out.reshape(-1)[at] = off[:, None]

@@ -39,7 +39,7 @@ from .errors import (
     ConfigInvalid,
     LengthMismatch,
 )
-from .eigen import _STACK_ENTRIES, _real_vector, eigenvalues_stack
+from .eigen import _real_vector, eigenvalues_stack
 from .fileio import format_spectrum, to_edge_string
 from .graphs import (
     MINUS,
@@ -63,6 +63,7 @@ from .matrices import assemble, laplacian, net_laplacian, normalized_net_laplaci
 from .surgery import contract, delete_edge, delete_vertex, disjoint_open_neighborhoods
 
 _INF = math.inf
+_STACK_ENTRIES = 1 << 16  # per solver stack; bounds its memory and its temporaries
 
 
 @dataclass
@@ -553,7 +554,8 @@ _TABLE = (
     Check("T3.3", "check_positive_edge_deletion_net", _EDGE, _NET,
           lambda s, a, b: [(_pad(a[:, :-1], lo=(-a.shape[1],)), b, a)], stages=(_POSITIVE,),
           doc="""T3.3: deleting a positive edge, alpha_{p-1} <= beta_p <= alpha_p with
-    the bottom position floored at minus the vertex count."""),
+    the bottom position floored at minus the vertex count.
+    The negation image of T3.2: T3.3 on (g, e) is T3.2 on (-g, e)."""),
     Check("T3.4", "check_vertex_deletion_net", _VERTEX, _NET,
           lambda s, a, b: [(a[:, :-1] - 1.0, b, a[:, 1:] + 1.0)],
           stages=(_TWO, Stage(lambda g: is_connected(g), "graph is not connected", whole=True)),
@@ -570,7 +572,8 @@ _TABLE = (
           stages=(_TWO, Stage(lambda g, v: all(s == MINUS for _, s in g.neighbors(v)),
                               "vertex {0} has a positive edge")),
           doc="""C3.6: deleting a vertex with no positive edges,
-    alpha_p <= beta_p <= alpha_{p+1} + 1."""),
+    alpha_p <= beta_p <= alpha_{p+1} + 1.
+    The negation image of C3.5: C3.6 on (g, v) is C3.5 on (-g, v)."""),
     Check("C3.7", "check_complete_coregular_deletion", _VERTEX, _NET + (laplacian,),
           _coregular_chain,
           stages=(_TWO, Stage(_complete_coregular,
@@ -653,7 +656,7 @@ def check_tree_shrink(kind: str, m: int, seed: int, tol=None) -> InterlacingRepo
     Trees are balanced, so both graphs are switched to all-positive before
     comparing; the chain is the pendant-deletion one.
     """
-    if kind not in _TREES:
+    if not isinstance(kind, str) or kind not in _TREES:
         raise BadOrder(f"kind must be 'path' or 'star', got {kind!r}")
     return _run(_TREES[kind], tol, m, seed)
 

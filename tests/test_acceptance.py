@@ -23,10 +23,13 @@ normalized matrices are rebuilt from the report's graph string with the
 surgery done here, so each verdict is tested against what the coded chain
 gives on that input.
 """
+import ast
 import hashlib
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,3 +358,14 @@ def test_seed0_campaign_pinned(default_campaign):
         digest.update(json.dumps(fields).encode() + b"\n")
     assert table == SEED0_TABLE
     assert digest.hexdigest() == SEED0_FLOAT_FREE_SHA256
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """Every .py file parses with the grammar of the oldest Python that
+    pyproject.toml declares, also where no interpreter of that version runs."""
+    root = Path(__file__).resolve().parent.parent
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())[1])
+    files = sorted(p for d in ("src", "tests", "perfbench", "scripts") for p in (root / d).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, minor))

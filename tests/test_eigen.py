@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sgspectra as sg
-from sgspectra.eigen import _STACK_ENTRIES, characteristic_polynomial, eigenvalues_many
+from sgspectra.eigen import characteristic_polynomial, eigenvalues_stack
 from sgspectra.errors import (
     BadOrder,
     LengthMismatch,
@@ -15,6 +15,7 @@ from sgspectra.errors import (
     ZeroDenominator,
     ZeroVector,
 )
+from sgspectra.verify import _STACK_ENTRIES
 
 
 def random_int_symmetric(rng, n, span=4):
@@ -133,27 +134,38 @@ def spectrum_bytes(w):
     return w.dtype.str, w.shape, w.tobytes()
 
 
+def solve_padded(mats):
+    """eigenvalues_stack on mats written by hand into one front-padded float64
+    stack: each matrix in the trailing block of a zero slot."""
+    top = max(map(len, mats), default=0)
+    a = np.zeros((len(mats), top, top))
+    for slot, m in zip(a, mats):
+        slot[top - len(m):, top - len(m):] = m
+    return eigenvalues_stack(a, [len(m) for m in mats])
+
+
 class TestEigenvaluesMany:
     def test_one_call_equals_each_matrix_alone(self):
         mats = mixed_batch(12)
         alone = [spectrum_bytes(sg.eigenvalues(m)) for m in mats]
-        assert [spectrum_bytes(w) for w in eigenvalues_many(mats)] == alone
+        assert [spectrum_bytes(w) for w in solve_padded(mats)] == alone
         rng = random.Random(13)
         for _ in range(20):
             pick = rng.sample(range(len(mats)), rng.randrange(1, 30))
-            out = eigenvalues_many([mats[i] for i in pick])
+            out = solve_padded([mats[i] for i in pick])
             assert [spectrum_bytes(w) for w in out] == [alone[i] for i in pick]
 
     def test_more_matrices_than_one_stack_holds(self):
+        # more than two of the campaign's stacks, solved as one
         graphs = [sg.random_signed_graph(13, 0.5, 0.5, seed=s) for s in range(400)]
         mats = [sg.laplacian(g) for g in graphs] + [sg.normalized_net_laplacian(g) for g in graphs]
         assert len(mats) * 13 * 13 > 2 * _STACK_ENTRIES
-        out = eigenvalues_many(mats)
+        out = solve_padded(mats)
         assert [spectrum_bytes(w) for w in out] == [spectrum_bytes(sg.eigenvalues(m)) for m in mats]
 
     def test_matches_lapack(self):
-        mats = mixed_batch(14)
-        for m, w in zip(mats, eigenvalues_many(mats)):
+        for m in mixed_batch(14):
+            w = sg.eigenvalues(m)
             ref = np.linalg.eigvalsh(np.asarray(m, dtype=float)) if len(m) else np.zeros(0)
             scale = max(1.0, np.abs(ref).max(initial=0.0))
             assert w.shape == ref.shape
@@ -161,9 +173,9 @@ class TestEigenvaluesMany:
 
     def test_exact_small_cases_in_a_batch(self):
         big = sg.laplacian(sg.random_signed_graph(9, 0.5, 0.5, seed=1))
-        out = eigenvalues_many([np.zeros((0, 0)), np.array([[5.0]]), big,
-                                np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((4, 4)),
-                                np.array([[-1, 1], [1, -1]])])
+        out = solve_padded([np.zeros((0, 0)), np.array([[5.0]]), big,
+                            np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((4, 4)),
+                            np.array([[-1, 1], [1, -1]])])
         assert out[0].shape == (0,) and out[0].dtype == np.float64
         assert out[1].tolist() == [5.0]
         assert out[3].tolist() == [0.0, 2.0]
@@ -171,22 +183,22 @@ class TestEigenvaluesMany:
         assert out[5].tolist() == [-2.0, 0.0]
 
     def test_empty_list(self):
-        assert eigenvalues_many([]) == []
+        assert eigenvalues_stack(np.zeros((0, 0, 0)), []) == []
 
     def test_repeats_are_solved_once_and_returned_as_copies(self, monkeypatch):
         import sgspectra.eigen as eigen_mod
         lap = sg.laplacian(sg.generate("cycle", 5))
         norm = sg.normalized_net_laplacian(sg.random_signed_graph(7, 0.6, 0.5, seed=3))
         zero, neg_zero = np.zeros((2, 2)), np.full((2, 2), -0.0)
-        # lap.T is a non-contiguous view with lap's entries; lap as float64, and
-        # -0.0 against 0.0, differ in dtype or in bytes and are solved apart
+        # lap.T (a non-contiguous view) and lap as float64 write lap's bytes
+        # into the stack; -0.0 against 0.0 differ in bytes and are solved apart
         mats = [lap, norm, lap.copy(), lap.T, lap.astype(float), norm, zero, neg_zero, lap]
         alone = [spectrum_bytes(sg.eigenvalues(m)) for m in mats]
         calls = []
         real = eigen_mod._ql_implicit
         monkeypatch.setattr(eigen_mod, "_ql_implicit", lambda d, e: calls.append(len(d)) or real(d, e))
-        out = eigenvalues_many(mats)
-        assert sorted(calls) == [2, 2, 5, 5, 7]
+        out = solve_padded(mats)
+        assert sorted(calls) == [2, 2, 5, 7]
         assert [spectrum_bytes(w) for w in out] == alone
         assert len({id(w) for w in out}) == len(out)
         assert not any(np.shares_memory(v, w) for i, v in enumerate(out) for w in out[i + 1:])
@@ -226,7 +238,7 @@ class TestEigenvaluesMany:
         real = eigen_mod._ql_implicit
         monkeypatch.setattr(eigen_mod, "_ql_implicit", lambda d, e: calls.append(len(d)) or real(d, e))
         monkeypatch.setattr(eigen_mod, "hash", lambda data: 0, raising=False)  # every key collides
-        out = eigenvalues_many(mats)
+        out = solve_padded(mats)
         assert [spectrum_bytes(w) for w in out] == alone
         assert len(calls) < len(mats)
 
@@ -238,28 +250,31 @@ class TestEigenvaluesMany:
             b[b == 0.0] = 0.0
             assert spectrum_bytes(sg.eigenvalues(a)) == spectrum_bytes(sg.eigenvalues(b))
 
-    @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.5, 0.0]]), np.ones((2, 3)),
-                                     np.ones((2, 2, 2)), np.ones(3)])
+    @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.5, 0.0]]), np.array([[math.nan]]),
+                                     np.array([[0.0, math.inf], [math.inf, 0.0]]),
+                                     np.diag([1.0, -math.inf, 2.0])])
     @pytest.mark.parametrize("at", [0, 1, 3])
     def test_rejects_a_bad_matrix_anywhere(self, bad, at):
         mats = [np.eye(3), sg.laplacian(sg.generate("cycle", 5)), np.zeros((2, 2))]
         mats.insert(at, bad)
         with pytest.raises(NonSymmetric):
-            eigenvalues_many(mats)
+            solve_padded(mats)
 
     @pytest.mark.parametrize("at", [0, 1, 3])
     def test_rejects_a_complex_matrix_anywhere(self, at):
-        # Hermitian, with eigenvalues -1 and 3; a cast to float64 would give 1, 1
-        mats = [np.eye(3), sg.laplacian(sg.generate("cycle", 5)), np.zeros((2, 2))]
-        mats.insert(at, np.array([[1, 2j], [-2j, 1]]))
-        with pytest.raises(NonSymmetric, match="expected a real matrix"):
-            eigenvalues_many(mats)
+        # a complex entry at any position: an object array holding one cannot
+        # be cast to float64, and a complex array is refused by its dtype
+        m = np.eye(2, dtype=object)
+        m.flat[at] = 2j
+        for bad in (m, m.astype(complex)):
+            with pytest.raises(NonSymmetric, match="expected a real matrix"):
+                sg.eigenvalues(bad)
 
     def test_sweep_cap_raises_in_a_batch(self, monkeypatch):
         import sgspectra.eigen as eigen_mod
         monkeypatch.setattr(eigen_mod, "_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):
-            eigenvalues_many([np.eye(2), sg.laplacian(sg.generate("cycle", 5)), np.zeros((3, 3))])
+            solve_padded([np.eye(2), sg.laplacian(sg.generate("cycle", 5)), np.zeros((3, 3))])
 
 
 class TestRayleigh:
@@ -490,7 +505,6 @@ _DEGENERATE = {  # input: (value, solver, rayleigh's m, oracles, rayleigh's x, c
 _K2 = sg.build_graph(2, [(0, 1, 1)])
 _CALLERS = {  # name: (column in _DEGENERATE, call, the function whose docstring counts)
     "eigenvalues": (1, sg.eigenvalues, sg.eigenvalues),
-    "eigenvalues_many": (1, lambda x: eigenvalues_many([x]), eigenvalues_many),
     "rayleigh-m": (2, lambda x: sg.rayleigh(x, np.ones(np.shape(x)[:1])), sg.rayleigh),
     "charpoly_spectrum_oracle": (3, sg.charpoly_spectrum_oracle, sg.charpoly_spectrum_oracle),
     "characteristic_polynomial": (3, characteristic_polynomial, characteristic_polynomial),

@@ -7,6 +7,7 @@ import pytest
 
 import sgspectra as sg
 from sgspectra.fileio import to_sg_text
+from sgspectra.graphs import family_edge_pairs
 from sgspectra.errors import (
     BadOrder,
     DuplicateEdge,
@@ -334,6 +335,10 @@ class TestGenerate:
             sg.generate("empty", -1)
         with pytest.raises(BadOrder):
             sg.generate("nonsense", 3)
+        with pytest.raises(BadOrder, match="unknown family"):
+            sg.generate(["cycle"], 4)
+        with pytest.raises(BadOrder, match="unknown family"):
+            family_edge_pairs({}, 3)
 
     def test_explicit_signs_length_checked(self):
         with pytest.raises(LengthMismatch):

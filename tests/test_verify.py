@@ -318,6 +318,8 @@ class TestTreeShrink:
             check_tree_shrink("path", 1, 0)
         with pytest.raises(BadOrder):
             check_tree_shrink("wheel", 3, 0)
+        with pytest.raises(BadOrder):
+            check_tree_shrink(["path"], 3, 0)
 
 
 class TestLaplacianNetGap:
@@ -446,6 +448,27 @@ class TestOneSignVertexDeletion:
                     assert check_negfree_vertex_deletion(g, v).holds
                 if prof.pos_degree[v] == 0:
                     assert check_posfree_vertex_deletion(g, v).holds
+
+
+
+# Negation: N(-G) = -N(G), so every net spectrum is negated and reversed, a
+# negative edge becomes positive and an all-positive vertex all-negative.
+_NEGATION_DUALS = {"T3.2": "T3.3", "T3.3": "T3.2", "C3.5": "C3.6", "C3.6": "C3.5"}
+
+
+def test_negation_maps_each_met_report_to_its_dual():
+    # witness positions reverse under negation and are not compared
+    from sgspectra.fileio import from_edge_string
+    res = run_campaign(CampaignConfig(theorems=tuple(_NEGATION_DUALS), samples=200, seed=0))
+    met = [r for r in res.reports if r.hypothesis_met]
+    assert {r.theorem for r in met} == set(_NEGATION_DUALS)
+    for r in met:
+        g = from_edge_string(r.graph)
+        neg = sg.SignedGraph(g.n, tuple((u, v, -s) for u, v, s in g.edges))
+        dual = CHECKERS[_NEGATION_DUALS[r.theorem]](neg, *r.surgery.get("edge", [r.surgery.get("vertex")]))
+        scale = max(1.0, *(abs(x) for spectrum in r.spectra.values() for x in spectrum))
+        assert dual.hypothesis_met and dual.holds == r.holds, (r.theorem, r.graph, r.surgery)
+        assert abs(dual.worst_slack - r.worst_slack) <= 1e-12 * scale, (r.theorem, r.graph, r.surgery)
 
 
 class TestCompleteCoregularDeletion:
@@ -1112,7 +1135,10 @@ def test_real_probability_of_any_type_accepted(caller):
 
 
 @pytest.mark.parametrize("call", [lambda: sg.generate("cycle", 4, None),
-                                  lambda: CHECKERS["T2.4"](3, None, 1)], ids=["generate", "T2.4"])
+                                  lambda: CHECKERS["T2.4"](3, None, 1),
+                                  lambda: sg.apply_switching(_C4, 5),
+                                  lambda: sg.apply_switching(_C4, np.array(5))],
+                         ids=["generate", "T2.4", "apply_switching", "apply_switching-0-D"])
 def test_missing_sign_sequence_raises_length_mismatch(call):
     with pytest.raises(LengthMismatch, match="signs must be a sequence"):
         call()
