@@ -187,15 +187,13 @@ def eigenvalues_stack(a: np.ndarray, orders: list[int]) -> list[np.ndarray]:
     orders[i] is the order of a[i], whose matrix fills its trailing block; the
     rest of the slot is zero.  The slots may come in any order.  A slot with
     the order and bytes of an earlier one is not solved again: it gets its own
-    copy of that slot's spectrum.  a may be overwritten.  Raises NonSymmetric
+    copy of that slot's spectrum.  The order is part of that key because a
+    padded slot of order n and one of order n + 1 with a zero first row and
+    column have equal bytes.  a may be overwritten.  Raises NonSymmetric
     unless each matrix is exactly symmetric with finite entries.
     """
-    first: dict = {}  # (order, hash of the bytes) -> index of the first such slot
-    source = []
-    for i, (n, data) in enumerate(zip(orders, map(np.ndarray.tobytes, a))):
-        j = first.setdefault((n, hash(data)), i)
-        # a hash collision between different bytes only costs a second solve
-        source.append(j if j == i or a[j].tobytes() == data else i)
+    first: dict = {}  # (order, bytes) -> index of the first such slot
+    source = [first.setdefault(key, i) for i, key in enumerate(zip(orders, map(np.ndarray.tobytes, a)))]
     slots = sorted((i for i, j in enumerate(source) if i == j), key=orders.__getitem__, reverse=True)
     if slots != list(range(len(orders))):
         a = a[slots]

@@ -73,18 +73,14 @@ class SignedGraph:
             raise ValueError("vertex count must be non-negative")
         # canonical order fills each neighbour map in ascending order
         nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(n))
-        try:
-            edges = self.edges if type(self.edges) is tuple else tuple(self.edges)
-        except TypeError:
-            raise LengthMismatch(f"edges must be an iterable of (u, v, sign) triples, "
-                                 f"got {self.edges!r}") from None
+        edges = _edge_tuple(self.edges)
         prev = (-1, -1)
         plain = True
         for e in edges:
             try:
                 u, v, s = e
             except (TypeError, ValueError):
-                raise LengthMismatch(f"edge {e!r} is not a (u, v, sign) triple") from None
+                raise _not_triple(e) from None
             # tuples of plain ints skip the integer rule; anything else is stored converted
             if type(u) is not int or type(v) is not int or type(e) is not tuple:
                 u, v = _ends(u, v)
@@ -153,6 +149,18 @@ def _order(n, what: str = "vertex count") -> int:
     return i
 
 
+def _edge_tuple(edges) -> tuple:
+    """edges as a tuple; LengthMismatch when they are not iterable."""
+    try:
+        return edges if type(edges) is tuple else tuple(edges)
+    except TypeError:
+        raise LengthMismatch(f"edges must be an iterable of (u, v, sign) triples, got {edges!r}") from None
+
+
+def _not_triple(e) -> LengthMismatch:
+    return LengthMismatch(f"edge {e!r} is not a (u, v, sign) triple")
+
+
 def _ends(u, v) -> tuple[int, int]:
     """Edge endpoints u and v as plain ints; VertexOutOfRange unless both are integers."""
     if type(u) is int and type(v) is int:
@@ -208,10 +216,15 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int, int]]) -> SignedGrap
     """Construct a SignedGraph, canonicalizing each edge to u < v and sorting by pair.
 
     SignedGraph rejects self-loops, duplicate pairs, out-of-range endpoints and bad signs;
-    a non-integer endpoint raises VertexOutOfRange before the sort.
+    a non-integer endpoint raises VertexOutOfRange before the sort, and edges that
+    are not iterable or an edge that is not a triple LengthMismatch, as in SignedGraph.
     """
     canonical = []
-    for u, v, s in edge_list:
+    for e in _edge_tuple(edge_list):
+        try:
+            u, v, s = e
+        except (TypeError, ValueError):
+            raise _not_triple(e) from None
         u, v = _ends(u, v)
         canonical.append((u, v, s) if u < v else (v, u, s))
     canonical.sort(key=itemgetter(0, 1))

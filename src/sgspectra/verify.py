@@ -28,7 +28,6 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -59,7 +58,7 @@ from .graphs import (
     random_signed_graph,
     sign_char,
 )
-from .matrices import assemble, laplacian, net_laplacian, normalized_net_laplacian
+from .matrices import _flat, assemble, laplacian, net_laplacian, normalized_net_laplacian
 from .surgery import contract, delete_edge, delete_vertex, disjoint_open_neighborhoods
 
 _INF = math.inf
@@ -305,12 +304,8 @@ def _prepare(rec: Check, tol, *args, failed=_UNGATED):
         surgery.update(entries)
     # a slot holds its graph's edges as one array, not the graph: the graphs
     # of a group waiting for its stack would keep tens of tuples each alive
-    # and set the garbage collector off several times as often.  The array is
-    # built here, not by a matrices function, so that a tracer of this
-    # module's globals sees one matrices call per stack.
-    return graph, surgery, tuple((build, h.n, np.fromiter(chain.from_iterable(h.edges), np.int64,
-                                                          3 * len(h.edges)))
-                                 for build, h in zip(rec.matrices, (g, sub, sub)))
+    # and set the garbage collector off several times as often
+    return graph, surgery, tuple((build, h.n, _flat(h)) for build, h in zip(rec.matrices, (g, sub, sub)))
 
 
 def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
@@ -391,7 +386,7 @@ def _any_pair(g: SignedGraph, rng: random.Random):
     return (a, b if b < a else b + 1)
 
 
-_GRAPH = ArgKind("graph", ("g",), surgery=lambda g: {}, cut=lambda g: (g, {}))
+_GRAPH = ArgKind("graph", ("g",), surgery=lambda g: {}, cut=lambda g: (g, {}), pool=lambda g: [()])
 _VERTEX = ArgKind("vertex", ("g", "v"), lambda g, v: {"vertex": g._check_vertex(v)},
                   lambda g, v: (delete_vertex(g, v)[0], {}),
                   pool=lambda g: [(v,) for v in range(g.n)])
@@ -741,7 +736,9 @@ def _choice(rng: random.Random, seq):
 def _draw(rec: Check, cfg: CampaignConfig, child: int):
     """One campaign sample: its checker arguments and their gate outcome as
     _prepare's `failed` takes it, or a skipped report when its graph offers no
-    candidate argument."""
+    candidate argument.  A graph's argument comes from the last pool the stages
+    leave non-empty, or from the kind's fallback (_UNGATED) when one empties it.
+    """
     rng = random.Random(child)
     if rec.build is not None:
         m = _rand_range(rng, max(rec.min_m, cfg.n_min), max(rec.min_m, cfg.n_max))
@@ -752,30 +749,12 @@ def _draw(rec: Check, cfg: CampaignConfig, child: int):
 
     n = _rand_range(rng, cfg.n_min, cfg.n_max)
     g = random_signed_graph(n, cfg.p, cfg.q, _mix(child, 2))
-    if rec.kind.pool is None:
-        return (g,), _UNGATED
-    picked = _pick(rec, g, rng)
-    if picked is None:
-        return _skipped_report(rec.id, to_edge_string(g), {}, rec.kind.empty, cfg.tol)
-    arg, failed = picked
-    return (g, *arg), failed
-
-
-def _pick(rec: Check, g: SignedGraph, rng: random.Random):
-    """Prefer an argument satisfying the check's hypothesis when one exists.
-
-    Draws from the pool the stages narrow, unless some stage would empty it
-    and the kind has its own fallback draw; None when there is no candidate.
-    Returns the argument and the first stage it fails: None when the stages
-    kept a candidate, else the stage that emptied the pool (the argument kept
-    every earlier one), or _UNGATED for a fallback draw.
-    """
     pool, failed = _narrow(rec, g, rec.kind.pool(g))
     if not pool:
-        return None
-    if failed is None or rec.kind.fallback is None:
-        return _choice(rng, pool), failed
-    return rec.kind.fallback(g, rng), _UNGATED
+        return _skipped_report(rec.id, to_edge_string(g), {}, rec.kind.empty, cfg.tol)
+    if failed is not None and rec.kind.fallback is not None:
+        return (g, *rec.kind.fallback(g, rng)), _UNGATED
+    return (g, *_choice(rng, pool)), failed
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:

@@ -230,17 +230,27 @@ class TestEigenvaluesMany:
         out[0][:] = 99.0
         assert [spectrum_bytes(w) for w in out[1:]] == alone[1:]
 
-    def test_hash_collisions_keep_distinct_matrices_apart(self, monkeypatch):
+    def test_equal_bytes_of_other_orders_are_solved_apart(self, monkeypatch):
+        # in a stack of largest order 3, the padded order-2 matrix m and the
+        # order-3 matrix of m below a zero first row and column have equal
+        # bytes: the order keeps their spectra apart
         import sgspectra.eigen as eigen_mod
-        mats = [np.zeros((2, 2)), np.eye(2), 2 * np.eye(2), np.zeros((2, 2)), np.eye(2)]
-        alone = [spectrum_bytes(sg.eigenvalues(m)) for m in mats]
+        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        bordered = np.zeros((3, 3))
+        bordered[1:, 1:] = m
+        mats = [m, bordered, np.eye(2), 2 * np.eye(3), m, bordered]
+        a = np.zeros((len(mats), 3, 3))
+        for slot, x in zip(a, mats):
+            slot[3 - len(x):, 3 - len(x):] = x
+        assert a[0].tobytes() == a[1].tobytes()
+        alone = [spectrum_bytes(sg.eigenvalues(x)) for x in mats]
         calls = []
         real = eigen_mod._ql_implicit
         monkeypatch.setattr(eigen_mod, "_ql_implicit", lambda d, e: calls.append(len(d)) or real(d, e))
-        monkeypatch.setattr(eigen_mod, "hash", lambda data: 0, raising=False)  # every key collides
-        out = solve_padded(mats)
+        out = eigenvalues_stack(a, [len(x) for x in mats])
+        assert [len(w) for w in out] == [2, 3, 2, 3, 2, 3]
         assert [spectrum_bytes(w) for w in out] == alone
-        assert len(calls) < len(mats)
+        assert sorted(calls) == [2, 2, 3, 3]  # equal-order distinct slots each solved once
 
     def test_negative_zero_entries_read_as_zero(self):
         for m in mixed_batch(15)[:60]:

@@ -92,9 +92,10 @@ class TestSignedGraphValidation:
         (((0, 1, 1, 1),), "edge (0, 1, 1, 1) is not a (u, v, sign) triple"),
     ], ids=["None", "int", "pair", "four-tuple"])
     def test_malformed_edge_container_raises_length_mismatch(self, edges, message):
-        with pytest.raises(LengthMismatch) as exc:
-            sg.SignedGraph(3, edges)
-        assert str(exc.value) == message
+        for construct in (sg.SignedGraph, sg.build_graph):
+            with pytest.raises(LengthMismatch) as exc:
+                construct(3, edges)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("edges", [[(0, 1, 1), (1, 2, -1)], iter([(0, 1, 1), (1, 2, -1)]),
                                        [(0, 1, 1), (1, 2, np.int64(-1))],

@@ -471,6 +471,37 @@ def test_negation_maps_each_met_report_to_its_dual():
         assert abs(dual.worst_slack - r.worst_slack) <= 1e-12 * scale, (r.theorem, r.graph, r.surgery)
 
 
+# Relabelling the vertices is a permutation similarity of every matrix, and
+# switching a +-1 diagonal similarity of the Laplacian.  L3.1 is left out of
+# switching: its net-Laplacian's spectrum moves.
+_RELABELLED = ("T2.1", "C2.2", "L2.3", "T2.7", "L3.1", "T3.2", "T3.3", "T3.4", "C3.5", "C3.6", "B4",
+               "T4.1", "T4.2", "T4.3")
+_SWITCHED = ("T2.1", "C2.2", "L2.3", "T2.7")
+
+
+def test_relabelling_and_switching_keep_each_report():
+    from sgspectra.fileio import from_edge_string
+    rng = random.Random(0)
+    res = run_campaign(CampaignConfig(theorems=_RELABELLED, samples=200, seed=0))
+    assert {r.theorem for r in res.reports if r.hypothesis_met} == set(_RELABELLED)
+    for r in res.reports:
+        g = from_edge_string(r.graph)
+        arg = r.surgery.get(CHECKS[r.theorem].kind.name, [])  # a graph id's surgery is {}
+        arg = arg if isinstance(arg, list) else [arg]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = sg.build_graph(g.n, [(perm[u], perm[v], s) for u, v, s in g.edges])
+        images = [CHECKERS[r.theorem](relabelled, *(perm[x] for x in arg))]
+        if r.theorem in _SWITCHED:
+            alpha = [rng.choice((1, -1)) for _ in range(g.n)]
+            images.append(CHECKERS[r.theorem](sg.apply_switching(g, alpha), *arg))
+        for image in images:
+            assert (image.hypothesis_met, image.holds) == (r.hypothesis_met, r.holds), (r.theorem, r.graph)
+            if r.hypothesis_met:
+                scale = max(1.0, *(abs(x) for spectrum in r.spectra.values() for x in spectrum))
+                assert abs(image.worst_slack - r.worst_slack) <= 1e-12 * scale, (r.theorem, r.graph)
+
+
 class TestCompleteCoregularDeletion:
     def test_gate_non_complete(self):
         assert not check_complete_coregular_deletion(sg.generate("cycle", 4), 0).hypothesis_met
