@@ -40,11 +40,11 @@ from .verify import (
     CHECKERS,
     CHECKS,
     CampaignConfig,
-    campaign_to_csv,
-    campaign_to_json,
     report_to_json,
     run_campaign,
     summary_lines,
+    write_campaign_csv,
+    write_campaign_json,
 )
 
 EXIT_OK = 0
@@ -149,10 +149,9 @@ def _campaign_config(args) -> CampaignConfig:
 
 def cmd_campaign(args) -> int:
     result = run_campaign(_campaign_config(args))
-    if args.out:
-        body = campaign_to_csv(result) if args.format == "csv" else campaign_to_json(result)
+    if args.out:  # written a report at a time: the whole text is never held
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            (write_campaign_csv if args.format == "csv" else write_campaign_json)(result, fh)
     for line in summary_lines(result):
         print(line)
     total_fails = result.violations

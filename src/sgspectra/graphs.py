@@ -16,6 +16,7 @@ from operator import itemgetter
 from typing import ItemsView, Sequence
 
 from .errors import (
+    ArgMismatch,
     BadOrder,
     ConfigInvalid,
     DuplicateEdge,
@@ -161,6 +162,11 @@ def _not_triple(e) -> LengthMismatch:
     return LengthMismatch(f"edge {e!r} is not a (u, v, sign) triple")
 
 
+def _not_graph(who: str, g) -> ArgMismatch:
+    """The error for g, which is not a SignedGraph, given as who's graph."""
+    return ArgMismatch(f"{who} takes a SignedGraph, got {type(g).__name__}")
+
+
 def _ends(u, v) -> tuple[int, int]:
     """Edge endpoints u and v as plain ints; VertexOutOfRange unless both are integers."""
     if type(u) is int and type(v) is int:
@@ -233,6 +239,8 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int, int]]) -> SignedGrap
 
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Total, positive, negative and net degree of every vertex."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("degree_profile", g)
     nbrs = [g.neighbors(v) for v in range(g.n)]
     d = [len(a) for a in nbrs]
     dp = [[s for _, s in a].count(PLUS) for a in nbrs]
@@ -243,6 +251,8 @@ def degree_profile(g: SignedGraph) -> DegreeProfile:
 
 def min_max_neg_degree(g: SignedGraph) -> tuple[int, int]:
     """Minimum and maximum negative vertex degree."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("min_max_neg_degree", g)
     if g.n == 0:
         raise EmptyGraph("negative-degree extremes need at least one vertex")
     dm = degree_profile(g).neg_degree
@@ -251,6 +261,8 @@ def min_max_neg_degree(g: SignedGraph) -> tuple[int, int]:
 
 def co_regularity(g: SignedGraph) -> CoRegularity | None:
     """The common (r, s) pair, or None unless all vertices share both values."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("co_regularity", g)
     prof = degree_profile(g)
     pairs = set(zip(prof.degree, prof.net_degree))
     if len(pairs) != 1:
@@ -265,6 +277,8 @@ def apply_switching(g: SignedGraph, alpha: Sequence[int]) -> SignedGraph:
     Applying the same alpha twice is the identity.  Raises LengthMismatch
     unless alpha is a sequence of g.n values, and ValueError on one not +-1.
     """
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("apply_switching", g)
     try:
         k = len(alpha)
     except TypeError:  # no length: an int, or a 0-d array
@@ -302,6 +316,8 @@ def balancing_switch(g: SignedGraph) -> tuple[int, ...] | None:
     Tree edges of the spanning forest are switched positive by construction,
     then every non-tree edge must come out positive too.
     """
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("balancing_switch", g)
     theta, _ = _spanning_forest(g)
     return tuple(theta) if _switches_positive(g, theta) else None
 
@@ -312,11 +328,16 @@ def _switches_positive(g: SignedGraph, theta: list[int]) -> bool:
 
 def is_balanced(g: SignedGraph) -> bool:
     """True iff g is switching-equivalent to the all-positive signature."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("is_balanced", g)
     return balancing_switch(g) is not None
 
 
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff the two signatures on the same underlying graph differ by a switching."""
+    for g in (g1, g2):
+        if not isinstance(g, SignedGraph):
+            raise _not_graph("switching_equivalent", g)
     # canonical edge order: equal unsigned edge sets are equal pair sequences
     if g1.n != g2.n or [e[:2] for e in g1.edges] != [e[:2] for e in g2.edges]:
         raise UnderlyingGraphMismatch("graphs must share vertex count and unsigned edge set")
@@ -326,6 +347,8 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
 
 def all_positive(g: SignedGraph) -> SignedGraph:
     """Same underlying graph with every edge positive."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("all_positive", g)
     return SignedGraph(g.n, tuple((u, v, PLUS) for u, v, _ in g.edges))
 
 
@@ -423,6 +446,8 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
 
 def is_connected(g: SignedGraph) -> bool:
     """Connectivity of the underlying graph: its spanning forest has at most one tree."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("is_connected", g)
     return _spanning_forest(g)[1] <= 1
 
 

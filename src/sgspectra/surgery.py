@@ -6,11 +6,13 @@ and return the old-index -> new-index map alongside the new graph.
 from __future__ import annotations
 
 from .errors import DuplicateEdge, NotAllowable, SameVertex
-from .graphs import SignedGraph, build_graph
+from .graphs import SignedGraph, _not_graph, build_graph
 
 
 def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
     """Remove v and its incident edges; survivors keep their relative order."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("delete_vertex", g)
     v = g._check_vertex(v)
     vmap = {old: old - (old > v) for old in range(g.n) if old != v}
     # relabelling is monotone, so the surviving edges stay canonical
@@ -24,6 +26,8 @@ def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
 
 def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
     """Remove edge {u, v}; returns the new graph and the removed edge's sign (g.sign raises NoSuchEdge)."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("delete_edge", g)
     removed = g.sign(u, v)
     a, b = min(u, v), max(u, v)
     edges = tuple(e for e in g.edges if (e[0], e[1]) != (a, b))
@@ -32,6 +36,8 @@ def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
 
 def add_edge(g: SignedGraph, u: int, v: int, s: int) -> SignedGraph:
     """g with edge {u, v} of sign s added; SignedGraph rejects a self-loop or a bad sign."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("add_edge", g)
     u, v = g._check_vertex(u), g._check_vertex(v)
     if g.has_edge(u, v):
         raise DuplicateEdge(f"edge ({u}, {v}) already present")
@@ -40,6 +46,8 @@ def add_edge(g: SignedGraph, u: int, v: int, s: int) -> SignedGraph:
 
 def neighborhoods(g: SignedGraph, t: int) -> tuple[frozenset[int], frozenset[int]]:
     """Open and closed neighborhood of t."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("neighborhoods", g)
     open_nbhd = frozenset(w for w, _ in g.neighbors(t))
     return open_nbhd, open_nbhd | {t}
 
@@ -47,6 +55,8 @@ def neighborhoods(g: SignedGraph, t: int) -> tuple[frozenset[int], frozenset[int
 def disjoint_open_neighborhoods(g: SignedGraph, a: int, b: int) -> bool:
     """Whether a and b have disjoint open neighborhoods (no common
     neighbour), tested without building them."""
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("disjoint_open_neighborhoods", g)
     g._check_vertex(a)
     g._check_vertex(b)
     if a == b:
@@ -64,6 +74,8 @@ def contract(g: SignedGraph, a: int, b: int) -> tuple[SignedGraph, dict[int, int
 
     Returns (graph, survivor old->new map, merged vertex's new index).
     """
+    if not isinstance(g, SignedGraph):
+        raise _not_graph("contract", g)
     na = dict(g.neighbors(a))
     nb = dict(g.neighbors(b))
     if a == b:

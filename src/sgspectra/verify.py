@@ -46,6 +46,7 @@ from .graphs import (
     SignedGraph,
     _as_int,
     _int_field,
+    _not_graph,
     _random_signs,
     _real_field,
     all_positive,
@@ -290,7 +291,7 @@ def _prepare(rec: Check, tol, *args, failed=_UNGATED):
     else:
         g, *arg = args
         if not isinstance(g, SignedGraph):
-            raise ArgMismatch(f"{rec.id} takes a SignedGraph, got {type(g).__name__}")
+            raise _not_graph(rec.id, g)
         surgery = rec.kind.surgery(g, *arg)
         graph = to_edge_string(g)
         if failed is _UNGATED:
@@ -819,12 +820,32 @@ def report_to_json(r: InterlacingReport) -> str:
 
 
 def campaign_to_json(result: CampaignResult) -> str:
-    doc = {
-        "config": asdict(result.config),
-        "summary": result.summary,
-        "reports": [report_to_dict(r) for r in result.reports],
-    }
-    return _json_text(doc) + "\n"
+    """The campaign as one JSON document, {"config", "summary", "reports"}
+    in json's indent=2 layout with a final newline: byte for byte what
+    json.dumps writes for it.  It is written a report at a time, each report
+    as one string; `sgspectra campaign --out` writes the same strings
+    straight to its file (write_campaign_json) and never holds the whole
+    text."""
+    buf = io.StringIO()
+    write_campaign_json(result, buf)
+    return buf.getvalue()
+
+
+_REPORT_NL = "\n    "  # the pad of a report's own line: an item of the document's "reports"
+
+
+def write_campaign_json(result: CampaignResult, fh) -> None:
+    """Write campaign_to_json(result) to the text file fh, one report at a time."""
+    head = _json_text({"config": asdict(result.config), "summary": result.summary, "reports": []})
+    if not result.reports:
+        fh.write(head + "\n")
+        return
+    fh.write(head[:-len("]\n}")])  # ends in '"reports": ['
+    sep = _REPORT_NL
+    for r in result.reports:
+        fh.write(sep + _json_text(report_to_dict(r), _REPORT_NL))
+        sep = "," + _REPORT_NL
+    fh.write("\n  ]\n}\n")
 
 
 # The JSON writer.  With an indent, the stdlib's json module runs its
@@ -833,19 +854,22 @@ def campaign_to_json(result: CampaignResult) -> str:
 # report holds: dicts with str keys, lists, tuples, str, int, float, bool and
 # None.  It writes a scalar in place, a list of finite floats or of strings
 # with one join, and every piece to one list that is joined once.  Any other
-# value or key raises TypeError, and _json_text then hands the whole document
+# value or key raises TypeError, and _json_text then hands its whole value
 # to json.dumps, whose text or exception is the reference.
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii  # TypeError on a non-str
 
 
-def _json_text(doc) -> str:
-    """doc as the json module writes it with indent=2, byte for byte."""
+def _json_text(doc, nl: str = "\n") -> str:
+    """doc as the json module writes it with indent=2, byte for byte; nl is a
+    newline and the pad of doc's own line, which every line of doc's text
+    after its first carries, as it does inside an enclosing document."""
     out: list[str] = []
     try:
-        _put_json(doc, out, "\n")
+        _put_json(doc, out, nl)
     except (TypeError, RecursionError):
-        return json.dumps(doc, indent=2)
+        # ensure_ascii escapes every newline in a string, so each "\n" is a line break
+        return json.dumps(doc, indent=2).replace("\n", nl)
     return "".join(out)
 
 
@@ -919,8 +943,19 @@ _SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
 
 
 def campaign_to_csv(result: CampaignResult) -> str:
+    """The campaign's reports as CSV: a header of _CSV_FIELDS, then one row
+    per report, each line ending in "\\n"; floats at 17 significant digits,
+    spectra space-separated, surgery as sorted-key JSON.  `sgspectra campaign
+    --out --format csv` writes the same rows straight to its file
+    (write_campaign_csv)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    write_campaign_csv(result, buf)
+    return buf.getvalue()
+
+
+def write_campaign_csv(result: CampaignResult, fh) -> None:
+    """Write campaign_to_csv(result) to the text file fh, one row at a time."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
     writer.writerows(
         (r.theorem, r.hypothesis_met, r.holds, format_spectrum((r.worst_slack,)), r.witness_position,
@@ -929,7 +964,6 @@ def campaign_to_csv(result: CampaignResult) -> str:
          format_spectrum(r.spectra.get("mu", ())), ";".join(r.links_skipped), r.note)
         for r in result.reports
     )
-    return buf.getvalue()
 
 
 def summary_lines(result: CampaignResult) -> list[str]:

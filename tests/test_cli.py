@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,12 @@ from sgspectra.cli import _campaign_config, build_parser, main
 from sgspectra.fileio import parse_sg, to_sg_text
 from sgspectra import cli
 from sgspectra.verify import ARG_KINDS, CHECK_IDS, CHECKERS, CampaignConfig, report_to_dict
+
+
+@pytest.fixture(scope="module")
+def default_200():
+    """The seed-0 default campaign at 200 samples per id (3,800 reports)."""
+    return sg.run_campaign(CampaignConfig(samples=200, seed=0))
 
 
 @pytest.fixture
@@ -373,10 +380,10 @@ class TestCampaignCommand:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_report_built_only_for_out(self, fmt, tmp_path, capsys, monkeypatch):
         built = []
-        for name in ("campaign_to_json", "campaign_to_csv"):
+        for name in ("write_campaign_json", "write_campaign_csv"):
             real = getattr(cli, name)
-            monkeypatch.setattr(cli, name,
-                                lambda res, name=name, real=real: built.append(name) or real(res))
+            monkeypatch.setattr(cli, name, lambda res, fh, name=name, real=real:
+                                built.append(name) or real(res, fh))
         argv = ["campaign", "--theorems", "T2.1,B4", "--samples", "4", "--seed", "6",
                 "--format", fmt]
         assert main(argv) == 0
@@ -385,10 +392,27 @@ class TestCampaignCommand:
         out = tmp_path / "rep.txt"
         assert main(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == bare
-        assert built == [f"campaign_to_{fmt}"]
+        assert built == [f"write_campaign_{fmt}"]
         res = sg.run_campaign(CampaignConfig(theorems=("T2.1", "B4"), samples=4, seed=6))
         written = sg.campaign_to_csv(res) if fmt == "csv" else sg.campaign_to_json(res)
         assert out.read_text(encoding="utf-8") == written
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_is_streamed_to_the_file(self, fmt, tmp_path, capsys, monkeypatch, default_200):
+        # a report at a time: the write peaks far below the file's size, where
+        # building the text first would peak above it (3.9x for JSON)
+        monkeypatch.setattr(cli, "run_campaign", lambda cfg: default_200)
+        out = tmp_path / f"rep.{fmt}"
+        tracemalloc.start()
+        try:
+            assert main(["campaign", "--format", fmt, "--out", str(out)]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        written = out.read_text(encoding="utf-8")
+        assert written == (sg.campaign_to_csv if fmt == "csv" else sg.campaign_to_json)(default_200)
+        assert peak < 0.25 * len(written)
 
 
 class TestParserReuse:

@@ -9,6 +9,7 @@ import sgspectra as sg
 from sgspectra.fileio import to_sg_text
 from sgspectra.graphs import family_edge_pairs
 from sgspectra.errors import (
+    ArgMismatch,
     BadOrder,
     DuplicateEdge,
     EmptyGraph,
@@ -385,3 +386,28 @@ class TestConnectivity:
     def test_trivial(self):
         assert sg.is_connected(sg.SignedGraph(1, ()))
         assert sg.is_connected(sg.SignedGraph(0, ()))
+
+
+# every export whose first parameter is a graph, with the rest of a valid call
+_GRAPH_CALLS = {
+    "adjacency": (), "laplacian": (), "net_laplacian": (), "normalized_net_laplacian": (),
+    "quad_form_laplacian": ([1.0],), "quad_form_net_laplacian": ([1.0],),
+    "quad_form_normalized": ([1.0],),
+    "degree_profile": (), "min_max_neg_degree": (), "co_regularity": (), "all_positive": (),
+    "apply_switching": ([1],), "balancing_switch": (), "is_balanced": (), "is_connected": (),
+    "switching_equivalent": (k2_negative(),),
+    "delete_vertex": (0,), "delete_edge": (0, 1), "add_edge": (0, 1, 1), "contract": (0, 1),
+    "neighborhoods": (0,), "disjoint_open_neighborhoods": (0, 1),
+    "to_edge_string": (), "to_sg_text": (),
+}
+
+
+@pytest.mark.parametrize("name", _GRAPH_CALLS)
+def test_non_graph_raises_arg_mismatch(name):
+    with pytest.raises(ArgMismatch, match=f"^{name} takes a SignedGraph, got int$"):
+        getattr(sg, name)(5, *_GRAPH_CALLS[name])
+
+
+def test_switching_equivalent_checks_its_second_graph():
+    with pytest.raises(ArgMismatch, match="^switching_equivalent takes a SignedGraph, got list$"):
+        sg.switching_equivalent(k2_negative(), [(0, 1, -1)])

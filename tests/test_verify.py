@@ -11,6 +11,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 import types
 
 import numpy as np
@@ -1024,6 +1025,63 @@ class TestJsonWriter:
         for doc in (loop, ring):
             with pytest.raises(ValueError, match="Circular reference"):
                 verify._json_text(doc)
+
+    def _with_report(self, res, i, **fields):
+        """res with report i replaced by a copy whose fields are updated."""
+        reports = list(res.reports)
+        reports[i] = report_from_dict({**report_to_dict(reports[i]), **fields})
+        return verify.CampaignResult(res.config, reports, res.summary)
+
+    def test_one_report_sent_to_json_dumps_is_reindented(self, monkeypatch):
+        # a numpy float in one report's surgery takes only that report to
+        # json.dumps, at the pad of the reports list
+        res = self._campaign()
+        met = next(i for i, r in enumerate(res.reports) if r.hypothesis_met and r.surgery)
+        res = self._with_report(res, met, surgery={**res.reports[met].surgery,
+                                                   "scale": np.float64(0.1)})
+        assert any(r.worst_slack == math.inf for r in res.reports)
+        expected = _reference_json(res)
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(verify, "json", types.SimpleNamespace(
+            dumps=lambda doc, **kw: calls.append(doc) or real(doc, **kw)))
+        assert campaign_to_json(res) == expected
+        assert calls == [report_to_dict(res.reports[met])]
+
+    @pytest.mark.parametrize("bad", ["int64", "self"])
+    def test_bad_report_raises_as_json_does_on_the_document(self, bad):
+        res = self._campaign()
+        if bad == "int64":
+            res = self._with_report(res, 3, witness_position=np.int64(2))
+        else:
+            loop = dict(res.reports[3].surgery)
+            loop["self"] = loop
+            res = self._with_report(res, 3, surgery=loop)
+        with pytest.raises((TypeError, ValueError)) as stdlib:
+            _reference_json(res)
+        with pytest.raises(stdlib.type) as ours:
+            campaign_to_json(res)
+        assert str(ours.value) == str(stdlib.value)
+
+    def test_no_reports(self):
+        res = run_campaign(CampaignConfig(theorems=("T2.1",), samples=2, seed=4))
+        empty = verify.CampaignResult(res.config, [], res.summary)
+        text = campaign_to_json(empty)
+        assert text == _reference_json(empty)
+        assert text.endswith('\n  "reports": []\n}\n')
+
+    def test_peak_memory_is_within_two_and_a_half_times_the_text(self):
+        # each report is written as one string: the peak holds those strings
+        # and their join, not one small string per JSON token (3.9x)
+        res = run_campaign(CampaignConfig(samples=200, seed=0))
+        tracemalloc.start()
+        try:
+            text = campaign_to_json(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == _reference_json(res)
+        assert peak <= 2.5 * len(text)
 
 
 class TestSolve:
