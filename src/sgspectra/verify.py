@@ -143,7 +143,9 @@ def _verdicts(triples, tols: np.ndarray):
 #
 # One Check record per id; _prepare and _solve evaluate any record.
 # CHECKERS, ARG_KINDS, the public check_* names, the CLI's argument handling
-# and the campaign samplers are derived from the table.  Records reach the
+# and the campaign samplers are derived from the table.  Each record's checker
+# is bound at import under its record's name, except C2.8's and C2.9's:
+# check_tree_shrink calls one of those two by its kind.  Records reach the
 # matrix assembler, the eigensolver and the surgeries through this module's
 # globals at call time, so a tracer that rebinds those names sees every call.
 
@@ -345,24 +347,23 @@ def _groups(prepared, entries: int):
         yield group
 
 
-def _run(rec: Check, tol, *args) -> InterlacingReport:
-    _check_tol(tol)
-    return _solve(rec, [_prepare(rec, tol, *args)], tol)[0]
-
-
 def _checker(rec: Check) -> Callable:
-    """rec's public checker: the kind's arguments, then an optional tol given
-    once, by position or keyword; ArgMismatch for any other count."""
+    """rec's public checker: the kind's arguments by position, then an
+    optional tol given once, by position or keyword; ArgMismatch for any other
+    count or keyword."""
     arity = len(rec.kind.params)
     usage = f"{rec.id} takes ({', '.join(rec.kind.params)}[, tol])"
 
-    def check(*args, tol=None):
+    def check(*args, tol=None, **named):
+        if named:
+            raise ArgMismatch(f"{usage}, got keyword {next(iter(named))!r}")
         given = len(args) + (tol is not None)
         if not arity <= len(args) <= given <= arity + 1:
             raise ArgMismatch(f"{usage}, got {given} argument{'s' * (given != 1)}")
         if len(args) > arity:
             *args, tol = args
-        return _run(rec, tol, *args)
+        _check_tol(tol)
+        return _solve(rec, [_prepare(rec, tol, *args)], tol)[0]
 
     check.__name__ = check.__qualname__ = rec.name
     check.__doc__ = rec.doc
@@ -459,8 +460,8 @@ def _bound_flags(a, tols) -> list[dict]:
 def _cycles(family: str, m: int, sig1, sign_last: int):
     """The (m+1)-cycle signed sig1 and the m-cycle sharing its first m-1
     edges and closed by sign_last."""
-    return (generate(family, m + 1, sig1),
-            generate(family, m, list(sig1[: m - 1]) + [sign_last]))
+    big = generate(family, m + 1, sig1)
+    return big, generate(family, m, [big.sign(i, i + 1) for i in range(m - 1)] + [sign_last])
 
 
 def _cycle_pair(family: str, m: int, sig1, sign_last: int):
@@ -515,8 +516,9 @@ _TABLE = (
           doc="""T2.4: a signed (m+1)-cycle against the m-cycle sharing its path edges.
 
     sig1 lists the large cycle's signs in canonical edge order (closing edge
-    last); the small cycle copies the first m-1 of them and closes with
-    sign_last.  Chain: alpha_p - 1 <= beta_p <= alpha_{p+1} + 2.
+    last), as generate takes them: +-1 values or a "+-" string; the small
+    cycle copies the first m-1 of them and closes with sign_last.
+    Chain: alpha_p - 1 <= beta_p <= alpha_{p+1} + 2.
     """),
     Check("C2.5", "check_cycle_shrink_random", _SEEDED, _LAP, _cycle_chain,
           note="compared via switching to balance-class canonical forms",
@@ -625,25 +627,8 @@ CHECKERS: dict[str, Callable] = {rec.id: _checker(rec) for rec in _TABLE}
 # argument the CLI / campaign must supply for each check
 ARG_KINDS: dict[str, str] = {rec.id: rec.kind.name for rec in _TABLE}
 
-check_vertex_deletion_laplacian = CHECKERS["T2.1"]
-check_dominating_vertex_deletion = CHECKERS["C2.2"]
-check_edge_deletion_laplacian = CHECKERS["L2.3"]
-check_cycle_shrink = CHECKERS["T2.4"]
-check_cycle_shrink_random = CHECKERS["C2.5"]
-check_pendant_deletion = CHECKERS["T2.7"]
-check_laplacian_net_gap = CHECKERS["L3.1"]
-check_negative_edge_deletion_net = CHECKERS["T3.2"]
-check_positive_edge_deletion_net = CHECKERS["T3.3"]
-check_vertex_deletion_net = CHECKERS["T3.4"]
-check_negfree_vertex_deletion = CHECKERS["C3.5"]
-check_posfree_vertex_deletion = CHECKERS["C3.6"]
-check_complete_coregular_deletion = CHECKERS["C3.7"]
-check_normalized_spectrum_bounds = CHECKERS["B4"]
-check_negative_edge_deletion_normalized = CHECKERS["T4.1"]
-check_positive_edge_deletion_normalized = CHECKERS["T4.2"]
-check_contraction_normalized = CHECKERS["T4.3"]
-
-_TREES = {rec.family: rec for rec in _TABLE if rec.build is _tree_pair}
+_TREES = {rec.family: rec.id for rec in _TABLE if rec.build is _tree_pair}
+globals().update((rec.name, CHECKERS[rec.id]) for rec in _TABLE if rec.build is not _tree_pair)
 
 
 def check_tree_shrink(kind: str, m: int, seed: int, tol=None) -> InterlacingReport:
@@ -654,7 +639,7 @@ def check_tree_shrink(kind: str, m: int, seed: int, tol=None) -> InterlacingRepo
     """
     if not isinstance(kind, str) or kind not in _TREES:
         raise BadOrder(f"kind must be 'path' or 'star', got {kind!r}")
-    return _run(_TREES[kind], tol, m, seed)
+    return CHECKERS[_TREES[kind]](m, seed, tol)
 
 
 # --- campaigns ---------------------------------------------------------------
@@ -671,8 +656,9 @@ class CampaignConfig:
     tol: float | None = None
 
     def validate(self) -> None:
-        """Raise ConfigInvalid on any invalid field; store integer fields as plain
-        ints, and p, q and tol as floats unless each is a plain int, float or None."""
+        """Raise ConfigInvalid on any invalid field; store theorems as a tuple,
+        integer fields as plain ints, and p, q and tol as floats unless each is
+        a plain int, float or None."""
         for name in ("samples", "n_min", "n_max", "seed"):
             setattr(self, name, _int_field(getattr(self, name), name))
         for name in ("p", "q"):
@@ -683,6 +669,9 @@ class CampaignConfig:
             raise ConfigInvalid("probabilities must lie in [0, 1]")
         if not (2 <= self.n_min <= self.n_max):
             raise ConfigInvalid(f"need 2 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
+        if not isinstance(self.theorems, (list, tuple)):
+            raise ConfigInvalid(f"theorems must be a list or tuple of check ids, got {self.theorems!r}")
+        self.theorems = tuple(self.theorems)
         unknown = [t for t in self.theorems if t not in CHECK_IDS]
         if unknown:
             raise ConfigInvalid(f"unknown check ids: {unknown}")

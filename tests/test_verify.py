@@ -4,9 +4,11 @@ Expected verdicts marked "counterexample" below were established by hand
 computation and double-checked with the exact characteristic-polynomial
 oracle; they document inputs where the checked chain genuinely fails.
 """
+import ast
 import csv
 import dataclasses
 import enum
+import inspect
 import io
 import json
 import math
@@ -66,6 +68,31 @@ from sgspectra.verify import (
 
 def k2(sign):
     return sg.build_graph(2, [(0, 1, sign)])
+
+
+class TestPublicNames:
+    _NAMED = [rec for rec in verify._TABLE if rec.id not in ("C2.8", "C2.9")]
+
+    def test_each_name_is_its_checker(self):
+        names = [rec.name for rec in self._NAMED]
+        assert len(names) == len(set(names)) == 17
+        for rec in self._NAMED:
+            assert getattr(verify, rec.name) is CHECKERS[rec.id]
+        assert {rec.name for rec in verify._TABLE if rec.id in ("C2.8", "C2.9")} == {"check_tree_shrink"}
+
+    def test_binding_overwrites_no_name_the_module_defines(self):
+        tree = ast.parse(inspect.getsource(verify))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        assert "check_tree_shrink" in defined and "CHECKERS" in defined
+        assert not defined & {rec.name for rec in self._NAMED}
 
 
 class TestCheckChain:
@@ -145,6 +172,20 @@ class TestTol:
             with pytest.raises(ArgMismatch) as exc:
                 CHECKERS[theorem](*call_args, **kw)
             assert str(exc.value) == f"{usage}, got {given} argument{'s' * (given != 1)}"
+
+    @pytest.mark.parametrize("theorem", CHECK_IDS)
+    def test_keyword_argument_raises_arg_mismatch(self, theorem):
+        params = CHECKS[theorem].kind.params
+        usage = f"{theorem} takes ({', '.join(params)}[, tol])"
+        args = (sg.generate("cycle", 4),) + (0,) * (len(params) - 1)
+        # each parameter by keyword, with or without tol, and an unknown keyword
+        calls = [(args[:-1], {params[-1]: args[-1]}, params[-1]),
+                 (args[:-1], {params[-1]: args[-1], "tol": 1e-9}, params[-1]),
+                 (args, {"eps": 1e-9}, "eps")]
+        for call_args, kw, name in calls:
+            with pytest.raises(ArgMismatch) as exc:
+                CHECKERS[theorem](*call_args, **kw)
+            assert str(exc.value) == f"{usage}, got keyword {name!r}"
 
     @pytest.mark.parametrize("theorem, args", [
         ("T2.1", (sg.generate("cycle", 5, "all_minus"), 0)),
@@ -247,6 +288,16 @@ class TestCycleShrink:
         with pytest.raises(BadOrder):
             check_cycle_shrink(2, [1, 1, 1], 1)
 
+    @pytest.mark.parametrize("text", ["++++", "+-+-+-"])
+    def test_sign_string_list_and_array_agree(self, text):
+        # the small cycle takes its path signs from the large cycle, which
+        # generate builds from sig1 in any form it accepts
+        signs = [1 if c == "+" else -1 for c in text]
+        m = len(text) - 1
+        want = verify.report_to_json(check_cycle_shrink(m, signs, -1))
+        for sig1 in (text, np.array(signs)):
+            assert verify.report_to_json(check_cycle_shrink(m, sig1, -1)) == want
+
 
 class TestCycleShrinkRandom:
     def test_seeded_draws_hold(self):
@@ -313,6 +364,18 @@ class TestTreeShrink:
         for seed in range(80):
             assert check_tree_shrink("path", 2 + seed % 10, seed).holds
             assert check_tree_shrink("star", 2 + seed % 10, seed).holds
+
+    def test_goes_through_checkers(self, monkeypatch):
+        # a tracer that wraps CHECKERS sees check_tree_shrink's calls
+        seen = []
+        for t in ("C2.8", "C2.9"):
+            checker = CHECKERS[t]
+            monkeypatch.setitem(CHECKERS, t, lambda *a, t=t, f=checker: seen.append((t, a)) or f(*a))
+        want = [verify.report_to_json(CHECKERS[t](3, 5)) for t in ("C2.8", "C2.9")]
+        seen.clear()
+        got = [verify.report_to_json(check_tree_shrink(kind, 3, 5)) for kind in ("path", "star")]
+        assert got == want
+        assert seen == [("C2.8", (3, 5, None)), ("C2.9", (3, 5, None))]
 
     def test_guards(self):
         with pytest.raises(BadOrder):
@@ -1250,6 +1313,9 @@ _BAD_CONFIGS = {
     "samples-str": {"samples": "5"}, "samples-float": {"samples": 2.5},
     "n_min-float": {"n_min": 2.5}, "n_max-None": {"n_max": None},
     "p-str": {"p": "0.5"}, "p-bool": {"p": True}, "q-None": {"q": None},
+    # a set would order the reports by string hashing; a string is not a list of ids
+    "theorems-None": {"theorems": None}, "theorems-int": {"theorems": 5},
+    "theorems-set": {"theorems": {"T2.1"}}, "theorems-str": {"theorems": "T2.1"},
 }
 
 
@@ -1257,6 +1323,14 @@ _BAD_CONFIGS = {
 def test_config_field_of_wrong_type_raises_config_invalid(case):
     with pytest.raises(ConfigInvalid, match="must be"):
         CampaignConfig(**_BAD_CONFIGS[case]).validate()
+
+
+def test_config_theorems_list_runs_as_tuple():
+    want = run_campaign(CampaignConfig(theorems=("T2.1", "C2.5"), samples=3))
+    got = run_campaign(CampaignConfig(theorems=["T2.1", "C2.5"], samples=3))
+    assert campaign_to_json(got) == campaign_to_json(want)
+    assert campaign_to_csv(got) == campaign_to_csv(want)
+    assert got.config.theorems == ("T2.1", "C2.5")
 
 
 def test_config_numpy_integers_run_as_ints():
