@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .graphs import SignedGraph, _not_graph, build_graph, parse_sign, sign_char
+from .graphs import PLUS, SignedGraph, _not_graph, build_graph, parse_sign
 
 
 def parse_sg(text: str) -> SignedGraph:
@@ -59,7 +59,7 @@ def parse_sg(text: str) -> SignedGraph:
 
 def _sg_lines(g: SignedGraph) -> list[str]:
     lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v} {sign_char(s)}" for u, v, s in g.edges)
+    lines.extend(f"{u} {v} {'+' if s == PLUS else '-'}" for u, v, s in g.edges)
     return lines
 
 

@@ -435,12 +435,12 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
     _probability(q, "q")
     rng = random.Random(_int_field(seed, "seed"))
     n = _order(n)
+    rand = rng.random
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < p:
-                s = MINUS if rng.random() < q else PLUS
-                edges.append((u, v, s))
+            if rand() < p:
+                edges.append((u, v, MINUS if rand() < q else PLUS))
     return SignedGraph(n, tuple(edges))
 
 

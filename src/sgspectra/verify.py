@@ -37,6 +37,7 @@ from .errors import (
     BadOrder,
     ConfigInvalid,
     LengthMismatch,
+    SameVertex,
 )
 from .eigen import _real_vector, eigenvalues_stack
 from .fileio import format_spectrum, to_edge_string
@@ -56,11 +57,12 @@ from .graphs import (
     is_balanced,
     is_connected,
     min_max_neg_degree,
+    parse_sign,
     random_signed_graph,
     sign_char,
 )
 from .matrices import _flat, assemble, laplacian, net_laplacian, normalized_net_laplacian
-from .surgery import contract, delete_edge, delete_vertex, disjoint_open_neighborhoods
+from .surgery import contract, delete_edge, delete_vertex
 
 _INF = math.inf
 _STACK_ENTRIES = 1 << 16  # per solver stack; bounds its memory and its temporaries
@@ -299,7 +301,7 @@ def _prepare(rec: Check, tol, *args, failed=_UNGATED):
         if failed is _UNGATED:
             _, failed = _narrow(rec, g, [tuple(arg)])
         if failed is not None:
-            note = failed.note.format(*arg, deg=[g.degree(x) for x in arg])
+            note = failed.note.format(*arg, deg=[len(g._nbrs[x]) for x in arg])
             return _skipped_report(rec.id, graph, surgery, note, tol)
         if rec.params is not None:
             surgery.update(rec.params(g))
@@ -377,6 +379,13 @@ def _edge_surgery(g: SignedGraph, u: int, v: int) -> dict:
     return {"edge": sorted(map(g._check_vertex, (u, v))), "sign": sign}
 
 
+def _pair_surgery(g: SignedGraph, a: int, b: int) -> dict:
+    pair = sorted(map(g._check_vertex, (a, b)))
+    if pair[0] == pair[1]:
+        raise SameVertex(f"vertices must differ, both are {a}")
+    return {"pair": pair}
+
+
 def _contract(g: SignedGraph, a: int, b: int):
     sub, _, merged = contract(g, a, b)
     return sub, {"merged_vertex": merged, "contracted_graph": to_edge_string(sub)}
@@ -394,28 +403,36 @@ _VERTEX = ArgKind("vertex", ("g", "v"), lambda g, v: {"vertex": g._check_vertex(
                   pool=lambda g: [(v,) for v in range(g.n)])
 _EDGE = ArgKind("edge", ("g", "u", "v"), _edge_surgery, lambda g, u, v: (delete_edge(g, u, v)[0], {}),
                 pool=lambda g: [(u, v) for u, v, _ in g.edges], empty="graph has no usable edge")
-_PAIR = ArgKind("pair", ("g", "a", "b"), lambda g, a, b: {"pair": sorted(map(g._check_vertex, (a, b)))},
-                _contract, pool=lambda g: [(a, b) for a in range(g.n) for b in range(a + 1, g.n)],
+_PAIR = ArgKind("pair", ("g", "a", "b"), _pair_surgery, _contract,
+                pool=lambda g: [(a, b) for a in range(g.n) for b in range(a + 1, g.n)],
                 empty="no contractible pair", fallback=_any_pair)
 _CYCLE = ArgKind("cycle", ("m", "sig1", "sign_last"))
 _SEEDED = ArgKind("seeded", ("m", "seed"))
 
 
 # --- hypothesis stages -----------------------------------------------------------
+#
+# A stage reads the graph's neighbour maps g._nbrs without validating its
+# argument: a campaign candidate comes from the graph, and a lone check's
+# argument has passed its kind's surgery step before the stages run.
 
 def _complete_coregular(g: SignedGraph) -> bool:
-    # one degree and one net degree everywhere, hence one negative degree
+    # a complete graph has every pair as an edge, which one count tells
+    # without a degree profile; then one degree and one net degree
+    # everywhere, hence one negative degree
+    if 2 * len(g.edges) != g.n * (g.n - 1):
+        return False
     co = co_regularity(g)
     return co is not None and co.complete
 
 
 _TWO = Stage(lambda g: g.n >= 2, "graph has fewer than 2 vertices", whole=True)
-_NO_ISOLATED = Stage(lambda g: all(g.degree(x) for x in range(g.n)), "graph has an isolated vertex",
-                     whole=True)
-_NEGATIVE = Stage(lambda g, u, v: g.sign(u, v) == MINUS, "edge ({0}, {1}) is positive")
-_POSITIVE = Stage(lambda g, u, v: g.sign(u, v) == PLUS, "edge ({0}, {1}) is negative")
+_NO_ISOLATED = Stage(lambda g: all(g._nbrs), "graph has an isolated vertex", whole=True)
+_NEGATIVE = Stage(lambda g, u, v: g._nbrs[u][v] == MINUS, "edge ({0}, {1}) is positive")
+_POSITIVE = Stage(lambda g, u, v: g._nbrs[u][v] == PLUS, "edge ({0}, {1}) is negative")
 # With no isolated vertex, deleting uv isolates one exactly when u or v has degree 1.
-_KEEPS_DEGREE = Stage(lambda g, u, v: g.degree(u) >= 2 and g.degree(v) >= 2, "deletion isolates a vertex")
+_KEEPS_DEGREE = Stage(lambda g, u, v: len(g._nbrs[u]) >= 2 and len(g._nbrs[v]) >= 2,
+                      "deletion isolates a vertex")
 
 
 # --- chains, parameters and family builders ------------------------------------------
@@ -457,16 +474,19 @@ def _bound_flags(a, tols) -> list[dict]:
     return [{"attains_upper_bound": hi, "attains_lower_bound": lo} for hi, lo in ends.tolist()]
 
 
-def _cycles(family: str, m: int, sig1, sign_last: int):
+def _cycles(family: str, m: int, sig1, sign_last):
     """The (m+1)-cycle signed sig1 and the m-cycle sharing its first m-1
-    edges and closed by sign_last."""
+    edges and closed by sign_last, a +-1 value or a sign token."""
     big = generate(family, m + 1, sig1)
+    if isinstance(sign_last, str):
+        sign_last = parse_sign(sign_last)
     return big, generate(family, m, [big.sign(i, i + 1) for i in range(m - 1)] + [sign_last])
 
 
-def _cycle_pair(family: str, m: int, sig1, sign_last: int):
+def _cycle_pair(family: str, m: int, sig1, sign_last):
     big, small = _cycles(family, m, sig1, sign_last)
-    surgery = {"small_graph": to_edge_string(small), "closing_sign": sign_char(sign_last)}
+    # the closing edge of the m-cycle is (0, m-1)
+    surgery = {"small_graph": to_edge_string(small), "closing_sign": sign_char(small.sign(0, m - 1))}
     return to_edge_string(big), surgery, big, small
 
 
@@ -506,7 +526,7 @@ _TABLE = (
           doc="""T2.1: deleting any vertex, alpha_p <= beta_p + 1 <= alpha_{p+1} + 1."""),
     Check("C2.2", "check_dominating_vertex_deletion", _VERTEX, _LAP,
           lambda s, a, b: [(a[:, :-1], b + 1.0, a[:, 1:])],
-          stages=(_TWO, Stage(lambda g, v: g.degree(v) == g.n - 1,
+          stages=(_TWO, Stage(lambda g, v: len(g._nbrs[v]) == g.n - 1,
                               "vertex {0} is not adjacent to all remaining vertices")),
           doc="""C2.2: deleting a vertex adjacent to all others tightens the upper link."""),
     Check("L2.3", "check_edge_deletion_laplacian", _EDGE, _LAP, lambda s, a, b: [(b, a, b + 2.0)],
@@ -517,7 +537,8 @@ _TABLE = (
 
     sig1 lists the large cycle's signs in canonical edge order (closing edge
     last), as generate takes them: +-1 values or a "+-" string; the small
-    cycle copies the first m-1 of them and closes with sign_last.
+    cycle copies the first m-1 of them and closes with sign_last, +-1 or a
+    sign token such as "+" or "-".
     Chain: alpha_p - 1 <= beta_p <= alpha_{p+1} + 2.
     """),
     Check("C2.5", "check_cycle_shrink_random", _SEEDED, _LAP, _cycle_chain,
@@ -530,7 +551,7 @@ _TABLE = (
     equal the drawn ones, and the T2.4 chain is verified there.
     """),
     Check("T2.7", "check_pendant_deletion", _VERTEX, _LAP, _interlace,
-          stages=(Stage(lambda g, v: g.degree(v) == 1, "vertex {0} has degree {deg[0]}, not 1"),),
+          stages=(Stage(lambda g, v: len(g._nbrs[v]) == 1, "vertex {0} has degree {deg[0]}, not 1"),),
           doc="""T2.7: deleting a degree-1 vertex, alpha_p <= beta_p <= alpha_{p+1}."""),
     Check("C2.8", "check_tree_shrink", _SEEDED, _LAP, _interlace,
           note="both trees switched to all-positive before comparing",
@@ -561,13 +582,13 @@ _TABLE = (
     alpha_p - 1 <= beta_p <= alpha_{p+1} + 1."""),
     Check("C3.5", "check_negfree_vertex_deletion", _VERTEX, _NET,
           lambda s, a, b: [(a[:, :-1] - 1.0, b, a[:, 1:])],
-          stages=(_TWO, Stage(lambda g, v: all(s == PLUS for _, s in g.neighbors(v)),
+          stages=(_TWO, Stage(lambda g, v: MINUS not in g._nbrs[v].values(),
                               "vertex {0} has a negative edge")),
           doc="""C3.5: deleting a vertex with no negative edges,
     alpha_p - 1 <= beta_p <= alpha_{p+1}."""),
     Check("C3.6", "check_posfree_vertex_deletion", _VERTEX, _NET,
           lambda s, a, b: [(a[:, :-1], b, a[:, 1:] + 1.0)],
-          stages=(_TWO, Stage(lambda g, v: all(s == MINUS for _, s in g.neighbors(v)),
+          stages=(_TWO, Stage(lambda g, v: PLUS not in g._nbrs[v].values(),
                               "vertex {0} has a positive edge")),
           doc="""C3.6: deleting a vertex with no positive edges,
     alpha_p <= beta_p <= alpha_{p+1} + 1.
@@ -604,11 +625,12 @@ _TABLE = (
     are skipped and recorded."""),
     Check("T4.3", "check_contraction_normalized", _PAIR, _NORM,
           lambda s, a, b: [(_pad(a[:, :-2], lo=(-2.0,)), b, a[:, 1:])],
-          stages=(Stage(lambda g, a, b: disjoint_open_neighborhoods(g, a, b),
+          stages=(Stage(lambda g, a, b: g._nbrs[a].keys().isdisjoint(g._nbrs[b]),
                         "vertices {0} and {1} share a neighbor"),
                   _NO_ISOLATED,
-                  # with no isolated vertex, only the merged vertex can end up isolated
-                  Stage(lambda g, a, b: any(w not in (a, b) for x in (a, b) for w, _ in g.neighbors(x)),
+                  # with no isolated vertex, only the merged vertex can end up
+                  # isolated: when a and b have no neighbour but each other
+                  Stage(lambda g, a, b: len(g._nbrs[a]) + len(g._nbrs[b]) > 2 * (b in g._nbrs[a]),
                         "contraction isolates a vertex")),
           doc="""T4.3: contracting two vertices with disjoint open neighborhoods,
     alpha_{p-1} <= beta_p <= alpha_{p+1} with alpha_0 = -2.

@@ -28,6 +28,7 @@ from sgspectra.errors import (
     EmptyGraph,
     LengthMismatch,
     NoSuchEdge,
+    SameVertex,
     VertexOutOfRange,
 )
 from sgspectra.surgery import add_edge, contract, delete_edge, delete_vertex
@@ -297,6 +298,17 @@ class TestCycleShrink:
         want = verify.report_to_json(check_cycle_shrink(m, signs, -1))
         for sig1 in (text, np.array(signs)):
             assert verify.report_to_json(check_cycle_shrink(m, sig1, -1)) == want
+
+    @pytest.mark.parametrize("token, sign", [("+", 1), ("-", -1)], ids=["plus", "minus"])
+    def test_sign_last_token_equals_int(self, token, sign):
+        for sig1 in ("++++", "+--+"):
+            want = verify.report_to_json(check_cycle_shrink(3, sig1, sign))
+            assert verify.report_to_json(check_cycle_shrink(3, sig1, token)) == want
+
+    def test_bad_sign_last_token_raises_as_bad_sig1_does(self):
+        for sig1, last in (("++++", "x"), ("++x+", "+")):
+            with pytest.raises(ValueError, match="bad sign token 'x'"):
+                check_cycle_shrink(3, sig1, last)
 
 
 class TestCycleShrinkRandom:
@@ -702,6 +714,18 @@ class TestContractionNormalized:
     def test_star_leaves_gate(self):
         r = check_contraction_normalized(sg.generate("star", 4), 1, 2)
         assert not r.hypothesis_met
+
+    @pytest.mark.parametrize("g", [sg.generate("path", 4),
+                                   # vertex 1 is isolated: its pair with itself fails no
+                                   # disjointness stage, only the isolation stage
+                                   sg.build_graph(4, [(0, 2, 1), (2, 3, -1)])],
+                             ids=["path", "isolated"])
+    def test_same_vertex_raises_after_the_range_check(self, g):
+        for v in (1, np.int64(1)):
+            with pytest.raises(SameVertex, match="^vertices must differ, both are 1$"):
+                check_contraction_normalized(g, v, v)
+        with pytest.raises(VertexOutOfRange):
+            check_contraction_normalized(g, 7, 7)
 
     def test_counterexample_signed_path(self):
         # contract the adjacent pair of a 3-vertex graph signed (-, +):
@@ -1193,6 +1217,113 @@ class TestSolve:
         for g in graphs:
             by_order.setdefault(g.n, set()).add(sg.min_max_neg_degree(g))
         assert all(len(v) > 1 for v in by_order.values())
+
+
+def _circulant_complete(n, distances):
+    """K_n with the edges at circular distance in `distances` negative: every
+    vertex has the same negative degree, so the graph is complete co-regular."""
+    return sg.build_graph(n, [(u, v, -1 if min(v - u, n - v + u) in distances else 1)
+                              for u in range(n) for v in range(u + 1, n)])
+
+
+def _stage_graphs():
+    """Seeded graphs of order 0..24, edgeless and sparse ones among them, and
+    every circulant signing of K_n for n 3..8."""
+    rng = random.Random(25)
+    graphs = [sg.random_signed_graph(n, p, q, rng.randrange(10**6))
+              for n in range(25) for p, q in ((0.0, 0.5), (0.15, 0.5), (0.5, 0.2), (0.5, 0.8), (0.9, 0.5),
+                                              (1.0, 0.5))]
+    for n in range(3, 9):
+        far = n // 2
+        for k in range(1 << far):
+            graphs.append(_circulant_complete(n, {d for d in range(1, far + 1) if k >> (d - 1) & 1}))
+    return graphs
+
+
+def _ref_complete_coregular(g):
+    co = sg.co_regularity(g)
+    return co is not None and co.complete
+
+
+def _ref_isolates_nothing(g, a, b):
+    return any(w not in (a, b) for x in (a, b) for w, _ in g.neighbors(x))
+
+
+_REF_TWO = (True, lambda g: g.n >= 2)
+_REF_NO_ISOLATED = (True, lambda g: all(g.degree(x) for x in range(g.n)))
+_REF_NEGATIVE = (False, lambda g, u, v: g.sign(u, v) == -1)
+_REF_POSITIVE = (False, lambda g, u, v: g.sign(u, v) == 1)
+_REF_KEEPS_DEGREE = (False, lambda g, u, v: g.degree(u) >= 2 and g.degree(v) >= 2)
+# each id's hypothesis stages, in order, as (whole graph?, condition) written
+# with the public graph API
+_REF_STAGES = {
+    "T2.1": [_REF_TWO],
+    "C2.2": [_REF_TWO, (False, lambda g, v: g.degree(v) == g.n - 1)],
+    "L2.3": [],
+    "T2.7": [(False, lambda g, v: g.degree(v) == 1)],
+    "L3.1": [],
+    "T3.2": [_REF_NEGATIVE],
+    "T3.3": [_REF_POSITIVE],
+    "T3.4": [_REF_TWO, (True, sg.is_connected)],
+    "C3.5": [_REF_TWO, (False, lambda g, v: all(s == 1 for _, s in g.neighbors(v)))],
+    "C3.6": [_REF_TWO, (False, lambda g, v: all(s == -1 for _, s in g.neighbors(v)))],
+    "C3.7": [_REF_TWO, (True, _ref_complete_coregular)],
+    "B4": [],
+    "T4.1": [_REF_NEGATIVE, _REF_NO_ISOLATED, _REF_KEEPS_DEGREE],
+    "T4.2": [_REF_POSITIVE, _REF_NO_ISOLATED, _REF_KEEPS_DEGREE],
+    "T4.3": [(False, sg.disjoint_open_neighborhoods), _REF_NO_ISOLATED, (False, _ref_isolates_nothing)],
+}
+
+
+def _ref_narrow(stages, g, pool):
+    """The last non-empty pool and the index of the stage that empties it (None if none does)."""
+    for i, (whole, holds) in enumerate(stages):
+        kept = (pool if holds(g) else []) if whole else [x for x in pool if holds(g, *x)]
+        if not kept:
+            return pool, i
+        pool = kept
+    return pool, None
+
+
+class TestStages:
+    """Each hypothesis stage against a reference written with the public API."""
+
+    _GRAPHS = _stage_graphs()
+
+    def test_graphs_cover_the_edge_cases(self):
+        assert {g.n for g in self._GRAPHS} == set(range(25))
+        assert any(g.n >= 2 and not g.edges for g in self._GRAPHS)
+        assert any(g.edges and not all(g.degree(v) for v in range(g.n)) for g in self._GRAPHS)
+        assert sum(map(_ref_complete_coregular, self._GRAPHS)) >= 42
+
+    def test_table_lists_every_graph_id(self):
+        assert set(_REF_STAGES) == {rec.id for rec in verify._TABLE if rec.build is None}
+
+    @pytest.mark.parametrize("theorem", list(_REF_STAGES))
+    def test_each_stage_agrees_on_every_candidate(self, theorem):
+        rec, ref = CHECKS[theorem], _REF_STAGES[theorem]
+        assert [stage.whole for stage in rec.stages] == [whole for whole, _ in ref]
+        met = 0
+        for g in self._GRAPHS:
+            pool = rec.kind.pool(g)
+            for stage, (whole, holds) in zip(rec.stages, ref):
+                if whole:
+                    assert stage.holds(g) == holds(g), (theorem, rec.stages.index(stage), g)
+                    met += holds(g)
+                else:
+                    got = [stage.holds(g, *x) for x in pool]
+                    assert got == [holds(g, *x) for x in pool], (theorem, rec.stages.index(stage), g)
+                    met += sum(got)
+        assert met or not ref
+
+    @pytest.mark.parametrize("theorem", list(_REF_STAGES))
+    def test_narrow_agrees_with_the_reference(self, theorem):
+        rec = CHECKS[theorem]
+        for g in self._GRAPHS:
+            pool, failed = verify._narrow(rec, g, rec.kind.pool(g))
+            want, index = _ref_narrow(_REF_STAGES[theorem], g, rec.kind.pool(g))
+            assert pool == want
+            assert failed is (None if index is None else rec.stages[index]), (theorem, g)
 
 
 # Degenerate integer arguments.  Each caller takes the value x at one integer
