@@ -15,7 +15,9 @@ witnesses, and C3.7 by all-positive K4.  For T4.1-T4.3 the acceptance suite
 asserts that the default campaign reports violations and that each of their
 verdicts agrees with an independent numpy/LAPACK recomputation; for every
 other id it asserts zero violations, which for C3.7 is empty because the
-campaign never meets its hypothesis.
+campaign never meets its hypothesis.  C3.7's failures show in the tier-1
+sweep over every signed graph of order 3 and 4, which fails it on each
+input that meets its hypothesis.
 """
 from __future__ import annotations
 
@@ -45,9 +47,9 @@ from .graphs import (
     MINUS,
     PLUS,
     SignedGraph,
-    _as_int,
     _int_field,
     _not_graph,
+    _order,
     _random_signs,
     _real_field,
     all_positive,
@@ -143,7 +145,7 @@ def _verdicts(triples, tols: np.ndarray):
 
 # --- the check table ---------------------------------------------------------
 #
-# One Check record per id; _prepare and _solve evaluate any record.
+# One Check record per id; _run evaluates any record on any inputs.
 # CHECKERS, ARG_KINDS, the public check_* names, the CLI's argument handling
 # and the campaign samplers are derived from the table.  Each record's checker
 # is bound at import under its record's name, except C2.8's and C2.9's:
@@ -271,22 +273,13 @@ def _narrow(rec: Check, g: SignedGraph, pool: list):
     return pool, None
 
 
-# _prepare's default: the argument has not been through the stages yet
-_UNGATED = object()
-
-
-def _prepare(rec: Check, tol, *args, failed=_UNGATED):
+def _prepare(rec: Check, tol, *args):
     """The hypothesis gate, surgery and matrices of one check: a skipped
     report when the hypothesis fails, else (graph string, surgery, slots),
-    with a matrices.assemble slot (builder, order, flat edges) per matrix.
-
-    failed is the first stage the argument fails, or None when it meets every
-    stage, for a campaign draw that knows it already; by default the stages
-    run here.
-    """
+    with a matrices.assemble slot (builder, order, flat edges) per matrix."""
     if rec.build is not None:
-        m = _as_int(args[0])
-        if m is None or m < rec.min_m:
+        m = _order(args[0], "m")
+        if m < rec.min_m:
             what = "cycle" if rec.family == "cycle" else "tree"
             raise BadOrder(f"{what} comparison needs m >= {rec.min_m}, got {args[0]!r}")
         if rec.kind is _SEEDED:
@@ -298,8 +291,7 @@ def _prepare(rec: Check, tol, *args, failed=_UNGATED):
             raise _not_graph(rec.id, g)
         surgery = rec.kind.surgery(g, *arg)
         graph = to_edge_string(g)
-        if failed is _UNGATED:
-            _, failed = _narrow(rec, g, [tuple(arg)])
+        _, failed = _narrow(rec, g, [arg])
         if failed is not None:
             note = failed.note.format(*arg, deg=[len(g._nbrs[x]) for x in arg])
             return _skipped_report(rec.id, graph, surgery, note, tol)
@@ -334,19 +326,21 @@ def _solve(rec: Check, prepared: list, tol) -> list[InterlacingReport]:
     return reports
 
 
-def _groups(prepared, entries: int):
-    """prepared checks in consecutive groups whose matrices hold about
-    `entries` entries each, so that only one group's stack is held."""
-    group, size = [], 0
-    for p in prepared:
+def _run(rec: Check, inputs, tol) -> list[InterlacingReport]:
+    """Reports for inputs of rec, in order: each input is a checker's argument
+    tuple or a ready skipped report.  Inputs are prepared in order, and the
+    matrices of each run of them that reaches _STACK_ENTRIES entries are
+    solved in one call, so that only one stack's matrices are held."""
+    reports, group, size = [], [], 0
+    for x in inputs:
+        p = x if isinstance(x, InterlacingReport) else _prepare(rec, tol, *x)
         group.append(p)
         if not isinstance(p, InterlacingReport):
             size += sum(n * n for _, n, _ in p[2])
-        if size >= entries:
-            yield group
-            group, size = [], 0
-    if group:
-        yield group
+            if size >= _STACK_ENTRIES:
+                reports += _solve(rec, group, tol)
+                group, size = [], 0
+    return reports + _solve(rec, group, tol)
 
 
 def _checker(rec: Check) -> Callable:
@@ -365,7 +359,7 @@ def _checker(rec: Check) -> Callable:
         if len(args) > arity:
             *args, tol = args
         _check_tol(tol)
-        return _solve(rec, [_prepare(rec, tol, *args)], tol)[0]
+        return _run(rec, [args], tol)[0]
 
     check.__name__ = check.__qualname__ = rec.name
     check.__doc__ = rec.doc
@@ -746,18 +740,19 @@ def _choice(rng: random.Random, seq):
 
 
 def _draw(rec: Check, cfg: CampaignConfig, child: int):
-    """One campaign sample: its checker arguments and their gate outcome as
-    _prepare's `failed` takes it, or a skipped report when its graph offers no
-    candidate argument.  A graph's argument comes from the last pool the stages
-    leave non-empty, or from the kind's fallback (_UNGATED) when one empties it.
+    """One campaign sample: its checker arguments, or a skipped report when
+    its graph offers no candidate argument.  A graph's argument comes from the
+    last pool the stages leave non-empty, so _prepare's stages find it failing
+    the one that emptied the pool, if any; or from the kind's fallback when
+    one did.
     """
     rng = random.Random(child)
     if rec.build is not None:
         m = _rand_range(rng, max(rec.min_m, cfg.n_min), max(rec.min_m, cfg.n_max))
         if rec.kind is _SEEDED:
-            return (m, _mix(child, 1)), _UNGATED
+            return m, _mix(child, 1)
         *sig1, sign_last = _random_signs(rng, m + 2, cfg.q)
-        return (m, sig1, sign_last), _UNGATED
+        return m, sig1, sign_last
 
     n = _rand_range(rng, cfg.n_min, cfg.n_max)
     g = random_signed_graph(n, cfg.p, cfg.q, _mix(child, 2))
@@ -765,19 +760,39 @@ def _draw(rec: Check, cfg: CampaignConfig, child: int):
     if not pool:
         return _skipped_report(rec.id, to_edge_string(g), {}, rec.kind.empty, cfg.tol)
     if failed is not None and rec.kind.fallback is not None:
-        return (g, *rec.kind.fallback(g, rng)), _UNGATED
-    return (g, *_choice(rng, pool)), failed
+        return g, *rec.kind.fallback(g, rng)
+    return g, *_choice(rng, pool)
+
+
+def _summary(theorem: str, reports: list) -> dict:
+    """The campaign summary entry of one id's reports."""
+    met = [r for r in reports if r.hypothesis_met]
+    worst = min(met, key=lambda r: r.worst_slack) if met else None
+    return {
+        "theorem": theorem,
+        "samples": len(reports),
+        "hypothesis_met": len(met),
+        "holds": sum(1 for r in met if r.holds),
+        "fails": sum(1 for r in met if not r.holds),
+        "skipped": len(reports) - len(met),
+        "worst_slack": worst.worst_slack if worst else None,
+        "witness": None if worst is None else {
+            "graph": worst.graph,
+            "surgery": worst.surgery,
+            "worst_slack": worst.worst_slack,
+            "witness_position": worst.witness_position,
+        },
+    }
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Run every configured check over seeded samples; fully deterministic.
 
     Child seeds are derived from (seed, master check index, sample index), so
-    each check's stream is independent of which other checks run.  A
-    check's samples are drawn and prepared in order, and the matrices of
-    each run of samples that fills one solver stack are solved in one call
-    and their reports decided in blocks of equal orders; a spectrum does not
-    depend on what it is solved with, so each report equals its checker's.
+    each check's stream is independent of which other checks run.  Each
+    check's draws go through _run, the loop a checker call takes with one
+    input; a spectrum does not depend on what it is solved with, so each
+    report equals its checker's.
     """
     cfg.validate()
     reports: list[InterlacingReport] = []
@@ -785,29 +800,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     for theorem in cfg.theorems:
         ti = CHECK_IDS.index(theorem)
         rec = CHECKS[theorem]
-        draws = (_draw(rec, cfg, _mix(cfg.seed, ti, i)) for i in range(cfg.samples))
-        prepared = (d if isinstance(d, InterlacingReport) else _prepare(rec, cfg.tol, *d[0], failed=d[1])
-                    for d in draws)
-        t_reports = [r for group in _groups(prepared, _STACK_ENTRIES)
-                     for r in _solve(rec, group, cfg.tol)]
-        met = [r for r in t_reports if r.hypothesis_met]
-        fails = [r for r in met if not r.holds]
-        worst = min(met, key=lambda r: r.worst_slack) if met else None
-        summary.append({
-            "theorem": theorem,
-            "samples": cfg.samples,
-            "hypothesis_met": len(met),
-            "holds": sum(1 for r in met if r.holds),
-            "fails": len(fails),
-            "skipped": cfg.samples - len(met),
-            "worst_slack": worst.worst_slack if worst else None,
-            "witness": None if worst is None else {
-                "graph": worst.graph,
-                "surgery": worst.surgery,
-                "worst_slack": worst.worst_slack,
-                "witness_position": worst.witness_position,
-            },
-        })
+        t_reports = _run(rec, (_draw(rec, cfg, _mix(cfg.seed, ti, i)) for i in range(cfg.samples)), cfg.tol)
+        summary.append(_summary(theorem, t_reports))
         reports.extend(t_reports)
     return CampaignResult(cfg, reports, summary)
 

@@ -10,6 +10,7 @@ import dataclasses
 import enum
 import inspect
 import io
+import itertools
 import json
 import math
 import random
@@ -288,6 +289,21 @@ class TestCycleShrink:
     def test_order_guard(self):
         with pytest.raises(BadOrder):
             check_cycle_shrink(2, [1, 1, 1], 1)
+
+    @pytest.mark.parametrize("call", [lambda m: check_cycle_shrink(m, "++++", 1),
+                                      lambda m: check_cycle_shrink_random(m, 0),
+                                      lambda m: check_tree_shrink("path", m, 0),
+                                      lambda m: check_tree_shrink("star", m, 0)],
+                             ids=["T2.4", "C2.5", "C2.8", "C2.9"])
+    def test_order_guard_messages(self, call):
+        # a non-integer m is not an order at all; an integer one below the
+        # family's minimum is too small
+        for m in (3.0, "3", True):
+            with pytest.raises(BadOrder, match=r"^m must be an integer, got "):
+                call(m)
+        for m in (1, np.int64(1)):
+            with pytest.raises(BadOrder, match=r"comparison needs m >= [23], got "):
+                call(m)
 
     @pytest.mark.parametrize("text", ["++++", "+-+-+-"])
     def test_sign_string_list_and_array_agree(self, text):
@@ -864,7 +880,7 @@ class TestCampaign:
             for i in range(cfg.samples):
                 drawn = _draw(CHECKS[theorem], cfg, _mix(cfg.seed, ti, i))
                 if not isinstance(drawn, InterlacingReport):
-                    args, _ = drawn  # the checker runs the hypothesis stages itself
+                    args = drawn
                     drawn = CHECKERS[theorem](*args, cfg.tol)
                 got = res.reports[ti * cfg.samples + i]
                 assert json.dumps(report_to_dict(got)) == json.dumps(report_to_dict(drawn))
@@ -1217,6 +1233,54 @@ class TestSolve:
         for g in graphs:
             by_order.setdefault(g.n, set()).add(sg.min_max_neg_degree(g))
         assert all(len(v) > 1 for v in by_order.values())
+
+
+# The exhaustive sweep: every labelled signed graph of order n, each graph
+# id on every candidate of its kind's pool.  (inputs, hypothesis met, fails)
+# per id; C3.7 fails on every input that meets its hypothesis, and T4.2
+# first fails at order 4.
+_SWEEP = {
+    3: {"T2.1": (81, 81, 0), "C2.2": (81, 36, 0), "L2.3": (54, 54, 0), "T2.7": (81, 36, 0),
+        "L3.1": (27, 27, 0), "T3.2": (54, 27, 0), "T3.3": (54, 27, 0), "T3.4": (81, 60, 0),
+        "C3.5": (81, 36, 0), "C3.6": (81, 36, 0), "C3.7": (81, 6, 6), "B4": (27, 27, 0),
+        "T4.1": (54, 12, 3), "T4.2": (54, 12, 0), "T4.3": (81, 24, 6)},
+    4: {"T2.1": (2916, 2916, 0), "C2.2": (2916, 864, 0), "L2.3": (2916, 2916, 0),
+        "T2.7": (2916, 648, 0), "L3.1": (729, 729, 0), "T3.2": (2916, 1458, 0),
+        "T3.3": (2916, 1458, 0), "T3.4": (2916, 2496, 0), "C3.5": (2916, 864, 0),
+        "C3.6": (2916, 864, 0), "C3.7": (2916, 32, 32), "B4": (729, 729, 0),
+        "T4.1": (2916, 1104, 606), "T4.2": (2916, 1104, 84), "T4.3": (4374, 912, 276)},
+}
+
+
+def _all_signed_graphs(n):
+    """Every labelled signed graph on n vertices: each pair absent, positive or negative."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [sg.build_graph(n, [(u, v, s) for (u, v), s in zip(pairs, signs) if s])
+            for signs in itertools.product((0, 1, -1), repeat=len(pairs))]
+
+
+class TestExhaustiveSweep:
+    @pytest.mark.parametrize("n", sorted(_SWEEP))
+    def test_every_signed_graph_of_order(self, n):
+        graphs = _all_signed_graphs(n)
+        assert len(graphs) == 3 ** (n * (n - 1) // 2)
+        counts, checked = {}, 0
+        for rec in verify._TABLE:
+            if rec.build is not None:
+                continue
+            inputs = [(g, *x) for g in graphs for x in rec.kind.pool(g)]
+            reports = verify._run(rec, inputs, None)
+            counts[rec.id] = (len(reports), sum(r.hypothesis_met for r in reports),
+                              sum(not r.holds for r in reports))
+            if rec.id == "T4.3":
+                # every T4.3 failure is on an adjacent pair
+                assert all(b in g._nbrs[a] for (g, a, b), r in zip(inputs, reports) if not r.holds)
+            # the sweep's reports are the checker's, at a fixed stride
+            for args, r in list(zip(inputs, reports))[::37]:
+                assert verify.report_to_json(r) == verify.report_to_json(CHECKERS[rec.id](*args))
+                checked += 1
+        assert counts == _SWEEP[n]
+        assert checked > 2 * len(counts)
 
 
 def _circulant_complete(n, distances):
