@@ -148,10 +148,15 @@ def _campaign_config(args) -> CampaignConfig:
 
 
 def cmd_campaign(args) -> int:
-    result = run_campaign(_campaign_config(args))
-    if args.out:  # written a report at a time: the whole text is never held
+    cfg = _campaign_config(args)
+    cfg.validate()  # before --out is opened, so that a bad config leaves the file as it was
+    if args.out:  # opened before the run, so that a bad path fails at once
         with open(args.out, "w", encoding="utf-8") as fh:
+            result = run_campaign(cfg)
+            # written a report at a time: the whole text is never held
             (write_campaign_csv if args.format == "csv" else write_campaign_json)(result, fh)
+    else:
+        result = run_campaign(cfg)
     for line in summary_lines(result):
         print(line)
     total_fails = result.violations
@@ -244,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_camp.add_argument(f"--{f.name.replace('_', '-')}", default=f.default,
                             type=float if f.default is None else type(f.default))
     p_camp.add_argument("--out")
-    p_camp.add_argument("--format", choices=["json", "csv"], default="json")
+    p_camp.add_argument("--format", choices=["json", "csv"], default="json",
+                        help="format of the --out file")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_surg = sub.add_parser("surgery", help="apply a graph surgery and write the result")

@@ -82,7 +82,8 @@ def from_edge_string(text: str) -> SignedGraph:
 
 
 def read_sg(path) -> SignedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The graph in the .sg file at path; a UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_sg(fh.read())
 
 

@@ -21,7 +21,6 @@ input that meets its hypothesis.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -848,7 +847,7 @@ def write_campaign_json(result: CampaignResult, fh) -> None:
     fh.write(head[:-len("]\n}")])  # ends in '"reports": ['
     sep = _REPORT_NL
     for r in result.reports:
-        fh.write(sep + _json_text(report_to_dict(r), _REPORT_NL))
+        fh.write(sep + _json_text(vars(r), _REPORT_NL))  # the writer only reads the dict
         sep = "," + _REPORT_NL
     fh.write("\n  ]\n}\n")
 
@@ -950,25 +949,35 @@ _SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
 def campaign_to_csv(result: CampaignResult) -> str:
     """The campaign's reports as CSV: a header of _CSV_FIELDS, then one row
     per report, each line ending in "\\n"; floats at 17 significant digits,
-    spectra space-separated, surgery as sorted-key JSON.  `sgspectra campaign
-    --out --format csv` writes the same rows straight to its file
-    (write_campaign_csv)."""
+    spectra space-separated, surgery as sorted-key JSON.  A field is quoted
+    when it holds a comma, a double quote or a newline, each double quote
+    inside it doubled (RFC 4180), which is what csv.writer's excel dialect
+    writes with lineterminator="\\n".  `sgspectra campaign --out --format
+    csv` writes the same rows straight to its file (write_campaign_csv)."""
     buf = io.StringIO()
     write_campaign_csv(result, buf)
     return buf.getvalue()
 
 
+def _csv_field(s: str) -> str:
+    if '"' in s:
+        return '"' + s.replace('"', '""') + '"'
+    if "," in s or "\n" in s:
+        return '"' + s + '"'
+    return s
+
+
 def write_campaign_csv(result: CampaignResult, fh) -> None:
-    """Write campaign_to_csv(result) to the text file fh, one row at a time."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    writer.writerows(
-        (r.theorem, r.hypothesis_met, r.holds, format_spectrum((r.worst_slack,)), r.witness_position,
-         format_spectrum((r.tol,)), r.graph, _SORTED_JSON(r.surgery),
-         format_spectrum(r.spectra.get("alpha", ())), format_spectrum(r.spectra.get("beta", ())),
-         format_spectrum(r.spectra.get("mu", ())), ";".join(r.links_skipped), r.note)
-        for r in result.reports
-    )
+    """Write campaign_to_csv(result) to the text file fh, one row at a time.
+    Each row is one join: csv.writer copies every character of every field
+    on its own, which costs most on the long edge strings and spectra."""
+    fh.write(",".join(_CSV_FIELDS) + "\n")
+    for r in result.reports:
+        fh.write(",".join(map(_csv_field, (
+            r.theorem, str(r.hypothesis_met), str(r.holds), format_spectrum((r.worst_slack,)),
+            str(r.witness_position), format_spectrum((r.tol,)), r.graph, _SORTED_JSON(r.surgery),
+            format_spectrum(r.spectra.get("alpha", ())), format_spectrum(r.spectra.get("beta", ())),
+            format_spectrum(r.spectra.get("mu", ())), ";".join(r.links_skipped), r.note))) + "\n")
 
 
 def summary_lines(result: CampaignResult) -> list[str]:

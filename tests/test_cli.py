@@ -358,6 +358,26 @@ class TestCampaignCommand:
     def test_samples_zero_exit_2(self):
         assert main(["campaign", "--samples", "0"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unopenable_out_fails_before_the_run(self, fmt, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_campaign", ran.append)
+        out = tmp_path / "missing" / f"rep.{fmt}"
+        assert main(["campaign", "--format", fmt, "--out", str(out)]) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--theorems", "T0.0"], ["--tol=nan"],
+                                       ["--n-min", "9", "--n-max", "4"]])
+    def test_bad_config_leaves_out_untouched(self, flags, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        out.write_bytes(b"kept\n")
+        assert main(["campaign", *flags, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"kept\n"
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_empty_theorem_list_exit_2(self):
         assert main(["campaign", "--theorems", ",", "--samples", "1"]) == 2
 

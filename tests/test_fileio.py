@@ -90,6 +90,16 @@ def test_read_write_files(tmp_path):
     assert sg.read_sg(path) == g
 
 
+def test_read_skips_a_byte_order_mark(tmp_path):
+    # editors on some platforms start a UTF-8 file with U+FEFF
+    text = "# signed C4\nn 4\n0 1 +\n1 2 -\n2 3 +\n0 3 -\n"
+    plain, marked = tmp_path / "plain.sg", tmp_path / "marked.sg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert sg.read_sg(marked) == sg.read_sg(plain) == parse_sg(text)
+
+
 def test_format_matrix_shape_and_precision():
     m = np.array([[1.0, -0.5], [-0.5, 1.0]])
     text = format_matrix(m)

@@ -941,33 +941,43 @@ def _reference_json(result):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _reference_csv(result):
+def _csv_rows(result):
+    # each report's fields as the stdlib writer below is handed them
     def fmt(x):
         return f"{x:.17g}"
 
+    return [{
+        "theorem": r.theorem,
+        "hypothesis_met": r.hypothesis_met,
+        "holds": r.holds,
+        "worst_slack": fmt(r.worst_slack),
+        "witness_position": r.witness_position,
+        "tol": fmt(r.tol),
+        "graph": r.graph,
+        "surgery": json.dumps(r.surgery, sort_keys=True),
+        "spectrum_alpha": " ".join(fmt(x) for x in r.spectra.get("alpha", [])),
+        "spectrum_beta": " ".join(fmt(x) for x in r.spectra.get("beta", [])),
+        "spectrum_mu": " ".join(fmt(x) for x in r.spectra.get("mu", [])),
+        "links_skipped": ";".join(r.links_skipped),
+        "note": r.note,
+    } for r in result.reports]
+
+
+def _reference_csv(result):
     fields = ("theorem", "hypothesis_met", "holds", "worst_slack", "witness_position", "tol",
               "graph", "surgery", "spectrum_alpha", "spectrum_beta", "spectrum_mu",
               "links_skipped", "note")
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for r in result.reports:
-        writer.writerow({
-            "theorem": r.theorem,
-            "hypothesis_met": r.hypothesis_met,
-            "holds": r.holds,
-            "worst_slack": fmt(r.worst_slack),
-            "witness_position": r.witness_position,
-            "tol": fmt(r.tol),
-            "graph": r.graph,
-            "surgery": json.dumps(r.surgery, sort_keys=True),
-            "spectrum_alpha": " ".join(fmt(x) for x in r.spectra.get("alpha", [])),
-            "spectrum_beta": " ".join(fmt(x) for x in r.spectra.get("beta", [])),
-            "spectrum_mu": " ".join(fmt(x) for x in r.spectra.get("mu", [])),
-            "links_skipped": ";".join(r.links_skipped),
-            "note": r.note,
-        })
+    writer.writerows(_csv_rows(result))
     return buf.getvalue()
+
+
+# Text that the CSV writer must quote (a comma, a double quote, a newline),
+# and text it must write as it is.
+_CSV_HOSTILE = [",", '"', "\n", "", " leading space", "back\\slash", "non-ASCII é ∞ 😀",
+                'all, of "them"\n at once ', '""', "a;b"]
 
 
 class _Level(enum.IntEnum):
@@ -1032,9 +1042,18 @@ class TestJsonWriter:
 
     def test_campaign_csv_equals_stdlib(self):
         res = self._campaign()
+        # hand-built reports whose text fields carry what the CSV must quote or keep
+        hostile = [InterlacingReport(
+            theorem="T2.1", holds=True, hypothesis_met=True, worst_slack=0.5, witness_position=1,
+            tol=1e-9, spectra={"alpha": [1.0, 2.0], "beta": [1.5]}, graph="n 2; 0 1 +",
+            surgery={"vertex": s, s: [s, 0]}, links_skipped=[s, "upper"], note=s)
+            for s in _CSV_HOSTILE]
+        res = verify.CampaignResult(res.config, res.reports + hostile, res.summary)
         text = campaign_to_csv(res)
         assert text == _reference_csv(res)
         rows = list(csv.DictReader(io.StringIO(text)))
+        assert rows == [{k: str(x) for k, x in row.items()} for row in _csv_rows(res)]
+        assert [row["note"] for row in rows[-len(hostile):]] == _CSV_HOSTILE
         assert len(rows) == len(res.reports)
         for row, r in zip(rows, res.reports):
             for k in ("alpha", "beta", "mu"):
