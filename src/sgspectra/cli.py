@@ -27,10 +27,11 @@ from .errors import (
 from .eigen import eigenvalues
 from .graphs import (
     apply_switching,
-    balance_and_connectivity,
     co_regularity,
     degree_profile,
     family_edge_pairs,
+    is_balanced,
+    is_connected,
     parse_sign,
 )
 from .matrices import adjacency, laplacian, net_laplacian, normalized_net_laplacian
@@ -189,7 +190,6 @@ def cmd_info(args) -> int:
     g = fileio.read_sg(args.file)
     prof = degree_profile(g)
     co = co_regularity(g)
-    balanced, connected = balance_and_connectivity(g)
     pos_edges = sum(1 for e in g.edges if e[2] == 1)
     block = {
         "n": g.n,
@@ -200,8 +200,8 @@ def cmd_info(args) -> int:
         "net_degrees": list(prof.net_degree),
         "min_neg_degree": min(prof.neg_degree, default=None),
         "max_neg_degree": max(prof.neg_degree, default=None),
-        "balanced": balanced,
-        "connected": connected,
+        "balanced": is_balanced(g),
+        "connected": is_connected(g),
         "co_regular": None if co is None else {"r": co.r, "s": co.s, "complete": co.complete},
     }
     print(f"vertices: {block['n']}, edges: {block['edges']} "

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .graphs import PLUS, SignedGraph, _not_graph, build_graph, parse_sign
+from .graphs import PLUS, SignedGraph, _takes_graph, build_graph, parse_sign
 
 
 def parse_sg(text: str) -> SignedGraph:
@@ -63,17 +63,15 @@ def _sg_lines(g: SignedGraph) -> list[str]:
     return lines
 
 
+@_takes_graph
 def to_sg_text(g: SignedGraph) -> str:
     """Canonical .sg text (edges sorted, u < v, trailing newline)."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("to_sg_text", g)
     return "\n".join(_sg_lines(g)) + "\n"
 
 
+@_takes_graph
 def to_edge_string(g: SignedGraph) -> str:
     """Single-line form of the .sg content, fields joined by '; '."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("to_edge_string", g)
     return "; ".join(_sg_lines(g))
 
 

@@ -8,6 +8,7 @@ operation here is a pure function, so graphs can be shared across threads.
 """
 from __future__ import annotations
 
+import functools
 import numbers
 import random
 from collections.abc import Iterable
@@ -167,6 +168,22 @@ def _not_graph(who: str, g) -> ArgMismatch:
     return ArgMismatch(f"{who} takes a SignedGraph, got {type(g).__name__}")
 
 
+def _takes_graph(fn):
+    """fn, raising _not_graph(fn's name, g) before the call when its first
+    argument g, given by position or by name, is not a SignedGraph.  The
+    wrapper keeps fn's name, docstring, module and signature."""
+    first = fn.__code__.co_varnames[0]
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        g = args[0] if args else kwargs.get(first)
+        if not isinstance(g, SignedGraph):
+            raise _not_graph(fn.__name__, g)
+        return fn(*args, **kwargs)
+
+    return checked
+
+
 def _ends(u, v) -> tuple[int, int]:
     """Edge endpoints u and v as plain ints; VertexOutOfRange unless both are integers."""
     if type(u) is int and type(v) is int:
@@ -237,10 +254,9 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int, int]]) -> SignedGrap
     return SignedGraph(n, tuple(canonical))
 
 
+@_takes_graph
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Total, positive, negative and net degree of every vertex."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("degree_profile", g)
     nbrs = [g.neighbors(v) for v in range(g.n)]
     d = [len(a) for a in nbrs]
     dp = [[s for _, s in a].count(PLUS) for a in nbrs]
@@ -249,20 +265,18 @@ def degree_profile(g: SignedGraph) -> DegreeProfile:
     return DegreeProfile(tuple(d), tuple(dp), tuple(dm), tuple(net))
 
 
+@_takes_graph
 def min_max_neg_degree(g: SignedGraph) -> tuple[int, int]:
     """Minimum and maximum negative vertex degree."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("min_max_neg_degree", g)
     if g.n == 0:
         raise EmptyGraph("negative-degree extremes need at least one vertex")
     dm = degree_profile(g).neg_degree
     return min(dm), max(dm)
 
 
+@_takes_graph
 def co_regularity(g: SignedGraph) -> CoRegularity | None:
     """The common (r, s) pair, or None unless all vertices share both values."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("co_regularity", g)
     prof = degree_profile(g)
     pairs = set(zip(prof.degree, prof.net_degree))
     if len(pairs) != 1:
@@ -271,14 +285,13 @@ def co_regularity(g: SignedGraph) -> CoRegularity | None:
     return CoRegularity(r, s, complete=(r == g.n - 1))
 
 
+@_takes_graph
 def apply_switching(g: SignedGraph, alpha: Sequence[int]) -> SignedGraph:
     """Multiply each edge sign by the +-1 values of its endpoints.
 
     Applying the same alpha twice is the identity.  Raises LengthMismatch
     unless alpha is a sequence of g.n values, and ValueError on one not +-1.
     """
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("apply_switching", g)
     try:
         k = len(alpha)
     except TypeError:  # no length: an int, or a 0-d array
@@ -310,34 +323,28 @@ def _spanning_forest(g: SignedGraph) -> tuple[list[int], int]:
     return theta, trees
 
 
+@_takes_graph
 def balancing_switch(g: SignedGraph) -> tuple[int, ...] | None:
     """A per-vertex sign assignment that makes every edge positive, or None.
 
     Tree edges of the spanning forest are switched positive by construction,
     then every non-tree edge must come out positive too.
     """
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("balancing_switch", g)
     theta, _ = _spanning_forest(g)
-    return tuple(theta) if _switches_positive(g, theta) else None
+    return tuple(theta) if all(theta[u] * s * theta[v] == PLUS for u, v, s in g.edges) else None
 
 
-def _switches_positive(g: SignedGraph, theta: list[int]) -> bool:
-    return all(theta[u] * s * theta[v] == PLUS for u, v, s in g.edges)
-
-
+@_takes_graph
 def is_balanced(g: SignedGraph) -> bool:
     """True iff g is switching-equivalent to the all-positive signature."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("is_balanced", g)
     return balancing_switch(g) is not None
 
 
+@_takes_graph
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff the two signatures on the same underlying graph differ by a switching."""
-    for g in (g1, g2):
-        if not isinstance(g, SignedGraph):
-            raise _not_graph("switching_equivalent", g)
+    if not isinstance(g2, SignedGraph):
+        raise _not_graph("switching_equivalent", g2)
     # canonical edge order: equal unsigned edge sets are equal pair sequences
     if g1.n != g2.n or [e[:2] for e in g1.edges] != [e[:2] for e in g2.edges]:
         raise UnderlyingGraphMismatch("graphs must share vertex count and unsigned edge set")
@@ -345,10 +352,9 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     return is_balanced(SignedGraph(g1.n, product))
 
 
+@_takes_graph
 def all_positive(g: SignedGraph) -> SignedGraph:
     """Same underlying graph with every edge positive."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("all_positive", g)
     return SignedGraph(g.n, tuple((u, v, PLUS) for u, v, _ in g.edges))
 
 
@@ -444,14 +450,7 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
     return SignedGraph(n, tuple(edges))
 
 
+@_takes_graph
 def is_connected(g: SignedGraph) -> bool:
     """Connectivity of the underlying graph: its spanning forest has at most one tree."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("is_connected", g)
     return _spanning_forest(g)[1] <= 1
-
-
-def balance_and_connectivity(g: SignedGraph) -> tuple[bool, bool]:
-    """is_balanced(g) and is_connected(g), from one spanning-forest traversal."""
-    theta, trees = _spanning_forest(g)
-    return _switches_positive(g, theta), trees <= 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from .eigen import _real_vector
 from .errors import ZeroDenominator
-from .graphs import SignedGraph, _not_graph, degree_profile
+from .graphs import SignedGraph, _takes_graph, degree_profile
 
 
 def assemble(slots: Sequence, dtype=np.float64) -> np.ndarray:
@@ -69,27 +69,25 @@ def assemble(slots: Sequence, dtype=np.float64) -> np.ndarray:
     return out
 
 
+@_takes_graph
 def adjacency(g: SignedGraph) -> np.ndarray:
     """Signed adjacency: entry (i, j) is the edge sign, 0 if not adjacent."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("adjacency", g)
     return assemble([(adjacency, g.n, _flat(g))], np.int64)[0]
 
 
+@_takes_graph
 def laplacian(g: SignedGraph) -> np.ndarray:
     """Degree diagonal (row sums of |A|) minus signed adjacency A."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("laplacian", g)
     return assemble([(laplacian, g.n, _flat(g))], np.int64)[0]
 
 
+@_takes_graph
 def net_laplacian(g: SignedGraph) -> np.ndarray:
     """Net-degree diagonal (row sums of A) minus signed adjacency A."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("net_laplacian", g)
     return assemble([(net_laplacian, g.n, _flat(g))], np.int64)[0]
 
 
+@_takes_graph
 def normalized_net_laplacian(g: SignedGraph) -> np.ndarray:
     """Net-Laplacian scaled by 1/sqrt(degree) on both sides.
 
@@ -98,8 +96,6 @@ def normalized_net_laplacian(g: SignedGraph) -> np.ndarray:
     N[i,j] / sqrt(d_i * d_j) in one division, which keeps the matrix exactly
     symmetric and integer ratios (e.g. degree-regular graphs) exact.
     """
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("normalized_net_laplacian", g)
     return assemble([(normalized_net_laplacian, g.n, _flat(g))])[0]
 
 
@@ -125,30 +121,29 @@ _ENTRIES = {
 }
 
 
+@_takes_graph
 def quad_form_laplacian(g: SignedGraph, x: Sequence[float]) -> float:
     """Sum over edges of (x_u - sign * x_v)^2; equals x^T L x.
 
     Raises LengthMismatch unless x is a real vector of the graph's order, and
     ValueError on a non-finite entry, as every quad_form_* does.
     """
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("quad_form_laplacian", g)
     x = _real_vector(x, g.n, "quadratic form of non-finite entries")
     return float(sum((x[u] - s * x[v]) ** 2 for u, v, s in g.edges))
 
 
+@_takes_graph
 def quad_form_net_laplacian(g: SignedGraph, x: Sequence[float]) -> float:
     """quad_form_laplacian's edge sum minus twice the d- weighted square sum.
 
     Raises as quad_form_laplacian does (LengthMismatch, ValueError).
     """
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("quad_form_net_laplacian", g)
     x = _real_vector(x, g.n, "quadratic form of non-finite entries")
     dm = degree_profile(g).neg_degree
     return float(quad_form_laplacian(g, x) - 2.0 * sum(m * xi * xi for m, xi in zip(dm, x)))
 
 
+@_takes_graph
 def quad_form_normalized(g: SignedGraph, x: Sequence[float]) -> float:
     """Net-Laplacian quadratic form over the degree-weighted square sum.
 
@@ -157,8 +152,6 @@ def quad_form_normalized(g: SignedGraph, x: Sequence[float]) -> float:
     quad_form_laplacian does (LengthMismatch, ValueError), and ZeroDenominator
     when the degree-weighted square sum is zero.
     """
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("quad_form_normalized", g)
     x = _real_vector(x, g.n, "quadratic form of non-finite entries")
     d = degree_profile(g).degree
     denom = float(sum(di * xi * xi for di, xi in zip(d, x)))

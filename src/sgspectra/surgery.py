@@ -6,13 +6,12 @@ and return the old-index -> new-index map alongside the new graph.
 from __future__ import annotations
 
 from .errors import DuplicateEdge, NotAllowable, SameVertex
-from .graphs import SignedGraph, _not_graph, build_graph
+from .graphs import SignedGraph, _takes_graph, build_graph
 
 
+@_takes_graph
 def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
     """Remove v and its incident edges; survivors keep their relative order."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("delete_vertex", g)
     v = g._check_vertex(v)
     vmap = {old: old - (old > v) for old in range(g.n) if old != v}
     # relabelling is monotone, so the surviving edges stay canonical
@@ -24,39 +23,35 @@ def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
     return SignedGraph(g.n - 1, edges), vmap
 
 
+@_takes_graph
 def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
     """Remove edge {u, v}; returns the new graph and the removed edge's sign (g.sign raises NoSuchEdge)."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("delete_edge", g)
     removed = g.sign(u, v)
     a, b = min(u, v), max(u, v)
     edges = tuple(e for e in g.edges if (e[0], e[1]) != (a, b))
     return SignedGraph(g.n, edges), removed
 
 
+@_takes_graph
 def add_edge(g: SignedGraph, u: int, v: int, s: int) -> SignedGraph:
     """g with edge {u, v} of sign s added; SignedGraph rejects a self-loop or a bad sign."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("add_edge", g)
     u, v = g._check_vertex(u), g._check_vertex(v)
     if g.has_edge(u, v):
         raise DuplicateEdge(f"edge ({u}, {v}) already present")
     return build_graph(g.n, list(g.edges) + [(u, v, s)])
 
 
+@_takes_graph
 def neighborhoods(g: SignedGraph, t: int) -> tuple[frozenset[int], frozenset[int]]:
     """Open and closed neighborhood of t."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("neighborhoods", g)
     open_nbhd = frozenset(w for w, _ in g.neighbors(t))
     return open_nbhd, open_nbhd | {t}
 
 
+@_takes_graph
 def disjoint_open_neighborhoods(g: SignedGraph, a: int, b: int) -> bool:
     """Whether a and b have disjoint open neighborhoods (no common
     neighbour), tested without building them."""
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("disjoint_open_neighborhoods", g)
     g._check_vertex(a)
     g._check_vertex(b)
     if a == b:
@@ -64,6 +59,7 @@ def disjoint_open_neighborhoods(g: SignedGraph, a: int, b: int) -> bool:
     return g._nbrs[a].keys().isdisjoint(g._nbrs[b].keys())
 
 
+@_takes_graph
 def contract(g: SignedGraph, a: int, b: int) -> tuple[SignedGraph, dict[int, int], int]:
     """Merge a and b into one vertex adjacent to the union of their neighbors.
 
@@ -74,8 +70,6 @@ def contract(g: SignedGraph, a: int, b: int) -> tuple[SignedGraph, dict[int, int
 
     Returns (graph, survivor old->new map, merged vertex's new index).
     """
-    if not isinstance(g, SignedGraph):
-        raise _not_graph("contract", g)
     na = dict(g.neighbors(a))
     nb = dict(g.neighbors(b))
     if a == b:

@@ -950,19 +950,25 @@ def campaign_to_csv(result: CampaignResult) -> str:
     """The campaign's reports as CSV: a header of _CSV_FIELDS, then one row
     per report, each line ending in "\\n"; floats at 17 significant digits,
     spectra space-separated, surgery as sorted-key JSON.  A field is quoted
-    when it holds a comma, a double quote or a newline, each double quote
-    inside it doubled (RFC 4180), which is what csv.writer's excel dialect
-    writes with lineterminator="\\n".  `sgspectra campaign --out --format
-    csv` writes the same rows straight to its file (write_campaign_csv)."""
+    when it holds a comma, a double quote, a newline or a carriage return,
+    each double quote inside it doubled (RFC 4180).  That is what csv.writer's
+    excel dialect writes with lineterminator="\\n", except that Python 3.11's
+    leaves a bare carriage return unquoted, which csv.reader cannot read
+    back.  `sgspectra campaign --out --format csv` writes the same rows
+    straight to its file (write_campaign_csv)."""
     buf = io.StringIO()
     write_campaign_csv(result, buf)
     return buf.getvalue()
 
 
 def _csv_field(s: str) -> str:
+    """s as one CSV field: quoted when it holds a comma, a double quote, a
+    newline or a carriage return, each double quote in it doubled.  Python
+    3.11's csv.writer with lineterminator="\\n" leaves a bare carriage return
+    unquoted, and csv.reader then rejects the row or splits it in two."""
     if '"' in s:
         return '"' + s.replace('"', '""') + '"'
-    if "," in s or "\n" in s:
+    if "," in s or "\n" in s or "\r" in s:
         return '"' + s + '"'
     return s
 

