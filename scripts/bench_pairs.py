@@ -5,13 +5,20 @@
         --out BENCH_name.json [--claim campaign_default:campaign_s]
 
 Each checkout runs its own `perfbench/run.py --workload W --seed S --seconds T
---trace 0` from its root, as it is, on every workload and for the run_seconds
-T that the parent's BENCHMARK.json declares.  For each workload, pair i runs
-both sides on the i-th seed, the parent first when i is even and the change
-first when i is odd.  The output keeps every run's metrics, `correct`,
-`failed` and `attempted`, and per end-to-end metric each side's median and quartiles
-(inclusive method), the change/parent median ratio and the pairs the change
-wins, in the direction BENCHMARK.json gives.  A claim holds when the change
+--trace 0` from its root on every workload and for the run_seconds T that
+the parent's BENCHMARK.json declares.  Each run gets a fresh, empty
+PYTHONPYCACHEPREFIX in the temporary directory, outside both checkouts, and
+it is removed after the run: bytecode left in one checkout's source tree
+cannot make that side start faster, since both sides compile the same way.
+PYTHONDONTWRITEBYTECODE is dropped from the run's environment, so that the
+run's first import fills its cache and its setup probes import from it, as
+they would on a default install, instead of compiling numpy at every probe.
+For each workload, pair i runs both sides on the i-th seed, the parent first
+when i is even and the change first when i is odd.  The output keeps every
+run's metrics, `correct`, `failed` and `attempted`, and per end-to-end
+metric each side's median and quartiles (inclusive method), the
+change/parent median ratio and the pairs the change wins, in the direction
+BENCHMARK.json gives.  A claim holds when the change
 wins at least 9 in 10 pairs and its median beats the parent's by more than
 the parent's interquartile range.  Standard library only.
 """
@@ -20,16 +27,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run; a run without a result line reads as incorrect."""
+    """One perfbench run, with a bytecode cache of its own that starts empty,
+    is written and is removed after the run; a run without a result line
+    reads as incorrect."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as cache:
+        proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                              env={**env, "PYTHONPYCACHEPREFIX": cache})
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])

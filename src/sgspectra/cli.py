@@ -26,6 +26,7 @@ from .errors import (
 )
 from .eigen import eigenvalues
 from .graphs import (
+    _SIGN_TOKENS,
     apply_switching,
     co_regularity,
     degree_profile,
@@ -225,6 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Signed-graph spectra: matrices, eigenvalues and interlacing checks.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the graph-argument flags of check and surgery
+    shared.add_argument("--vertex", type=int)
+    shared.add_argument("--edge", help="edge as U,V")
+    shared.add_argument("--pair", help="vertex pair as A,B")
 
     p_spec = sub.add_parser("spectrum", help="print the ordered spectrum of a matrix of the graph")
     p_spec.add_argument("file")
@@ -232,13 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--dump-matrix", action="store_true")
     p_spec.set_defaults(func=cmd_spectrum)
 
-    p_check = sub.add_parser("check", help="run one interlacing check on a graph file")
+    p_check = sub.add_parser("check", help="run one interlacing check on a graph file", parents=[shared])
     p_check.add_argument("file")
     p_check.add_argument("--theorem", required=True)
-    p_check.add_argument("--vertex", type=int)
-    p_check.add_argument("--edge", help="edge as U,V")
-    p_check.add_argument("--pair", help="vertex pair as A,B")
-    p_check.add_argument("--sign-last", choices=["+", "-"], dest="sign_last")
+    p_check.add_argument("--sign-last", choices=_SIGN_TOKENS)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--tol", type=float)
     p_check.set_defaults(func=cmd_check)
@@ -253,13 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="format of the --out file")
     p_camp.set_defaults(func=cmd_campaign)
 
-    p_surg = sub.add_parser("surgery", help="apply a graph surgery and write the result")
+    p_surg = sub.add_parser("surgery", help="apply a graph surgery and write the result", parents=[shared])
     p_surg.add_argument("file")
     p_surg.add_argument("op", choices=["delete-vertex", "delete-edge", "add-edge", "contract", "switch"])
-    p_surg.add_argument("--vertex", type=int)
-    p_surg.add_argument("--edge", help="edge as U,V")
-    p_surg.add_argument("--sign", choices=["+", "-", "1", "-1"])
-    p_surg.add_argument("--pair", help="vertex pair as A,B")
+    p_surg.add_argument("--sign", choices=_SIGN_TOKENS)
     p_surg.add_argument("--alpha", help="per-vertex switching signs, e.g. '+-+-'")
     p_surg.add_argument("--out")
     p_surg.set_defaults(func=cmd_surgery)

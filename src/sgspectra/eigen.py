@@ -30,7 +30,8 @@ changes in the polynomial and its derivatives, which is exact because a
 symmetric matrix has only real eigenvalues; an isolated root is refined by
 bisection with p evaluated in integers at each dyadic point.  Every sign
 evaluation is exact, so the oracle is immune to the iterative solver's
-failure modes and is used to cross-validate it.
+failure modes and is used to cross-validate it.  Before rounding to float,
+it finds each eigenvalue within 2^-51, exactly when it is a multiple of 2^-51.
 """
 from __future__ import annotations
 
@@ -42,12 +43,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BadOrder,
     LengthMismatch,
     NoConvergence,
     NonSymmetric,
     ZeroVector,
 )
+from .graphs import _family_order
 
 _DEFLATE = 1e-15
 _MAX_SWEEPS = 64
@@ -317,9 +318,11 @@ def charpoly_spectrum_oracle(m) -> np.ndarray:
     monic p, by the Budan-Fourier count of p, p', ..., p^(n).
 
     The roots are real, so the count is exact on every interval, multiplicity
-    included.  Bisection points are dyadic, so a dyadic eigenvalue such as
-    0.25 or 3 comes out exactly.  Multiplicities are exact for roots more than
-    2^-50 apart; closer roots are given at their cluster's midpoint.
+    included.  Bisection stops at intervals of width 2^-50 and gives their
+    midpoints: before rounding to float, each eigenvalue is found within 2^-51,
+    and exactly when it is a multiple of 2^-51 (0.25, 3, 1 + 3 * 2^-51; not 0.1
+    or 1 + 2^-52).  Roots more than 2^-50 apart keep their multiplicities;
+    roots that share such an interval are each given as its midpoint.
     """
     a = _square(m)
     if not np.array_equal(a, a.T):
@@ -369,13 +372,12 @@ def determinant_oracle(m) -> float:
 # --- closed-form spectra used as fixtures -----------------------------------
 
 def closed_form_cycle_spectrum(n: int, balanced: bool) -> np.ndarray:
-    """Laplacian spectrum of a signed n-cycle, by balance class.
+    """Laplacian spectrum of a signed n-cycle, n an integer >= 3 (else BadOrder), by balance class.
 
     Balanced cycles switch to all-positive: 2 - 2cos(2*pi*k/n).  Unbalanced
     cycles switch to a single negative edge: 2 - 2cos((2k+1)*pi/n).
     """
-    if n < 3:
-        raise BadOrder(f"cycle needs n >= 3, got {n}")
+    n = _family_order("cycle", n)
     if balanced:
         vals = [2.0 - 2.0 * math.cos(2.0 * math.pi * k / n) for k in range(n)]
     else:
@@ -384,8 +386,7 @@ def closed_form_cycle_spectrum(n: int, balanced: bool) -> np.ndarray:
 
 
 def closed_form_path_spectrum(n: int) -> np.ndarray:
-    """Laplacian spectrum of a path on n vertices: 2 - 2cos(k*pi/n)."""
-    if n < 1:
-        raise BadOrder(f"path needs n >= 1, got {n}")
+    """Laplacian spectrum of a path on n >= 1 vertices (else BadOrder): 2 - 2cos(k*pi/n)."""
+    n = _family_order("path", n)
     vals = [2.0 - 2.0 * math.cos(math.pi * k / n) for k in range(n)]
     return np.sort(np.array(vals))

@@ -24,6 +24,7 @@ from .errors import (
     EmptyGraph,
     LengthMismatch,
     NoSuchEdge,
+    SameVertex,
     SelfLoop,
     UnderlyingGraphMismatch,
     VertexOutOfRange,
@@ -135,6 +136,13 @@ class SignedGraph:
         if i is None or not 0 <= i < self.n:
             raise VertexOutOfRange(f"vertex {v!r} out of range for n={self.n}")
         return i
+
+    def _check_pair(self, a: int, b: int) -> tuple[int, int]:
+        """a and b as plain ints if both are vertices (a checked first) and differ, else SameVertex."""
+        i, j = self._check_vertex(a), self._check_vertex(b)
+        if i == j:
+            raise SameVertex(f"vertices must differ, both are {a}")
+        return i, j
 
 
 def _as_int(x) -> int | None:
@@ -368,6 +376,17 @@ _FAMILIES = {
 }
 
 
+def _family_order(family: str, n) -> int:
+    """n as a plain int if family is known and n an integer of at least its minimum order, else BadOrder."""
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise BadOrder(f"unknown family {family!r}")
+    min_n = _FAMILIES[family][0]
+    i = _order(n, f"{family} order")
+    if i < min_n:
+        raise BadOrder(f"{family} needs n >= {min_n}, got {n}")
+    return i
+
+
 def family_edge_pairs(family: str, n: int) -> list[tuple[int, int]]:
     """Canonical edge order of a generated family.
 
@@ -375,13 +394,8 @@ def family_edge_pairs(family: str, n: int) -> list[tuple[int, int]]:
     path:  (0,1), ..., (n-2,n-1).  star: center 0, spokes (0,1)..(0,n-1).
     complete: lexicographic pairs.  empty: none.
     """
-    if not isinstance(family, str) or family not in _FAMILIES:
-        raise BadOrder(f"unknown family {family!r}")
-    min_n, pairs = _FAMILIES[family]
-    i = _order(n, f"{family} order")
-    if i < min_n:
-        raise BadOrder(f"{family} needs n >= {min_n}, got {n}")
-    return pairs(i)
+    n = _family_order(family, n)
+    return _FAMILIES[family][1](n)
 
 
 def generate(

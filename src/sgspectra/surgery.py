@@ -5,7 +5,7 @@ and return the old-index -> new-index map alongside the new graph.
 """
 from __future__ import annotations
 
-from .errors import DuplicateEdge, NotAllowable, SameVertex
+from .errors import DuplicateEdge, NotAllowable
 from .graphs import SignedGraph, _takes_graph, build_graph
 
 
@@ -52,10 +52,7 @@ def neighborhoods(g: SignedGraph, t: int) -> tuple[frozenset[int], frozenset[int
 def disjoint_open_neighborhoods(g: SignedGraph, a: int, b: int) -> bool:
     """Whether a and b have disjoint open neighborhoods (no common
     neighbour), tested without building them."""
-    g._check_vertex(a)
-    g._check_vertex(b)
-    if a == b:
-        raise SameVertex(f"vertices must differ, both are {a}")
+    a, b = g._check_pair(a, b)
     return g._nbrs[a].keys().isdisjoint(g._nbrs[b].keys())
 
 
@@ -70,10 +67,8 @@ def contract(g: SignedGraph, a: int, b: int) -> tuple[SignedGraph, dict[int, int
 
     Returns (graph, survivor old->new map, merged vertex's new index).
     """
-    na = dict(g.neighbors(a))
-    nb = dict(g.neighbors(b))
-    if a == b:
-        raise SameVertex(f"vertices must differ, both are {a}")
+    a, b = g._check_pair(a, b)
+    na, nb = g._nbrs[a], g._nbrs[b]
     for t in sorted(na.keys() & nb.keys()):
         if na[t] != nb[t]:
             raise NotAllowable(

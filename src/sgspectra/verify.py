@@ -38,7 +38,6 @@ from .errors import (
     BadOrder,
     ConfigInvalid,
     LengthMismatch,
-    SameVertex,
 )
 from .eigen import _real_vector, eigenvalues_stack
 from .fileio import format_spectrum, to_edge_string
@@ -54,6 +53,7 @@ from .graphs import (
     all_positive,
     co_regularity,
     degree_profile,
+    family_edge_pairs,
     generate,
     is_balanced,
     is_connected,
@@ -372,13 +372,6 @@ def _edge_surgery(g: SignedGraph, u: int, v: int) -> dict:
     return {"edge": sorted(map(g._check_vertex, (u, v))), "sign": sign}
 
 
-def _pair_surgery(g: SignedGraph, a: int, b: int) -> dict:
-    pair = sorted(map(g._check_vertex, (a, b)))
-    if pair[0] == pair[1]:
-        raise SameVertex(f"vertices must differ, both are {a}")
-    return {"pair": pair}
-
-
 def _contract(g: SignedGraph, a: int, b: int):
     sub, _, merged = contract(g, a, b)
     return sub, {"merged_vertex": merged, "contracted_graph": to_edge_string(sub)}
@@ -396,8 +389,8 @@ _VERTEX = ArgKind("vertex", ("g", "v"), lambda g, v: {"vertex": g._check_vertex(
                   pool=lambda g: [(v,) for v in range(g.n)])
 _EDGE = ArgKind("edge", ("g", "u", "v"), _edge_surgery, lambda g, u, v: (delete_edge(g, u, v)[0], {}),
                 pool=lambda g: [(u, v) for u, v, _ in g.edges], empty="graph has no usable edge")
-_PAIR = ArgKind("pair", ("g", "a", "b"), _pair_surgery, _contract,
-                pool=lambda g: [(a, b) for a in range(g.n) for b in range(a + 1, g.n)],
+_PAIR = ArgKind("pair", ("g", "a", "b"), lambda g, a, b: {"pair": sorted(g._check_pair(a, b))},
+                _contract, pool=lambda g: [(a, b) for a in range(g.n) for b in range(a + 1, g.n)],
                 empty="no contractible pair", fallback=_any_pair)
 _CYCLE = ArgKind("cycle", ("m", "sig1", "sign_last"))
 _SEEDED = ArgKind("seeded", ("m", "seed"))
@@ -455,11 +448,6 @@ def _coregular_chain(s, a, b, mu):
     return [(b + k, a[:, :-1], mid), (mid, a[:, 1:], _pad(b[:, 1:] + k, hi=(_INF,)))]
 
 
-def _neg_degree_range(g: SignedGraph) -> dict:
-    dmin, dmax = min_max_neg_degree(g)
-    return {"delta_minus": dmin, "Delta_minus": dmax}
-
-
 def _bound_flags(a, tols) -> list[dict]:
     if not a.shape[1]:
         return [{} for _ in a]
@@ -483,12 +471,16 @@ def _cycle_pair(family: str, m: int, sig1, sign_last):
     return to_edge_string(big), surgery, big, small
 
 
-def _random_cycle_pair(family: str, m: int, seed: int):
+def _seeded_pair(family: str, m: int, seed: int) -> tuple[SignedGraph, SignedGraph]:
+    """The family's graphs of orders m+1 and m, their signatures drawn from
+    one random.Random(seed) in canonical edge order, the larger graph's first."""
     rng = random.Random(seed)
-    sig1 = _random_signs(rng, m + 1)
-    sig2 = _random_signs(rng, m)
-    big = generate(family, m + 1, sig1)
-    small = generate(family, m, sig2)
+    return tuple(generate(family, k, _random_signs(rng, len(family_edge_pairs(family, k))))
+                 for k in (m + 1, m))
+
+
+def _random_cycle_pair(family: str, m: int, seed: int):
+    big, small = _seeded_pair(family, m, seed)
     canon1 = [PLUS] * m + [PLUS if is_balanced(big) else MINUS]
     closing2 = PLUS if is_balanced(small) else MINUS
     surgery = {"small_graph": to_edge_string(small), "seed": seed,
@@ -498,11 +490,7 @@ def _random_cycle_pair(family: str, m: int, seed: int):
 
 
 def _tree_pair(family: str, m: int, seed: int):
-    rng = random.Random(seed)
-    sig_big = _random_signs(rng, m)
-    sig_small = _random_signs(rng, m - 1)
-    big = generate(family, m + 1, sig_big)
-    small = generate(family, m, sig_small)
+    big, small = _seeded_pair(family, m, seed)
     surgery = {"small_graph": to_edge_string(small), "seed": seed, "kind": family}
     # a tree is balanced: its balancing switch makes every edge positive
     return to_edge_string(big), surgery, all_positive(big), all_positive(small)
@@ -557,7 +545,7 @@ _TABLE = (
     # net-Laplacian
     Check("L3.1", "check_laplacian_net_gap", _GRAPH, (laplacian, net_laplacian),
           lambda s, a, b: [(b + 2.0 * s("delta_minus"), a, b + 2.0 * s("Delta_minus"))],
-          params=_neg_degree_range,
+          params=lambda g: dict(zip(("delta_minus", "Delta_minus"), min_max_neg_degree(g))),
           doc="""L3.1: beta_p + 2*min(d-) <= alpha_p <= beta_p + 2*max(d-), same graph."""),
     Check("T3.2", "check_negative_edge_deletion_net", _EDGE, _NET,
           lambda s, a, b: [(a, b, _pad(a[:, 1:], hi=(a.shape[1],)))], stages=(_NEGATIVE,),

@@ -1,5 +1,6 @@
 """The pair runner's summary of synthetic perfbench runs."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,26 @@ def test_claim_needs_nine_in_ten_wins_and_a_gain_above_the_parent_iqr(parent, ch
 def test_seed_list():
     assert bench_pairs.seed_list("51-54") == [51, 52, 53, 54]
     assert bench_pairs.seed_list("7") == [7]
+
+
+def test_each_run_compiles_into_its_own_fresh_cache(tmp_path, monkeypatch):
+    # bytecode in one checkout's source tree must not let that side skip compiling
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert cache.is_dir() and not any(cache.iterdir())
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        seen.append(cache)
+        return subprocess.CompletedProcess(argv, 0, stdout='{"correct": true, "metrics": {}}\n')
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for _ in range(2):
+        assert bench_pairs.run_once(checkout, "single_check", 1, 0.1)["correct"]
+    assert len(seen) == 2 and seen[0] != seen[1]
+    for cache in seen:
+        assert not cache.resolve().is_relative_to(checkout.resolve())
+        assert not cache.exists()

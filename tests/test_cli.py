@@ -12,6 +12,7 @@ import pytest
 import sgspectra as sg
 from sgspectra.cli import _campaign_config, build_parser, main
 from sgspectra.fileio import parse_sg, to_sg_text
+from sgspectra.graphs import _SIGN_TOKENS
 from sgspectra import cli
 from sgspectra.verify import ARG_KINDS, CHECK_IDS, CHECKERS, CampaignConfig, report_to_dict
 
@@ -151,6 +152,15 @@ class TestCheck:
     def test_cycle_check_needs_sign_last(self, c4_file, capsys):
         assert main(["check", c4_file, "--theorem", "T2.4"]) == 2
         assert main(["check", c4_file, "--theorem", "T2.4", "--sign-last", "-"]) == 0
+
+    @pytest.mark.parametrize("word, number", [("-", "-1"), ("+", "1")])
+    def test_sign_last_takes_every_sign_token(self, c4_file, capsys, word, number):
+        seen = []
+        for token in (word, number):
+            code = main(["check", c4_file, "--theorem", "T2.4", "--sign-last", token])
+            seen.append((code, capsys.readouterr().out))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 0
 
     def test_family_shape_enforced(self, p3_file):
         assert main(["check", p3_file, "--theorem", "T2.4", "--sign-last", "+"]) == 2
@@ -428,6 +438,22 @@ class TestCampaignCommand:
         written = out.read_text(encoding="utf-8")
         assert written == (sg.campaign_to_csv if fmt == "csv" else sg.campaign_to_json)(default_200)
         assert peak < 0.25 * len(written)
+
+
+def _option(command: str, flag: str) -> argparse.Action:
+    """The action of flag in command's parser."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subparsers.choices[command]._actions if flag in a.option_strings)
+
+
+class TestFlagDeclarations:
+    @pytest.mark.parametrize("command, flag", [("check", "--sign-last"), ("surgery", "--sign")])
+    def test_sign_choices_are_the_sign_tokens(self, command, flag):
+        assert list(_option(command, flag).choices) == list(_SIGN_TOKENS)
+
+    @pytest.mark.parametrize("flag", ["--vertex", "--edge", "--pair"])
+    def test_graph_flags_declared_once_for_check_and_surgery(self, flag):
+        assert _option("check", flag) is _option("surgery", flag)
 
 
 class TestParserReuse:

@@ -375,6 +375,19 @@ class TestCharpolyOracle:
         # each as often as its multiplicity
         assert sg.charpoly_spectrum_oracle(m).tolist() == spectrum
 
+    def test_roots_sharing_a_final_interval_come_out_as_its_midpoint(self):
+        lo, hi = 1 / 3, float(np.nextafter(1 / 3, 1))
+        w = sg.charpoly_spectrum_oracle(np.diag([lo, hi, 2.0])).tolist()
+        assert w[0] == w[1] and w[2] == 2.0
+        assert abs(w[0] - lo) <= 2**-50 and abs(w[0] - hi) <= 2**-50
+
+    def test_only_multiples_of_2_to_the_minus_51_are_exact(self):
+        x = 1 + 3 * 2**-51
+        assert sg.charpoly_spectrum_oracle(np.diag([x, 5.0])).tolist() == [x, 5.0]
+        y = 1 + 2**-52  # a float, so dyadic, but no multiple of 2^-51
+        got = sg.charpoly_spectrum_oracle(np.diag([y, 5.0])).tolist()[0]
+        assert got != y and abs(got - y) <= 2**-51
+
     def test_input_checks(self):
         with pytest.raises(NonSymmetric, match="not exactly symmetric"):
             sg.charpoly_spectrum_oracle(np.array([[0, 1], [2, 0]]))
@@ -452,6 +465,22 @@ class TestClosedForms:
             sg.closed_form_cycle_spectrum(2, True)
         with pytest.raises(BadOrder):
             sg.closed_form_path_spectrum(0)
+
+    _FORMS = {"balanced-cycle": lambda n: sg.closed_form_cycle_spectrum(n, True),
+              "unbalanced-cycle": lambda n: sg.closed_form_cycle_spectrum(n, False),
+              "path": sg.closed_form_path_spectrum}
+
+    @pytest.mark.parametrize("order", [3.5, "3", True, np.float64(4.0)],
+                             ids=["float", "str", "bool", "np.float64"])
+    @pytest.mark.parametrize("form", list(_FORMS))
+    def test_non_integer_order_raises_bad_order(self, form, order):
+        family = form.split("-")[-1]
+        with pytest.raises(BadOrder, match=f"^{family} order must be an integer, got "):
+            self._FORMS[form](order)
+
+    @pytest.mark.parametrize("form", list(_FORMS))
+    def test_numpy_integer_order_accepted(self, form):
+        assert np.array_equal(self._FORMS[form](np.int64(4)), self._FORMS[form](4))
 
     def test_solver_matches_closed_forms(self):
         for n in range(3, 13):
