@@ -58,9 +58,8 @@ def parse_sg(text: str) -> SignedGraph:
 
 
 def _sg_lines(g: SignedGraph) -> list[str]:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v} {'+' if s == PLUS else '-'}" for u, v, s in g.edges)
-    return lines
+    label = [f"{i} " for i in range(g.n)]  # each vertex formatted once, O(n + E) in all
+    return [f"n {g.n}", *[f"{label[u]}{label[v]}{'+' if s == PLUS else '-'}" for u, v, s in g.edges]]
 
 
 @_takes_graph

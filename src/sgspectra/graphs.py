@@ -75,9 +75,9 @@ class SignedGraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         # canonical order fills each neighbour map in ascending order
-        nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(n))
+        nbrs: tuple[dict[int, int], ...] = tuple([{} for _ in range(n)])
         edges = _edge_tuple(self.edges)
-        prev = (-1, -1)
+        last = -1  # the previous edge's pair (u, v) as u * n + v, which orders pairs as tuples do
         plain = True
         for e in edges:
             try:
@@ -88,19 +88,19 @@ class SignedGraph:
             if type(u) is not int or type(v) is not int or type(e) is not tuple:
                 u, v = _ends(u, v)
                 plain = False
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            if not (0 <= u < v < n):
+            if not 0 <= u < v < n:
+                if u == v:
+                    raise SelfLoop(f"self-loop at vertex {u}")
                 raise VertexOutOfRange(f"edge ({u}, {v}) is not 0 <= u < v < n for n={n}")
             if type(s) is not int or (s != PLUS and s != MINUS):
                 s = _check_sign(s)
                 plain = False
-            pair = (u, v)
-            if pair <= prev:
-                if pair == prev:
+            key = u * n + v
+            if key <= last:
+                if key == last:
                     raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
-                raise ValueError(f"edge {pair} follows {prev}; edges must be sorted by (u, v)")
-            prev = pair
+                raise ValueError(f"edge {(u, v)} follows {divmod(last, n)}; edges must be sorted by (u, v)")
+            last = key
             nbrs[u][v] = s
             nbrs[v][u] = s
         object.__setattr__(self, "n", n)
@@ -194,8 +194,6 @@ def _takes_graph(fn):
 
 def _ends(u, v) -> tuple[int, int]:
     """Edge endpoints u and v as plain ints; VertexOutOfRange unless both are integers."""
-    if type(u) is int and type(v) is int:
-        return u, v
     iu, iv = _as_int(u), _as_int(v)
     if iu is None or iv is None:
         raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
@@ -204,7 +202,7 @@ def _ends(u, v) -> tuple[int, int]:
 
 def _int_field(x, name: str) -> int:
     """x as a plain int (the integer rule of _as_int), else ConfigInvalid."""
-    i = _as_int(x)
+    i = x if type(x) is int else _as_int(x)
     if i is None:
         raise ConfigInvalid(f"{name} must be an integer, got {x!r}")
     return i
@@ -256,7 +254,8 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int, int]]) -> SignedGrap
             u, v, s = e
         except (TypeError, ValueError):
             raise _not_triple(e) from None
-        u, v = _ends(u, v)
+        if type(u) is not int or type(v) is not int:
+            u, v = _ends(u, v)
         canonical.append((u, v, s) if u < v else (v, u, s))
     canonical.sort(key=itemgetter(0, 1))
     return SignedGraph(n, tuple(canonical))
@@ -456,11 +455,9 @@ def random_signed_graph(n: int, p: float, q: float, seed: int) -> SignedGraph:
     rng = random.Random(_int_field(seed, "seed"))
     n = _order(n)
     rand = rng.random
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rand() < p:
-                edges.append((u, v, MINUS if rand() < q else PLUS))
+    # a comprehension tests its condition before it builds its element, so
+    # each pair's draw precedes its sign's
+    edges = [(u, v, MINUS if rand() < q else PLUS) for u in range(n) for v in range(u + 1, n) if rand() < p]
     return SignedGraph(n, tuple(edges))
 
 

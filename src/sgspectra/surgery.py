@@ -5,6 +5,8 @@ and return the old-index -> new-index map alongside the new graph.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import DuplicateEdge, NotAllowable
 from .graphs import SignedGraph, _takes_graph, build_graph
 
@@ -27,9 +29,9 @@ def delete_vertex(g: SignedGraph, v: int) -> tuple[SignedGraph, dict[int, int]]:
 def delete_edge(g: SignedGraph, u: int, v: int) -> tuple[SignedGraph, int]:
     """Remove edge {u, v}; returns the new graph and the removed edge's sign (g.sign raises NoSuchEdge)."""
     removed = g.sign(u, v)
-    a, b = min(u, v), max(u, v)
-    edges = tuple(e for e in g.edges if (e[0], e[1]) != (a, b))
-    return SignedGraph(g.n, edges), removed
+    # canonical edges are sorted, and the pair (a, b) sorts just before its triple
+    i = bisect_left(g.edges, (int(min(u, v)), int(max(u, v))))
+    return SignedGraph(g.n, g.edges[:i] + g.edges[i + 1:]), removed
 
 
 @_takes_graph

@@ -518,6 +518,14 @@ class TestParserReuse:
             code, captured.out.encode(), captured.err.encode())
 
 
+def test_module_help_exits_0_with_warnings_as_errors():
+    env = {**os.environ, "PYTHONPATH": str(Path(sg.__file__).resolve().parents[1]), "PYTHONWARNINGS": "error"}
+    proc = subprocess.run([sys.executable, "-m", "sgspectra", "--help"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ") and "campaign" in proc.stdout
+
+
 # Every subcommand on degenerate and malformed .sg files: a documented exit
 # code, never an uncaught exception.  The malformed files fail to parse (exit
 # 2 with one error line).  A huge header count (n 99999999999999999999) is

@@ -1,5 +1,6 @@
 """The .sg text format and matrix dumps."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -76,6 +77,22 @@ def test_round_trip():
     g = sg.random_signed_graph(9, 0.5, 0.5, seed=4)
     assert parse_sg(to_sg_text(g)) == g
     assert from_edge_string(to_edge_string(g)) == g
+
+
+def _writer_graphs():
+    """n 0 and 1, then random graphs up to n = 64 (two-digit labels), sparse to complete."""
+    rng = random.Random(64)
+    graphs = [sg.SignedGraph(0, ()), sg.SignedGraph(1, ()), sg.SignedGraph(np.int64(2), ((0, 1, -1),))]
+    graphs += [sg.random_signed_graph(n, p, 0.5, seed=rng.randrange(10**6))
+               for n in (2, 9, 10, 11, 63, 64) for p in (0.0, 0.1, 0.5, 1.0)]
+    return graphs
+
+
+@pytest.mark.parametrize("g", _writer_graphs())
+def test_writers_match_a_plain_join(g):
+    lines = [f"n {g.n}"] + [f"{u} {v} {'+' if s == 1 else '-'}" for u, v, s in g.edges]
+    assert to_edge_string(g) == "; ".join(lines)
+    assert to_sg_text(g) == "\n".join(lines) + "\n"
 
 
 def test_empty_graph_round_trip():

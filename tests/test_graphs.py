@@ -99,6 +99,57 @@ class TestSignedGraphValidation:
                 construct(3, edges)
             assert str(exc.value) == message
 
+    # one row per rule: each hostile edge list on n = 3 (10 where the pairs
+    # need it), the exception type and its exact message
+    HOSTILE = {
+        "non-triple": (3, ((0, 1),), LengthMismatch, "edge (0, 1) is not a (u, v, sign) triple"),
+        "non-iterable-edge": (3, (7,), LengthMismatch, "edge 7 is not a (u, v, sign) triple"),
+        "non-iterable-edges": (3, 7, LengthMismatch,
+                               "edges must be an iterable of (u, v, sign) triples, got 7"),
+        "list-edges-duplicate": (3, [[0, 1, 1], [0, 1, -1]], DuplicateEdge, "edge (0, 1) listed twice"),
+        "list-edges-u-gt-v": (3, [[0, 1, 1], [2, 1, 1]], VertexOutOfRange,
+                              "edge (2, 1) is not 0 <= u < v < n for n=3"),
+        "numpy-self-loop": (3, ((np.int64(1), np.int64(1), 1),), SelfLoop, "self-loop at vertex 1"),
+        "numpy-v-ge-n": (3, ((np.int32(0), np.int64(5), 1),), VertexOutOfRange,
+                         "edge (0, 5) is not 0 <= u < v < n for n=3"),
+        "float-endpoint": (3, ((0, 1.0, 1),), VertexOutOfRange, "edge (0, 1.0) has a non-integer endpoint"),
+        "bool-endpoint": (3, ((False, 1, 1),), VertexOutOfRange,
+                          "edge (False, 1) has a non-integer endpoint"),
+        "self-loop-out-of-range": (3, ((5, 5, 1),), SelfLoop, "self-loop at vertex 5"),
+        "negative-self-loop": (3, ((-1, -1, 1),), SelfLoop, "self-loop at vertex -1"),
+        "u-gt-v": (3, ((2, 1, 1),), VertexOutOfRange, "edge (2, 1) is not 0 <= u < v < n for n=3"),
+        "v-ge-n": (3, ((0, 3, 1),), VertexOutOfRange, "edge (0, 3) is not 0 <= u < v < n for n=3"),
+        "u-lt-0": (3, ((-1, 1, 1),), VertexOutOfRange, "edge (-1, 1) is not 0 <= u < v < n for n=3"),
+        "adjacent-duplicate": (3, ((0, 1, 1), (0, 1, -1)), DuplicateEdge, "edge (0, 1) listed twice"),
+        "non-adjacent-duplicate": (3, ((0, 1, 1), (0, 2, 1), (0, 1, 1)), ValueError,
+                                   "edge (0, 1) follows (0, 2); edges must be sorted by (u, v)"),
+        "out-of-order": (10, ((3, 7, 1), (2, 9, 1)), ValueError,
+                         "edge (2, 9) follows (3, 7); edges must be sorted by (u, v)"),
+        "same-u-decreasing-v": (10, ((4, 9, 1), (4, 8, 1)), ValueError,
+                                "edge (4, 8) follows (4, 9); edges must be sorted by (u, v)"),
+        "sign-0": (3, ((0, 1, 0),), ValueError, "edge sign must be +1 or -1, got 0"),
+        "sign-2": (3, ((0, 1, 2),), ValueError, "edge sign must be +1 or -1, got 2"),
+        "sign-True": (3, ((0, 1, True),), ValueError, "edge sign must be +1 or -1, got True"),
+        "sign-str": (3, ((0, 1, "+"),), ValueError, "edge sign must be +1 or -1, got '+'"),
+        "negative-order": (-1, (), ValueError, "vertex count must be non-negative"),
+        "float-order": (3.0, (), BadOrder, "vertex count must be an integer, got 3.0"),
+    }
+
+    @pytest.mark.parametrize("case", list(HOSTILE))
+    def test_each_rule_keeps_its_type_and_message(self, case):
+        n, edges, error, message = self.HOSTILE[case]
+        with pytest.raises(error) as exc:
+            sg.SignedGraph(n, edges)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_valid_non_plain_input_is_stored_as_plain_ints(self):
+        g = sg.SignedGraph(np.int64(4), [[np.int64(0), np.int32(1), np.int8(-1)],
+                                         (1, np.uint8(3), np.int64(1)), (2, 3, -1)])
+        assert g.n == 4 and type(g.n) is int
+        assert g.edges == ((0, 1, -1), (1, 3, 1), (2, 3, -1)) and type(g.edges) is tuple
+        assert all(type(e) is tuple and all(type(x) is int for x in e) for e in g.edges)
+        assert g == sg.SignedGraph(4, ((0, 1, -1), (1, 3, 1), (2, 3, -1)))
+
     @pytest.mark.parametrize("edges", [[(0, 1, 1), (1, 2, -1)], iter([(0, 1, 1), (1, 2, -1)]),
                                        [(0, 1, 1), (1, 2, np.int64(-1))],
                                        [[0, 1, 1], [1, 2, -1]], ([0, 1, 1], (1, 2, -1))],
@@ -364,6 +415,38 @@ class TestRandomGraph:
     def test_seed_determinism(self):
         assert sg.random_signed_graph(10, 0.5, 0.5, 99) == sg.random_signed_graph(10, 0.5, 0.5, 99)
         assert sg.random_signed_graph(10, 0.5, 0.5, 99) != sg.random_signed_graph(10, 0.5, 0.5, 98)
+
+    # n = 5, edges written as "uv" plus the sign: the draws of seed 3 (and 8),
+    # pair by pair in lexicographic order, each pair's sign drawn right after it
+    PINNED = {
+        (0, 0, 3): "", (0, 0.5, 3): "", (0, 1, 3): "",
+        (0.5, 0, 3): "01+ 02+ 04+ 13+ 23+ 24+ 34+",
+        (0.5, 0.5, 3): "01+ 02+ 04- 13- 23+ 24+ 34+",
+        (0.5, 0.5, 8): "01+ 02+ 03- 12+ 13- 14- 24- 34-",
+        (0.5, 1, 3): "01- 02- 04- 13- 23- 24- 34-",
+        (1, 0, 3): "01+ 02+ 03+ 04+ 12+ 13+ 14+ 23+ 24+ 34+",
+        (1, 0.5, 3): "01+ 02+ 03- 04+ 12- 13- 14- 23- 24+ 34+",
+        (1, 0.5, 8): "01+ 02+ 03- 04- 12- 13- 14+ 23- 24- 34+",
+        (1, 1, 3): "01- 02- 03- 04- 12- 13- 14- 23- 24- 34-",
+    }
+
+    @pytest.mark.parametrize("p, q, seed", list(PINNED))
+    def test_draws_pinned(self, p, q, seed):
+        pinned = self.PINNED[p, q, seed].split()
+        want = tuple((int(t[0]), int(t[1]), 1 if t[2] == "+" else -1) for t in pinned)
+        assert sg.random_signed_graph(5, p, q, seed).edges == want
+
+    def test_draws_match_the_reference_loop(self):
+        def reference(n, p, q, seed):
+            rng, edges = random.Random(seed), []
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        edges.append((u, v, -1 if rng.random() < q else 1))
+            return tuple(edges)
+
+        for n, p, q, seed in itertools.product((0, 1, 2, 7, 24), (0.0, 0.3, 1.0), (0.0, 0.6, 1.0), (0, 5)):
+            assert sg.random_signed_graph(n, p, q, seed).edges == reference(n, p, q, seed)
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):

@@ -251,6 +251,12 @@ class TestAssemble:
             assert alone.tolist() == _entrywise(build, g)
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_no_slots_give_an_empty_stack_of_the_dtype(self, dtype):
+        a = assemble([], dtype)
+        assert a.shape == (0, 0, 0) and a.dtype == dtype
+
+
 class TestSwitchingConjugation:
     def test_laplacian_conjugates(self):
         rng = random.Random(21)

@@ -68,6 +68,37 @@ class TestDeleteEdge:
         sub, removed = delete_edge(sg.generate("path", 3, [-1, 1]), 1, 0)
         assert removed == -1
 
+    @pytest.mark.parametrize("u, v", [(0, 1), (1, 0), (3, 4), (4, 3),
+                                      (np.int64(0), np.int32(1)), (np.int64(4), np.int8(3))],
+                             ids=["first", "first-reversed", "last", "last-reversed",
+                                  "first-numpy", "last-numpy-reversed"])
+    def test_first_and_last_edge(self, u, v):
+        g = sg.build_graph(5, [(0, 1, -1), (0, 3, 1), (1, 2, 1), (2, 4, -1), (3, 4, -1)])
+        sub, removed = delete_edge(g, u, v)
+        a, b = sorted((int(u), int(v)))
+        assert removed == g.sign(a, b)
+        assert sub.n == 5 and sub.edges == tuple(e for e in g.edges if e[:2] != (a, b))
+        assert all(type(x) is int for e in sub.edges for x in e)
+
+    @pytest.mark.parametrize("u, v", [(0, 1), (1, 0), (np.int64(1), np.int64(0))])
+    def test_only_edge(self, u, v):
+        sub, removed = delete_edge(sg.build_graph(3, [(0, 1, -1)]), u, v)
+        assert sub == sg.SignedGraph(3, ()) and removed == -1
+
+    @pytest.mark.parametrize("u, v", [(0, 2), (2, 0), (1, 3), (0, 0), (0, 5), (np.int64(0), np.int64(2))])
+    def test_absent_edge_raises_no_such_edge(self, u, v):
+        g = sg.build_graph(4, [(0, 1, 1), (0, 3, 1), (1, 2, -1), (2, 3, 1)])
+        with pytest.raises(NoSuchEdge, match=r"no edge \("):
+            delete_edge(g, u, v)
+
+    def test_every_edge_of_random_graphs_matches_a_scan(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            g = sg.random_signed_graph(rng.randrange(2, 20), 0.4, 0.5, seed=rng.randrange(10**6))
+            for u, v, s in g.edges:
+                sub, removed = delete_edge(g, v, u)
+                assert removed == s and sub.edges == tuple(e for e in g.edges if e[:2] != (u, v))
+
 
 class TestAddEdge:
     def test_close_path_to_balanced_triangle(self):
