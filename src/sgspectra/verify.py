@@ -27,7 +27,7 @@ import math
 import numbers
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from typing import Callable
 
@@ -833,11 +833,40 @@ def write_campaign_json(result: CampaignResult, fh) -> None:
         fh.write(head + "\n")
         return
     fh.write(head[:-len("]\n}")])  # ends in '"reports": ['
+    # the head of each of a report's lines: "{" or ",", the line break and pad, the key and ": "
+    names = tuple(f.name for f in fields(InterlacingReport))
+    inner = _REPORT_NL + "  "
+    heads = [("," if i else "{") + inner + _ENCODE_STR(k) + ": " for i, k in enumerate(names)]
     sep = _REPORT_NL
     for r in result.reports:
-        fh.write(sep + _json_text(vars(r), _REPORT_NL))  # the writer only reads the dict
+        fh.write(sep + _report_json(vars(r), names, heads))  # the writer only reads the dict
         sep = "," + _REPORT_NL
     fh.write("\n  ]\n}\n")
+
+
+def _report_json(d: dict, names: tuple, heads: list) -> str:
+    """_json_text(d, _REPORT_NL), byte for byte and with its exceptions, for d
+    a report's attribute dict.  When d holds exactly the report's field names
+    in field order, each scalar goes in place after its head in heads and
+    each container through _put_json.  Any other dict, and any whose value
+    the writer does not take, goes through _json_text whole."""
+    if tuple(d) == names:
+        out: list[str] = []
+        inner = _REPORT_NL + "  "
+        try:
+            for head, x in zip(heads, d.values()):
+                scalar = _SCALARS.get(type(x))
+                if scalar is None:
+                    out.append(head)
+                    _put_json(x, out, inner)
+                else:
+                    out += (head, scalar(x))
+        except (TypeError, RecursionError):
+            pass
+        else:
+            out.append(_REPORT_NL + "}")
+            return "".join(out)
+    return _json_text(d, _REPORT_NL)
 
 
 # The JSON writer.  With an indent, the stdlib's json module runs its
@@ -890,13 +919,12 @@ def _put_json(o, out: list, nl: str) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for k, x in o.items():
-            head = sep + _ENCODE_STR(k) + ": "
             scalar = _SCALARS.get(type(x))
             if scalar is None:
-                out.append(head)
+                out += (sep, _ENCODE_STR(k), ": ")
                 _put_json(x, out, inner)
             else:
-                out.append(head + scalar(x))
+                out += (sep, _ENCODE_STR(k), ": ", scalar(x))
             sep = "," + inner
         out.append(nl + "}")
     elif type(o) is list or type(o) is tuple:
@@ -919,7 +947,7 @@ def _put_json(o, out: list, nl: str) -> None:
                 out.append(sep)
                 _put_json(x, out, inner)
             else:
-                out.append(sep + scalar(x))
+                out += (sep, scalar(x))
             sep = "," + inner
         out.append(nl + "]")
     else:
@@ -964,14 +992,19 @@ def _csv_field(s: str) -> str:
 def write_campaign_csv(result: CampaignResult, fh) -> None:
     """Write campaign_to_csv(result) to the text file fh, one row at a time.
     Each row is one join: csv.writer copies every character of every field
-    on its own, which costs most on the long edge strings and spectra."""
+    on its own, which costs most on the long edge strings and spectra.  The
+    five number fields are "%.17g" text, format_spectrum's, which holds only
+    digits, signs, ".", "e", "inf", "nan" and spaces, so they skip
+    _csv_field; a value that is not a number raises TypeError."""
     fh.write(",".join(_CSV_FIELDS) + "\n")
+    f = _csv_field
     for r in result.reports:
-        fh.write(",".join(map(_csv_field, (
-            r.theorem, str(r.hypothesis_met), str(r.holds), format_spectrum((r.worst_slack,)),
-            str(r.witness_position), format_spectrum((r.tol,)), r.graph, _SORTED_JSON(r.surgery),
-            format_spectrum(r.spectra.get("alpha", ())), format_spectrum(r.spectra.get("beta", ())),
-            format_spectrum(r.spectra.get("mu", ())), ";".join(r.links_skipped), r.note))) + "\n")
+        spectra = r.spectra
+        fh.write(",".join((
+            f(r.theorem), f(str(r.hypothesis_met)), f(str(r.holds)), "%.17g" % (r.worst_slack,),
+            f(str(r.witness_position)), "%.17g" % (r.tol,), f(r.graph), f(_SORTED_JSON(r.surgery)),
+            format_spectrum(spectra.get("alpha", ())), format_spectrum(spectra.get("beta", ())),
+            format_spectrum(spectra.get("mu", ())), f(";".join(r.links_skipped)), f(r.note))) + "\n")
 
 
 def summary_lines(result: CampaignResult) -> list[str]:

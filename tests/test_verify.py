@@ -989,6 +989,10 @@ class _Text(str):
     pass
 
 
+class _Real(float):
+    pass
+
+
 class _Items(list):
     pass
 
@@ -1209,6 +1213,105 @@ class TestJsonWriter:
         text = campaign_to_json(empty)
         assert text == _reference_json(empty)
         assert text.endswith('\n  "reports": []\n}\n')
+
+    @staticmethod
+    def _odd_report(report, case):
+        """A copy of report whose attributes or top-level values are not the
+        fields and exact types the writer writes in place."""
+        r = report_from_dict(report_to_dict(report))
+        if case == "extra-attribute":
+            r.extra = [1.0, "x"]
+        elif case == "note-set-last":
+            del r.note
+            r.note = "set again"
+        else:
+            name, value = {
+                "bool_": ("holds", np.bool_(True)),
+                "int64": ("witness_position", np.int64(2)),
+                "IntEnum": ("witness_position", _Level.HIGH),
+                "str-subclass": ("theorem", _Text(r.theorem)),
+                "float-subclass": ("worst_slack", _Real(0.25)),
+                "float64": ("tol", np.float64(1e-9)),
+            }[case]
+            setattr(r, name, value)
+        return r
+
+    @pytest.mark.parametrize("case", ["extra-attribute", "note-set-last", "bool_", "int64",
+                                      "IntEnum", "str-subclass", "float-subclass", "float64"])
+    def test_report_that_is_not_its_fields_is_written_as_json_does(self, case):
+        # the text or exception is json.dumps's, in the document and alone
+        res = run_campaign(CampaignConfig(theorems=("T2.1", "T2.7"), samples=3, seed=6))
+        reports = list(res.reports)
+        reports[2] = self._odd_report(reports[2], case)
+        res = verify.CampaignResult(res.config, reports, res.summary)
+        for ours, stdlib in ((lambda: campaign_to_json(res), lambda: _reference_json(res)),
+                             (lambda: verify.report_to_json(reports[2]),
+                              lambda: json.dumps(report_to_dict(reports[2]), indent=2))):
+            try:
+                expected = stdlib()
+            except TypeError as exc:
+                with pytest.raises(TypeError) as raised:
+                    ours()
+                assert str(raised.value) == str(exc)
+            else:
+                assert ours() == expected
+
+    def test_report_to_json_of_each_id_equals_stdlib(self):
+        cfg = CampaignConfig(seed=11)
+        reports = []
+        for ti, theorem in enumerate(CHECK_IDS):
+            args = _draw(CHECKS[theorem], cfg, _mix(cfg.seed, ti, 0))
+            reports.append(CHECKERS[theorem](*args, cfg.tol))
+        assert {r.theorem for r in reports} == set(CHECK_IDS)
+        assert any(r.hypothesis_met for r in reports) and not all(r.hypothesis_met for r in reports)
+        for r in reports:
+            assert verify.report_to_json(r) == json.dumps(report_to_dict(r), indent=2)
+
+    @staticmethod
+    def _csv_report(**fields):
+        base = dict(theorem="T2.1", holds=True, hypothesis_met=True, worst_slack=0.5,
+                    witness_position=1, tol=1e-9, spectra={"alpha": [1.0, 2.0], "beta": [1.5]},
+                    graph="n 2; 0 1 +", surgery={"vertex": 0})
+        return InterlacingReport(**{**base, **fields})
+
+    def test_csv_number_fields_equal_stdlib(self):
+        numbers = [-0.0, math.inf, -math.inf, math.nan, 1e-300, np.float64(0.1), 3, _Real(2.5)]
+        reports = [self._csv_report(worst_slack=x, tol=x, spectra={"alpha": [x], "beta": [x, 1.0]})
+                   for x in numbers]
+        reports.append(self._csv_report(spectra={"alpha": numbers, "beta": numbers[::-1],
+                                                 "mu": numbers[:3]}))
+        res = verify.CampaignResult(CampaignConfig(), reports, [])
+        text = campaign_to_csv(res)
+        assert text == _reference_csv(res)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [row["worst_slack"] for row in rows[:len(numbers)]] == [
+            "-0", "inf", "-inf", "nan", "1e-300", "0.10000000000000001", "3", "2.5"]
+
+    def test_csv_text_fields_of_other_types_are_quoted_as_csv_writer_does(self):
+        reports = [self._csv_report(witness_position="1,2", hypothesis_met='a"b', holds="x\ny"),
+                   self._csv_report(theorem='T"2', holds=1.5, hypothesis_met=0,
+                                    witness_position=_Text("3, 4")),
+                   self._csv_report(note='say "x", then\ny', links_skipped=["a,b", '"']),
+                   self._csv_report(graph="n 1,", surgery={"a,b": '"'})]
+        res = verify.CampaignResult(CampaignConfig(), reports, [])
+        text = campaign_to_csv(res)
+        assert text == _reference_csv(res)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [(row["witness_position"], row["hypothesis_met"], row["holds"]) for row in rows[:2]] \
+            == [("1,2", 'a"b', "x\ny"), ("3, 4", "0", "1.5")]
+
+    @pytest.mark.parametrize("fields", [{"worst_slack": "0.5"}, {"tol": None},
+                                        {"spectra": {"alpha": [1.0, "2"]}}],
+                             ids=["worst_slack", "tol", "spectrum"])
+    def test_csv_non_number_raises_as_format_spectrum_does(self, fields):
+        value = next(iter(fields.values()))
+        bad = value["alpha"] if isinstance(value, dict) else (value,)
+        with pytest.raises(TypeError) as reference:
+            sg.format_spectrum(bad)
+        res = verify.CampaignResult(CampaignConfig(), [self._csv_report(**fields)], [])
+        with pytest.raises(TypeError) as ours:
+            campaign_to_csv(res)
+        assert str(ours.value) == str(reference.value)
 
     def test_peak_memory_is_within_two_and_a_half_times_the_text(self):
         # each report is written as one string: the peak holds those strings
