@@ -93,12 +93,13 @@ def _graph_args(args, kind: str, who: str) -> tuple[int, ...]:
         raise ArgMismatch(f"--{kind} expects integers, got {text!r}") from None
 
 
-def _require_family(g, family: str, theorem: str):
-    pairs = {(u, v) for u, v in family_edge_pairs(family, g.n)}
-    if {(u, v) for u, v, _ in g.edges} != pairs:
-        raise ArgMismatch(
-            f"{theorem} needs the input graph to be a canonical {family} on 0..{g.n - 1}"
-        )
+def _require_family(g, family: str, theorem: str) -> list[tuple[int, int]]:
+    """family_edge_pairs(family, g.n); ArgMismatch unless they are g's edges."""
+    pairs = family_edge_pairs(family, g.n)
+    if {(u, v) for u, v, _ in g.edges} != set(pairs):
+        raise ArgMismatch(f"{theorem} needs the input graph to be a canonical {family} "
+                          f"on 0..{g.n - 1}")
+    return pairs
 
 
 def cmd_spectrum(args) -> int:
@@ -123,9 +124,8 @@ def cmd_check(args) -> int:
     elif kind == "cycle":
         if args.sign_last is None:
             raise ArgMismatch(f"{theorem} needs --sign-last")
-        _require_family(g, rec.family, theorem)
-        sig1 = [g.sign(u, v) for u, v in family_edge_pairs(rec.family, g.n)]
-        arg = (g.n - 1, sig1, parse_sign(args.sign_last))
+        sig1 = [g.sign(u, v) for u, v in _require_family(g, rec.family, theorem)]
+        arg = (g.n - 1, sig1, args.sign_last)  # the checker reads the sign token
     elif kind == "seeded":
         _require_family(g, rec.family, theorem)
         arg = (g.n - 1, args.seed)

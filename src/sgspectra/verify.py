@@ -808,7 +808,7 @@ def report_from_dict(d: dict) -> InterlacingReport:
 def report_to_json(r: InterlacingReport) -> str:
     """The report as `sgspectra check` prints it: report_to_dict(r) in
     json's indent=2 layout."""
-    return _json_text(report_to_dict(r))
+    return _report_json(r, "\n")
 
 
 def campaign_to_json(result: CampaignResult) -> str:
@@ -833,28 +833,25 @@ def write_campaign_json(result: CampaignResult, fh) -> None:
         fh.write(head + "\n")
         return
     fh.write(head[:-len("]\n}")])  # ends in '"reports": ['
-    # the head of each of a report's lines: "{" or ",", the line break and pad, the key and ": "
-    names = tuple(f.name for f in fields(InterlacingReport))
-    inner = _REPORT_NL + "  "
-    heads = [("," if i else "{") + inner + _ENCODE_STR(k) + ": " for i, k in enumerate(names)]
     sep = _REPORT_NL
     for r in result.reports:
-        fh.write(sep + _report_json(vars(r), names, heads))  # the writer only reads the dict
+        fh.write(sep + _report_json(r, _REPORT_NL))
         sep = "," + _REPORT_NL
     fh.write("\n  ]\n}\n")
 
 
-def _report_json(d: dict, names: tuple, heads: list) -> str:
-    """_json_text(d, _REPORT_NL), byte for byte and with its exceptions, for d
-    a report's attribute dict.  When d holds exactly the report's field names
-    in field order, each scalar goes in place after its head in heads and
-    each container through _put_json.  Any other dict, and any whose value
+def _report_json(r: InterlacingReport, nl: str) -> str:
+    """_json_text(vars(r), nl), byte for byte and with its exceptions, for nl
+    "\n" or _REPORT_NL.  When r's attributes are exactly its fields in field
+    order, each scalar goes in place after its head in _REPORT_HEADS[nl] and
+    each container through _put_json.  Any other report, and any whose value
     the writer does not take, goes through _json_text whole."""
-    if tuple(d) == names:
+    d = vars(r)  # the writer only reads it
+    if tuple(d) == _REPORT_FIELDS:
         out: list[str] = []
-        inner = _REPORT_NL + "  "
+        inner = nl + "  "
         try:
-            for head, x in zip(heads, d.values()):
+            for head, x in zip(_REPORT_HEADS[nl], d.values()):
                 scalar = _SCALARS.get(type(x))
                 if scalar is None:
                     out.append(head)
@@ -864,9 +861,9 @@ def _report_json(d: dict, names: tuple, heads: list) -> str:
         except (TypeError, RecursionError):
             pass
         else:
-            out.append(_REPORT_NL + "}")
+            out.append(nl + "}")
             return "".join(out)
-    return _json_text(d, _REPORT_NL)
+    return _json_text(d, nl)
 
 
 # The JSON writer.  With an indent, the stdlib's json module runs its
@@ -879,6 +876,12 @@ def _report_json(d: dict, names: tuple, heads: list) -> str:
 # to json.dumps, whose text or exception is the reference.
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii  # TypeError on a non-str
+
+# per pad of report_to_json and write_campaign_json, the head of each of a
+# report's lines: "{" or ",", the line break and pad, the key and ": "
+_REPORT_FIELDS = tuple(f.name for f in fields(InterlacingReport))
+_REPORT_HEADS = {nl: [("," if i else "{") + nl + "  " + _ENCODE_STR(k) + ": "
+                      for i, k in enumerate(_REPORT_FIELDS)] for nl in ("\n", _REPORT_NL)}
 
 
 def _json_text(doc, nl: str = "\n") -> str:

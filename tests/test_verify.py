@@ -1267,6 +1267,35 @@ class TestJsonWriter:
         for r in reports:
             assert verify.report_to_json(r) == json.dumps(report_to_dict(r), indent=2)
 
+    def test_report_to_json_writes_through_the_field_heads(self, monkeypatch):
+        # one met and one gate-stopped report of each id: none goes through the
+        # general writer whole.  An id with no gate gets a skipped report built
+        # as a gate builds one, and C3.7, which no campaign sample meets, is
+        # met on all-positive K3
+        res = run_campaign(CampaignConfig(seed=11, samples=40))
+        met = {r.theorem: r for r in res.reports if r.hypothesis_met}
+        met["C3.7"] = CHECKERS["C3.7"](sg.generate("complete", 3), 0)
+        stopped = {r.theorem: r for r in res.reports if not r.hypothesis_met}
+        for t in CHECK_IDS:
+            stopped.setdefault(t, verify._skipped_report(t, met[t].graph, {}, "no gate", None))
+        reports = [met[t] for t in CHECK_IDS] + [stopped[t] for t in CHECK_IDS]
+        assert all(r.hypothesis_met for r in reports[:19])
+        assert not any(r.hypothesis_met for r in reports[19:])
+        expected = [json.dumps(report_to_dict(r), indent=2) for r in reports]
+        calls = []
+        real = verify._json_text
+        monkeypatch.setattr(verify, "_json_text", lambda *a: calls.append(a) or real(*a))
+        assert [verify.report_to_json(r) for r in reports] == expected
+        assert calls == []
+
+    def test_campaign_reports_are_report_to_json_at_their_pad(self):
+        # the two outputs of one writer cannot drift apart
+        res = run_campaign(CampaignConfig(seed=11, samples=5))
+        assert {r.theorem for r in res.reports} == set(CHECK_IDS)
+        reports = ",\n    ".join(verify.report_to_json(r).replace("\n", "\n    ")
+                                  for r in res.reports)
+        assert campaign_to_json(res).endswith('"reports": [\n    ' + reports + "\n  ]\n}\n")
+
     @staticmethod
     def _csv_report(**fields):
         base = dict(theorem="T2.1", holds=True, hypothesis_met=True, worst_slack=0.5,
