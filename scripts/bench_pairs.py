@@ -20,7 +20,10 @@ metric each side's median and quartiles (inclusive method), the
 change/parent median ratio and the pairs the change wins, in the direction
 BENCHMARK.json gives.  A claim holds when the change
 wins at least 9 in 10 pairs and its median beats the parent's by more than
-the parent's interquartile range.  Standard library only.
+the parent's interquartile range, every run is correct and exits 0, and the
+change fails no larger share of its attempted operations than the parent;
+otherwise the claim gives its reasons.  The output file is written after
+each workload and at the end, whatever the runs gave.  Standard library only.
 """
 from __future__ import annotations
 
@@ -81,24 +84,50 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         "pairs": len(pairs),
         "seeds": [p["seed"] for p in pairs],
         "all_correct": all(r["correct"] for r in runs),
+        "all_exit_zero": all(r["exit"] == 0 for r in runs),
         "failed": sum(r["failed"] or 0 for r in runs),
         "attempted": sum(r["attempted"] or 0 for r in runs),
+        "failed_share": {side: failed_share([p[side] for p in pairs]) for side in ("parent", "change")},
         "metrics": metrics,
         "runs": pairs,
     }
 
 
+def failed_share(runs: list[dict]) -> float | None:
+    """Failed over attempted operations of runs; None when none was attempted."""
+    attempted = sum(r["attempted"] or 0 for r in runs)
+    return sum(r["failed"] or 0 for r in runs) / attempted if attempted else None
+
+
 def claim_result(summary: dict, metric: str) -> dict:
     """Whether the change wins at least 9 in 10 pairs on metric and its median
-    beats the parent's by more than the parent's interquartile range."""
-    m = summary["metrics"][metric]
-    gain = m["parent"]["median"] - m["change"]["median"]
-    if m["better"] == "higher":
-        gain = -gain
-    iqr = m["parent"]["q3"] - m["parent"]["q1"]
-    wins, n = m["change_wins"], summary["pairs"]
-    return {"metric": metric, "change_wins": f"{wins}/{n}", "median_gain": gain, "parent_iqr": iqr,
-            "met": n > 0 and wins >= math.ceil(0.9 * n) and gain > iqr}
+    beats the parent's by more than the parent's interquartile range, with
+    every run correct and exiting 0 and the change's failed share no higher
+    than the parent's; "reasons" says why not."""
+    result = {"metric": metric}
+    reasons = []
+    if not summary["all_correct"]:
+        reasons.append("a run is not correct")
+    if not summary["all_exit_zero"]:
+        reasons.append("a run exited non-zero")
+    parent, change = summary["failed_share"]["parent"], summary["failed_share"]["change"]
+    if (change or 0.0) > (parent or 0.0):
+        reasons.append(f"the change failed {change:.3g} of its operations, the parent {parent or 0.0:.3g}")
+    m = summary["metrics"].get(metric)
+    if m is None:
+        reasons.append(f"{metric} is missing from a run")
+    else:
+        gain = m["parent"]["median"] - m["change"]["median"]
+        if m["better"] == "higher":
+            gain = -gain
+        iqr = m["parent"]["q3"] - m["parent"]["q1"]
+        wins, n = m["change_wins"], summary["pairs"]
+        result.update({"change_wins": f"{wins}/{n}", "median_gain": gain, "parent_iqr": iqr})
+        if wins < math.ceil(0.9 * n):
+            reasons.append(f"the change won {wins} of {n} pairs")
+        if not gain > iqr:
+            reasons.append("the median gain is not above the parent's interquartile range")
+    return {**result, "met": not reasons, "reasons": reasons}
 
 
 def seed_list(text: str) -> list[int]:
@@ -117,11 +146,16 @@ def main(argv=None) -> int:
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.claim:
+        claimed, _, metric = args.claim.partition(":")
+        if claimed not in workloads or metric not in better:
+            parser.error(f"--claim {args.claim}: not a workload:metric of BENCHMARK.json")
     doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                       "--trace 0, from each checkout's root",
            "order": "parent first on even pair index, change first on odd",
            "workloads": {}}
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in workloads:
         pairs = []
         for i, seed in enumerate(args.seeds):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -132,10 +166,10 @@ def main(argv=None) -> int:
                       f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
             pairs.append(pair)
         doc["workloads"][workload] = summarize(pairs, better)
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.claim:
-        workload, metric = args.claim.split(":")
-        doc["claim"] = {"workload": workload, **claim_result(doc["workloads"][workload], metric)}
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        doc["claim"] = {"workload": claimed, **claim_result(doc["workloads"][claimed], metric)}
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -5,6 +5,12 @@ implicit-shift QL on the tridiagonal form.  Iteration is capped at 64 sweeps
 per eigenvalue and off-diagonals below 1e-15 * scale are deflated to zero.
 It computes eigenvalues only, since no check reads an eigenvector.  The QL
 sweeps run on Python floats, which round as float64 does and index faster.
+A sweep notes the lowest off-diagonal it leaves at or below the deflation
+threshold and hands that point to the next sweep, or, once its eigenvalue
+has settled, to the next eigenvalue; only an eigenvalue handed no point
+scans for one, and the scan stops at the last off-diagonal slot, which
+stays 0.0.  The deflation points, sweep counts and float operations are
+those of the textbook scan (tql1), so the spectra are the same bits.
 
 eigenvalues_stack solves a stack of matrices with one Householder reduction,
 which runs over the stack with np.vecdot and np.matvec (numpy >= 2.2) on a
@@ -140,14 +146,20 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     ee = e + [0.0]
     scale = max(1.0, max(map(abs, d)) + max(map(abs, ee)))
     thresh = _DEFLATE * scale
+    # m is the deflation point: the lowest index >= l whose |ee| is not above
+    # thresh.  A sweep at (l, m) rewrites exactly ee[l..m] and leaves ee[m] at
+    # 0.0, so it finds the next m among the values it writes, and when ee[l]
+    # settles that m is l + 1's.  Only an eigenvalue handed no point (m < l)
+    # scans for one; the scan needs no bound, since ee[n - 1] is 0.0 at every
+    # scan and thresh > 0.
+    m = -1
     for l in range(n):
-        sweeps = 0
-        while True:
+        if m < l:
             m = l
-            while m < n - 1 and abs(ee[m]) > thresh:
+            while abs(ee[m]) > thresh:
                 m += 1
-            if m == l:
-                break
+        sweeps = 0
+        while m > l:
             sweeps += 1
             if sweeps > _MAX_SWEEPS:
                 raise NoConvergence(f"eigenvalue {l} did not settle in {_MAX_SWEEPS} sweeps")
@@ -157,16 +169,19 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
             s = 1.0
             c = 1.0
             p = 0.0
+            low = m  # the lowest index of ee[l + 1..m] not above thresh
             for i in range(m - 1, l - 1, -1):
                 f = s * ee[i]
                 b = c * ee[i]
                 r = math.hypot(f, g)
                 ee[i + 1] = r
-                if r == 0.0:
-                    # underflow: deflate at i + 1 and sweep again
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    break
+                if not r > thresh:
+                    low = i + 1
+                    if r == 0.0:
+                        # underflow: deflate at i + 1 and sweep again
+                        d[i + 1] -= p
+                        ee[m] = 0.0
+                        break
                 s = f / r
                 c = g / r
                 g = d[i + 1] - p
@@ -178,6 +193,11 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
                 d[l] -= p
                 ee[l] = g
                 ee[m] = 0.0
+                if not abs(g) > thresh:
+                    # eigenvalue l has settled; l + 1 starts at low
+                    m = low
+                    break
+            m = low
     return d
 
 

@@ -992,22 +992,40 @@ def _csv_field(s: str) -> str:
     return s
 
 
+def _csv_other(v) -> str:
+    """v as csv.writer writes a field of a type the row does not expect: None
+    as an empty field, anything else as str(v), quoted as _csv_field quotes."""
+    return "" if v is None else _csv_field(str(v))
+
+
 def write_campaign_csv(result: CampaignResult, fh) -> None:
     """Write campaign_to_csv(result) to the text file fh, one row at a time.
     Each row is one join: csv.writer copies every character of every field
-    on its own, which costs most on the long edge strings and spectra.  The
-    five number fields are "%.17g" text, format_spectrum's, which holds only
-    digits, signs, ".", "e", "inf", "nan" and spaces, so they skip
-    _csv_field; a value that is not a number raises TypeError."""
+    on its own, which costs most on the long edge strings and spectra.  A
+    field of its expected exact type is written directly: a bool by identity,
+    an int by str, and only a str through _csv_field; any other value goes
+    through _csv_other.  The five number fields are "%.17g" text,
+    format_spectrum's, which holds only digits, signs, ".", "e", "inf", "nan"
+    and spaces, so they skip _csv_field; a value that is not a number raises
+    TypeError."""
     fh.write(",".join(_CSV_FIELDS) + "\n")
-    f = _csv_field
+    f, other = _csv_field, _csv_other
     for r in result.reports:
+        theorem, met, holds, at, graph, note = (
+            r.theorem, r.hypothesis_met, r.holds, r.witness_position, r.graph, r.note)
         spectra = r.spectra
         fh.write(",".join((
-            f(r.theorem), f(str(r.hypothesis_met)), f(str(r.holds)), "%.17g" % (r.worst_slack,),
-            f(str(r.witness_position)), "%.17g" % (r.tol,), f(r.graph), f(_SORTED_JSON(r.surgery)),
+            f(theorem) if type(theorem) is str else other(theorem),
+            "True" if met is True else "False" if met is False else other(met),
+            "True" if holds is True else "False" if holds is False else other(holds),
+            "%.17g" % (r.worst_slack,),
+            str(at) if type(at) is int else other(at),
+            "%.17g" % (r.tol,),
+            f(graph) if type(graph) is str else other(graph),
+            f(_SORTED_JSON(r.surgery)),
             format_spectrum(spectra.get("alpha", ())), format_spectrum(spectra.get("beta", ())),
-            format_spectrum(spectra.get("mu", ())), f(";".join(r.links_skipped)), f(r.note))) + "\n")
+            format_spectrum(spectra.get("mu", ())), f(";".join(r.links_skipped)),
+            f(note) if type(note) is str else other(note))) + "\n")
 
 
 def summary_lines(result: CampaignResult) -> list[str]:

@@ -1,5 +1,6 @@
 """The pair runner's summary of synthetic perfbench runs."""
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -67,6 +68,73 @@ def test_claim_needs_nine_in_ten_wins_and_a_gain_above_the_parent_iqr(parent, ch
     result = bench_pairs.claim_result(s, "campaign_s")
     assert result["met"] is met
     assert result["change_wins"] == f"{sum(c < p for p, c in zip(parent, change))}/10"
+
+
+def _winning(**change):
+    """Ten pairs the change wins on campaign_s by far, its runs updated by change."""
+    data = pairs([5.0] * 10, [4.0] * 10)
+    for p in data:
+        p["change"].update(change)
+    return data
+
+
+@pytest.mark.parametrize("data, reason", [
+    (_winning(metrics={}), "campaign_s is missing from a run"),
+    (_winning(correct=False), "a run is not correct"),
+    (_winning(exit=1), "a run exited non-zero"),
+    (_winning(failed=5), "the change failed 0.05 of its operations, the parent 0"),
+], ids=["missing_metric", "not_correct", "exit_nonzero", "failed_share"])
+def test_claim_is_not_met_on_runs_that_went_wrong(data, reason):
+    result = bench_pairs.claim_result(bench_pairs.summarize(data, {"campaign_s": "lower"}), "campaign_s")
+    assert result["met"] is False
+    assert result["reasons"] == [reason]
+
+
+def test_claim_met_has_no_reasons_and_a_lower_failed_share_is_no_reason():
+    data = pairs([5.0] * 10, [4.0] * 10)
+    data[0]["parent"]["failed"] = 2
+    s = bench_pairs.summarize(data, {"campaign_s": "lower"})
+    assert s["failed_share"] == {"parent": 0.002, "change": 0.0}
+    assert bench_pairs.claim_result(s, "campaign_s") | {"median_gain": None} == {
+        "metric": "campaign_s", "change_wins": "10/10", "median_gain": None, "parent_iqr": 0.0,
+        "met": True, "reasons": []}
+
+
+def test_main_writes_the_file_when_a_run_has_no_result_line(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 0.1, "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "campaign_s", "better": "lower"}]}))
+    calls = []
+
+    def fake_run_once(root, workload, seed, seconds):
+        calls.append((root, workload, seed))
+        if len(calls) == 3:  # the change's run on w1's second seed prints nothing
+            return {"seed": seed, "exit": 1, "correct": False, "failed": None, "attempted": None,
+                    "metrics": {}}
+        return run(seed, campaign_s=5.0 if root == tmp_path else 4.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path / "c"), "--seeds", "1-2",
+            "--claim", "w1:campaign_s", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert len(calls) == 8 and set(doc["workloads"]) == {"w1", "w2"}
+    assert doc["workloads"]["w1"]["runs"][1]["change"]["exit"] == 1
+    assert doc["claim"]["met"] is False and doc["claim"]["workload"] == "w1"
+    assert "campaign_s is missing from a run" in doc["claim"]["reasons"]
+
+
+def test_claim_of_an_unknown_workload_or_metric_stops_before_any_run(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 0.1, "workloads": [{"name": "w1"}],
+        "end_to_end": [{"name": "campaign_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench_pairs, "run_once", None)  # any run would raise TypeError
+    for claim in ("w2:campaign_s", "w1:report_s", "w1"):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--seeds", "1",
+                              "--claim", claim, "--out", str(tmp_path / "out.json")])
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_seed_list():

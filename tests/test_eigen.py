@@ -1,11 +1,16 @@
 """Eigensolver against frozen values, closed forms and the exact oracle."""
+import inspect
 import math
 import random
+import struct
+import sys
+import types
 
 import numpy as np
 import pytest
 
 import sgspectra as sg
+from sgspectra import eigen
 from sgspectra.eigen import characteristic_polynomial, eigenvalues_stack
 from sgspectra.errors import (
     BadOrder,
@@ -15,7 +20,7 @@ from sgspectra.errors import (
     ZeroDenominator,
     ZeroVector,
 )
-from sgspectra.verify import _STACK_ENTRIES
+from sgspectra.verify import _STACK_ENTRIES, CampaignConfig, run_campaign
 
 
 def random_int_symmetric(rng, n, span=4):
@@ -285,6 +290,244 @@ class TestEigenvaluesMany:
         monkeypatch.setattr(eigen_mod, "_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):
             solve_padded([np.eye(2), sg.laplacian(sg.generate("cycle", 5)), np.zeros((3, 3))])
+
+
+# --- the QL sweeps against the textbook QL (tql1), which scans for its
+# deflation point before every sweep: the same float operations in the same
+# order, so the same bytes, deflation points and NoConvergence --------------
+
+_DEFLATE = eigen._DEFLATE
+_MAX_SWEEPS = eigen._MAX_SWEEPS
+
+
+def _reference_ql_implicit(d: list[float], e: list[float]) -> list[float]:
+    """Implicit-shift QL on a tridiagonal; overwrites d with the eigenvalues."""
+    n = len(d)
+    if n <= 1:
+        return d
+    if n == 2:
+        # the exact Jacobi values; keeps small integer spectra exact
+        if e[0] != 0.0:
+            tau = (d[1] - d[0]) / (2.0 * e[0])
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+            d[0] -= t * e[0]
+            d[1] += t * e[0]
+        return d
+    ee = e + [0.0]
+    scale = max(1.0, max(map(abs, d)) + max(map(abs, ee)))
+    thresh = _DEFLATE * scale
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(ee[m]) > thresh:
+                m += 1
+            if m == l:
+                break
+            sweeps += 1
+            if sweeps > _MAX_SWEEPS:
+                raise NoConvergence(f"eigenvalue {l} did not settle in {_MAX_SWEEPS} sweeps")
+            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + ee[l] / (g + math.copysign(r, g))
+            s = 1.0
+            c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * ee[i]
+                b = c * ee[i]
+                r = math.hypot(f, g)
+                ee[i + 1] = r
+                if r == 0.0:
+                    # underflow: deflate at i + 1 and sweep again
+                    d[i + 1] -= p
+                    ee[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                ee[l] = g
+                ee[m] = 0.0
+    return d
+
+
+def _ql_outcome(ql, d, e):
+    """The bytes ql leaves in a copy of d, or the type and message it raises."""
+    try:
+        return struct.pack(f"{len(d)}d", *ql(list(d), list(e)))
+    except NoConvergence as exc:
+        return type(exc), str(exc)
+
+
+def _line_of(func, text):
+    """The line number of the one line of func's source that is text, stripped."""
+    lines, first = inspect.getsourcelines(func)
+    (at,) = [first + k for k, line in enumerate(lines) if line.strip() == text]
+    return at
+
+
+def _traced_ql(ql, d, e):
+    """Run ql on copies of d and e under a line tracer: the (l, m) of each
+    sweep as it starts, and the l of each deflation-scan step."""
+    code = ql.__code__
+    sweep_line, scan_line = _line_of(ql, "sweeps += 1"), _line_of(ql, "m += 1")
+    sweeps, scans = [], []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == sweep_line:
+            sweeps.append((frame.f_locals["l"], frame.f_locals["m"]))
+        elif event == "line" and frame.f_lineno == scan_line:
+            scans.append(frame.f_locals["l"])
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        out = _ql_outcome(ql, d, e)
+    finally:
+        sys.settrace(previous)
+    return out, sweeps, scans
+
+
+def _campaign_tridiagonals(monkeypatch, config):
+    """The distinct (d, e) pairs that config's campaign hands to the QL."""
+    seen = {}
+    solve = eigen._ql_implicit
+
+    def spy(d, e):
+        seen.setdefault((tuple(d), tuple(e)), None)
+        return solve(d, e)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eigen, "_ql_implicit", spy)
+        run_campaign(config)
+    return [pair for pair in seen if len(pair[0]) >= 3]
+
+
+def _random_tridiagonals(seed, count, n_max=64):
+    """Seeded tridiagonals of orders 3..n_max at scales 1e-200..1e200, with
+    exact zeros, subnormals and off-diagonals at and just around the
+    deflation threshold."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, n_max)
+        scale = 10.0 ** rng.choice((-200, -100, -8, 0, 3, 100, 200))
+
+        def entry():
+            u = rng.random()
+            if u < 0.1:
+                return 0.0
+            if u < 0.15:
+                return rng.choice((1, -1)) * rng.randint(1, 9) * 5e-324
+            return rng.gauss(0.0, 1.0) * scale
+
+        d = [entry() for _ in range(n)]
+        e = [entry() for _ in range(n - 1)]
+        # the largest |e| stays, so the solver's threshold is this one unless
+        # every |e| is below 2 * thresh
+        big = max(range(n - 1), key=lambda j: abs(e[j]))
+        thresh = _DEFLATE * max(1.0, max(map(abs, d)) + abs(e[big]))
+        for j in range(n - 1):
+            if j != big and rng.random() < 0.15:
+                e[j] = rng.choice((1.0, -1.0)) * rng.choice(
+                    (thresh, math.nextafter(thresh, 0.0), math.nextafter(thresh, math.inf),
+                     thresh * 0.5, thresh * 2.0))
+        out.append((d, e))
+    return out
+
+
+_LARGE = dict(theorems=("T2.1", "L2.3", "T3.4", "L3.1", "B4", "T4.1"), n_min=32, n_max=64)
+
+
+class TestQlAgainstReference:
+    def test_campaign_tridiagonals_give_the_reference_bytes(self, monkeypatch):
+        tri = _campaign_tridiagonals(monkeypatch, CampaignConfig(seed=3, samples=60))
+        tri += _campaign_tridiagonals(monkeypatch, CampaignConfig(seed=3, samples=2, **_LARGE))
+        assert len(tri) > 1000 and max(len(d) for d, _ in tri) > 32
+        for d, e in tri:
+            assert _ql_outcome(eigen._ql_implicit, d, e) == _ql_outcome(_reference_ql_implicit, d, e)
+
+    def test_random_tridiagonals_give_the_reference_bytes(self):
+        for d, e in _random_tridiagonals(7, 1500):
+            assert _ql_outcome(eigen._ql_implicit, d, e) == _ql_outcome(_reference_ql_implicit, d, e)
+
+    def test_sweeps_start_at_the_reference_deflation_points(self, monkeypatch):
+        # the same (l, m) sweep for sweep.  Among them are interior deflations
+        # (a sweep on l at a lower m than l's sweep before) and hand-ons (the
+        # first sweep on l right after the last on l - 1), where no scan runs
+        tri = _campaign_tridiagonals(monkeypatch, CampaignConfig(seed=3, samples=8))
+        tri += _random_tridiagonals(8, 40, n_max=24)
+        interior = handed = scans = reference_scans = 0
+        for d, e in tri:
+            out, sweeps, scanned = _traced_ql(eigen._ql_implicit, d, e)
+            want, want_sweeps, want_scanned = _traced_ql(_reference_ql_implicit, d, e)
+            assert (out, sweeps) == (want, want_sweeps)
+            interior += sum(l == k and m < j for (k, j), (l, m) in zip(sweeps, sweeps[1:]))
+            handed_on = {l for (k, _), (l, _) in zip(sweeps, sweeps[1:]) if l == k + 1}
+            assert not handed_on & set(scanned)
+            handed += len(handed_on)
+            scans += len(scanned)
+            reference_scans += len(want_scanned)
+        assert interior > 0 and handed > 0
+        assert scans < reference_scans / 3
+
+    def test_a_settled_eigenvalue_hands_its_point_on_without_a_scan(self):
+        # the cycle's Laplacian as a tridiagonal: every eigenvalue after the
+        # first starts at the point its predecessor's last sweep found
+        d, e = [2.0] * 6, [-1.0] * 5
+        out, sweeps, scanned = _traced_ql(eigen._ql_implicit, d, e)
+        want, want_sweeps, want_scanned = _traced_ql(_reference_ql_implicit, d, e)
+        assert (out, sweeps) == (want, want_sweeps)
+        assert {l for l, _ in sweeps} == {0, 1, 2, 3, 4}  # each after the one before
+        # the one scan, for eigenvalue 0, stops at ee[5] == 0.0
+        assert scanned == [0] * 5 and len(want_scanned) > 5
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_sweep_cap_raises_with_the_reference_message(self, monkeypatch, cap):
+        monkeypatch.setattr(eigen, "_MAX_SWEEPS", cap)
+        monkeypatch.setattr(sys.modules[__name__], "_MAX_SWEEPS", cap)
+        tri = [([2.0] * n, [-1.0] * (n - 1)) for n in (3, 5, 9)]
+        tri += _random_tridiagonals(cap, 150, n_max=16)
+        raised = set()
+        for d, e in tri:
+            got = _ql_outcome(eigen._ql_implicit, d, e)
+            assert got == _ql_outcome(_reference_ql_implicit, d, e)
+            if isinstance(got, tuple):
+                raised.add(got[1].split()[1])
+        # raised at the first eigenvalue and at later ones
+        assert "0" in raised and len(raised) > 1
+
+    @pytest.mark.parametrize("call", [1, 2, 5, 9])
+    def test_underflow_deflation_matches_the_reference(self, monkeypatch, call):
+        # no finite input is known to make a rotation's hypot(f, g) zero, so
+        # hypot is made to return 0.0 at one call of a sweep's rotations, in
+        # both solvers alike
+        count = [0]
+        real = math.hypot
+
+        def hypot(x, y):
+            if y != 1.0:
+                count[0] += 1
+                if count[0] == call:
+                    return 0.0
+            return real(x, y)
+
+        fake = types.SimpleNamespace(hypot=hypot, copysign=math.copysign)
+        monkeypatch.setattr(eigen, "math", fake)
+        monkeypatch.setattr(sys.modules[__name__], "math", fake)
+        for d, e in [([2.0] * 7, [-1.0] * 6), ([float(k) for k in range(9)], [0.5] * 8)]:
+            count[0] = 0
+            out, sweeps, _ = _traced_ql(eigen._ql_implicit, d, e)
+            assert count[0] >= call
+            count[0] = 0
+            assert (out, sweeps) == _traced_ql(_reference_ql_implicit, d, e)[:2]
 
 
 class TestRayleigh:

@@ -1329,6 +1329,18 @@ class TestJsonWriter:
         assert [(row["witness_position"], row["hypothesis_met"], row["holds"]) for row in rows[:2]] \
             == [("1,2", 'a"b', "x\ny"), ("3, 4", "0", "1.5")]
 
+    @pytest.mark.parametrize("fields", [
+        {"theorem": None}, {"graph": 3}, {"note": None}, {"holds": None},
+        {"hypothesis_met": None}, {"witness_position": None}, {"theorem": 2.5, "note": 7},
+        {"graph": ["a,b"], "note": {"k": '"'}}, {"holds": np.bool_(False), "hypothesis_met": np.True_},
+        {"witness_position": True}, {"witness_position": _Level.HIGH}, {"witness_position": np.int64(-2)},
+        {"theorem": _Text('T,"2'), "graph": _Text("n 1"), "note": _Text("")},
+    ], ids=repr)
+    def test_csv_fields_of_unexpected_types_are_written_as_csv_writer_does(self, fields):
+        # None as an empty field, anything else as its str, quoted when it must be
+        res = verify.CampaignResult(CampaignConfig(), [self._csv_report(**fields)], [])
+        assert campaign_to_csv(res) == _reference_csv(res)
+
     @pytest.mark.parametrize("fields", [{"worst_slack": "0.5"}, {"tol": None},
                                         {"spectra": {"alpha": [1.0, "2"]}}],
                              ids=["worst_slack", "tol", "spectrum"])
