@@ -18,7 +18,13 @@ when i is even and the change first when i is odd.  The output keeps every
 run's metrics, `correct`, `failed` and `attempted`, and per end-to-end
 metric each side's median and quartiles (inclusive method), the
 change/parent median ratio and the pairs the change wins, in the direction
-BENCHMARK.json gives.  A claim holds when the change
+BENCHMARK.json gives.  Each metric with a bound in BENCHMARK.json also gets
+that bound; within_bound, whether the change's median is worse than the
+parent's by no more than the bound, as a share of the parent's median;
+parent_spread, the parent's interquartile range over its median; and
+unresolved, whether that spread is wider than the bound while not every
+change run beats every parent run.  Each workload lists in outside_bound
+the metrics that are not within their bound.  A claim holds when the change
 wins at least 9 in 10 pairs and its median beats the parent's by more than
 the parent's interquartile range, every run is correct and exits 0, and the
 change fails no larger share of its attempted operations than the parent;
@@ -62,8 +68,9 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """pairs: [{"seed", "parent": run, "change": run}]; better: metric -> "lower" | "higher"."""
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict | None = None) -> dict:
+    """pairs: [{"seed", "parent": run, "change": run}]; better: metric -> "lower" | "higher";
+    bounds: metric -> the share of the parent's median by which the change may be worse."""
     runs = [p[side] for p in pairs for side in ("parent", "change")]
     names = [k for k in pairs[0]["parent"]["metrics"] if all(k in r["metrics"] for r in runs)] if pairs else []
     metrics = {}
@@ -79,6 +86,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change_over_parent_median": change["median"] / parent["median"] if parent["median"] else None,
             "change_wins": sum(sign * (c - p) < 0 for p, c in zip(pv, cv)),
             "pairs": [[p, c] for p, c in zip(pv, cv)],
+            **bound_result(parent, sign * (change["median"] - parent["median"]),
+                           all(sign * (c - p) < 0 for p in pv for c in cv), (bounds or {}).get(name)),
         }
     return {
         "pairs": len(pairs),
@@ -88,9 +97,22 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         "failed": sum(r["failed"] or 0 for r in runs),
         "attempted": sum(r["attempted"] or 0 for r in runs),
         "failed_share": {side: failed_share([p[side] for p in pairs]) for side in ("parent", "change")},
+        "outside_bound": [name for name, m in metrics.items() if m["within_bound"] is False],
         "metrics": metrics,
         "runs": pairs,
     }
+
+
+def bound_result(parent: dict, worse: float, all_beat: bool, bound: float | None) -> dict:
+    """A metric against its bound: worse is how far the change's median is on
+    the worse side of the parent's (negative when better), all_beat whether
+    every change run beats every parent run; None fields when it has no bound."""
+    iqr, median = parent["q3"] - parent["q1"], abs(parent["median"])
+    spread = iqr / median if median else (math.inf if iqr else 0.0)
+    if bound is None:
+        return {"bound": None, "within_bound": None, "parent_spread": spread, "unresolved": None}
+    return {"bound": bound, "within_bound": worse <= bound * median, "parent_spread": spread,
+            "unresolved": spread > bound and not all_beat}
 
 
 def failed_share(runs: list[dict]) -> float | None:
@@ -145,6 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     if args.claim:
@@ -165,7 +188,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: correct={pair[side]['correct']} "
                       f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
             pairs.append(pair)
-        doc["workloads"][workload] = summarize(pairs, better)
+        doc["workloads"][workload] = summarize(pairs, better, bounds)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.claim:
         doc["claim"] = {"workload": claimed, **claim_result(doc["workloads"][claimed], metric)}

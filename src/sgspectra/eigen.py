@@ -77,6 +77,23 @@ def _square(m) -> np.ndarray:
     return m
 
 
+def _exact_entries(m) -> np.ndarray:
+    """m as a real square matrix whose entries convert exactly to rationals:
+    an integer array as it is, any other as float64."""
+    m = _square(m)
+    return m if np.issubdtype(m.dtype, np.integer) else m.astype(np.float64)
+
+
+def _check_symmetric(a: np.ndarray) -> None:
+    """Raise NonSymmetric unless a, one matrix or a stack of them, has finite
+    entries and is exactly symmetric.  Finiteness is tested first, so that a
+    NaN, which equals nothing, is reported as what it is."""
+    if not np.isfinite(a).all():
+        raise NonSymmetric("expected finite entries")
+    if not (a == a.swapaxes(-1, -2)).all():
+        raise NonSymmetric("matrix is not exactly symmetric")
+
+
 def _real_vector(x, n: int | None = None, nonfinite: str | None = None) -> np.ndarray:
     """x as float64, once it is a real vector (of length n unless n is None).
 
@@ -133,8 +150,6 @@ def _tridiagonalize(a: np.ndarray, orders: list[int]) -> None:
 def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     """Implicit-shift QL on a tridiagonal; overwrites d with the eigenvalues."""
     n = len(d)
-    if n <= 1:
-        return d
     if n == 2:
         # the exact Jacobi values; keeps small integer spectra exact
         if e[0] != 0.0:
@@ -144,7 +159,7 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
             d[1] += t * e[0]
         return d
     ee = e + [0.0]
-    scale = max(1.0, max(map(abs, d)) + max(map(abs, ee)))
+    scale = max(1.0, max(map(abs, d), default=0.0) + max(map(abs, ee)))
     thresh = _DEFLATE * scale
     # m is the deflation point: the lowest index >= l whose |ee| is not above
     # thresh.  A sweep at (l, m) rewrites exactly ee[l..m] and leaves ee[m] at
@@ -216,12 +231,8 @@ def eigenvalues_stack(a: np.ndarray, orders: list[int]) -> list[np.ndarray]:
     first: dict = {}  # (order, bytes) -> index of the first such slot
     source = [first.setdefault(key, i) for i, key in enumerate(zip(orders, map(np.ndarray.tobytes, a)))]
     slots = sorted((i for i, j in enumerate(source) if i == j), key=orders.__getitem__, reverse=True)
-    if slots != list(range(len(orders))):
-        a = a[slots]
-    if not (a == a.swapaxes(1, 2)).all():
-        raise NonSymmetric("matrix is not exactly symmetric")
-    if not np.isfinite(a).all():
-        raise NonSymmetric("expected finite entries")
+    a = a[slots]
+    _check_symmetric(a)
     a += 0.0  # -0.0 + 0.0 is 0.0; _tridiagonalize relies on having no -0.0
     top = a.shape[1]
     kept = [orders[i] for i in slots]
@@ -307,13 +318,10 @@ def characteristic_polynomial(m) -> list[Fraction]:
     exactly, so no rounding enters the coefficients.  Raises NonSymmetric
     unless m is a real square matrix with finite entries.
     """
-    m = _square(m)
+    m = _exact_entries(m)
     n = m.shape[0]
-    # entries as exact rationals: integers as they are, the rest as floats
-    if not np.issubdtype(m.dtype, np.integer):
-        m = m.astype(np.float64)
-        if not np.isfinite(m).all():
-            raise NonSymmetric("expected finite entries")
+    if not np.isfinite(m).all():
+        raise NonSymmetric("expected finite entries")
     a = [[Fraction(x) for x in row] for row in m.tolist()]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
@@ -343,10 +351,11 @@ def charpoly_spectrum_oracle(m) -> np.ndarray:
     and exactly when it is a multiple of 2^-51 (0.25, 3, 1 + 3 * 2^-51; not 0.1
     or 1 + 2^-52).  Roots more than 2^-50 apart keep their multiplicities;
     roots that share such an interval are each given as its midpoint.
+    Raises NonSymmetric unless m is a real, exactly symmetric square matrix
+    with finite entries.
     """
-    a = _square(m)
-    if not np.array_equal(a, a.T):
-        raise NonSymmetric("matrix is not exactly symmetric")
+    a = _exact_entries(m)
+    _check_symmetric(a)
     n = a.shape[0]
     poly = characteristic_polynomial(a)
     derivs = [poly]

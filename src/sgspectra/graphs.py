@@ -162,7 +162,7 @@ def _order(n, what: str = "vertex count") -> int:
 def _edge_tuple(edges) -> tuple:
     """edges as a tuple; LengthMismatch when they are not iterable."""
     try:
-        return edges if type(edges) is tuple else tuple(edges)
+        return tuple(edges)
     except TypeError:
         raise LengthMismatch(f"edges must be an iterable of (u, v, sign) triples, got {edges!r}") from None
 

@@ -24,9 +24,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 import random
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from typing import Callable
@@ -66,7 +64,10 @@ from .matrices import _flat, assemble, laplacian, net_laplacian, normalized_net_
 from .surgery import contract, delete_edge, delete_vertex
 
 _INF = math.inf
-_STACK_ENTRIES = 1 << 16  # per solver stack; bounds its memory and its temporaries
+# a group is solved once the n^2 of its slots' matrices sum to this; the
+# front-padded stack holds slots * top^2 entries, which can be several times
+# that sum, but it is bounded, so memory does not grow with the samples
+_STACK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -123,10 +124,17 @@ def check_chain(lower, mid, upper, tol: float):
 
 
 def _check_tol(tol) -> None:
-    """Reject a tol that is not a non-negative number a float can hold (inf
-    included), or is a bool; None stands for default_tol."""
-    if tol is not None and not (isinstance(tol, numbers.Real) and type(tol) is not bool and 0 <= tol
-                                and (tol <= sys.float_info.max or tol == _INF)):
+    """Reject a tol that is not a real number (see _real_field) or not a
+    non-negative number a float can hold, inf included; None stands for
+    default_tol.  The range is tested on float(tol), never in tol's own
+    precision, and inf only passes when tol itself is infinite."""
+    if tol is None:
+        return
+    try:
+        x = float(_real_field(tol, "tol"))
+    except (ConfigInvalid, OverflowError):  # not real, or an int or Fraction beyond float range
+        x = math.nan
+    if not (0 <= x and (x < _INF or tol == _INF)):
         raise ConfigInvalid(f"tol must be a non-negative number within float range, got {tol}")
 
 
@@ -870,8 +878,9 @@ def _report_json(r: InterlacingReport, nl: str) -> str:
 # pure-Python encoder: one generator frame per container and one chunk per
 # separator.  This writer gives the same indent=2 text for the exact types a
 # report holds: dicts with str keys, lists, tuples, str, int, float, bool and
-# None.  It writes a scalar in place, a list of finite floats or of strings
-# with one join, and every piece to one list that is joined once.  Any other
+# None.  It writes a scalar in place, and every piece to one list that is
+# joined once; only a list of finite floats is joined in one step, and any
+# other list, one of strings included, goes item by item.  Any other
 # value or key raises TypeError, and _json_text then hands its whole value
 # to json.dumps, whose text or exception is the reference.
 
@@ -935,12 +944,11 @@ def _put_json(o, out: list, nl: str) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        t = type(o[0])
-        if t is float or t is str:
-            # float.__repr__ and _ENCODE_STR raise TypeError on any other
-            # item; a finite float's repr has no "n", inf and nan do
-            body = ("," + inner).join(map(float.__repr__ if t is float else _ENCODE_STR, o))
-            if t is str or "n" not in body:
+        if type(o[0]) is float:
+            # float.__repr__ raises TypeError on any other item; a finite
+            # float's repr has no "n", inf and nan do
+            body = ("," + inner).join(map(float.__repr__, o))
+            if "n" not in body:
                 out.append("[" + inner + body + nl + "]")
                 return
         sep = "[" + inner

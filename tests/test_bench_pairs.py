@@ -163,3 +163,58 @@ def test_each_run_compiles_into_its_own_fresh_cache(tmp_path, monkeypatch):
     for cache in seen:
         assert not cache.resolve().is_relative_to(checkout.resolve())
         assert not cache.exists()
+
+
+@pytest.mark.parametrize("factor, within", [(1.30, False), (1.20, True), (0.80, True)])
+def test_a_lower_is_better_metric_against_its_bound(factor, within):
+    s = bench_pairs.summarize(pairs([5.0] * 10, [5.0 * factor] * 10), {"campaign_s": "lower"},
+                              {"campaign_s": 0.25})
+    m = s["metrics"]["campaign_s"]
+    assert m["bound"] == 0.25 and m["within_bound"] is within
+    assert m["parent_spread"] == 0.0 and m["unresolved"] is False
+    assert s["outside_bound"] == ([] if within else ["campaign_s"])
+
+
+@pytest.mark.parametrize("factor, within", [(0.70, False), (0.80, True), (1.30, True)])
+def test_a_higher_is_better_metric_against_its_bound(factor, within):
+    data = pairs([5.0] * 10, [5.0] * 10)
+    for p in data:
+        p["parent"]["metrics"]["ratio"] = 0.5
+        p["change"]["metrics"]["ratio"] = 0.5 * factor
+    s = bench_pairs.summarize(data, {"campaign_s": "lower", "ratio": "higher"},
+                              {"campaign_s": 0.25, "ratio": 0.25})
+    assert s["metrics"]["ratio"]["within_bound"] is within
+    assert s["metrics"]["campaign_s"]["within_bound"] is True
+    assert s["outside_bound"] == ([] if within else ["ratio"])
+
+
+def test_a_metric_with_no_bound_is_never_outside_it():
+    s = bench_pairs.summarize(pairs([5.0] * 10, [9.0] * 10), {"campaign_s": "lower"}, {"report_s": 0.25})
+    m = s["metrics"]["campaign_s"]
+    assert (m["bound"], m["within_bound"], m["unresolved"]) == (None, None, None)
+    assert m["parent_spread"] == 0.0 and s["outside_bound"] == []
+    assert bench_pairs.summarize(pairs([5.0], [9.0]), {"campaign_s": "lower"})["outside_bound"] == []
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_every_run_wins():
+    parent = [4.0, 5.0, 6.0, 7.0, 8.0] * 2  # IQR 2.0 over a median of 6.0
+    s = bench_pairs.summarize(pairs(parent, [x + 0.1 for x in parent]), {"campaign_s": "lower"},
+                              {"campaign_s": 0.25})
+    m = s["metrics"]["campaign_s"]
+    assert m["parent_spread"] == pytest.approx(1 / 3)
+    assert m["within_bound"] is True and m["unresolved"] is True
+    s = bench_pairs.summarize(pairs(parent, [3.0] * 10), {"campaign_s": "lower"}, {"campaign_s": 0.25})
+    assert s["metrics"]["campaign_s"]["unresolved"] is False
+
+
+def test_main_records_each_bound(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 0.1, "workloads": [{"name": "w1"}],
+        "end_to_end": [{"name": "campaign_s", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, workload, seed, seconds:
+                        run(seed, campaign_s=5.0 if root == tmp_path else 7.0))
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path / "c"), "--seeds", "1-2",
+                      "--out", str(out)])
+    w1 = json.loads(out.read_text())["workloads"]["w1"]
+    assert w1["metrics"]["campaign_s"]["bound"] == 0.25 and w1["outside_bound"] == ["campaign_s"]

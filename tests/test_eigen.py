@@ -55,6 +55,27 @@ class TestEigenvalues:
         with pytest.raises(NonSymmetric):
             sg.eigenvalues(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("m", [[[math.nan]], [[1.0, math.nan], [math.nan, 1.0]],
+                                   [[1.0, math.nan], [0.0, 1.0]], [[math.inf, 1.0], [2.0, 0.0]]],
+                             ids=["nan", "nan-pair", "nan-asymmetric", "inf-asymmetric"])
+    def test_non_finite_entry_reported_as_such(self, m):
+        # NaN equals nothing, so a symmetry test run first would call it asymmetric
+        with pytest.raises(NonSymmetric, match="expected finite entries"):
+            sg.eigenvalues(m)
+        with pytest.raises(NonSymmetric, match="expected finite entries"):
+            sg.charpoly_spectrum_oracle(m)
+        stack = np.zeros((2, 2, 2))
+        stack[1] = m
+        with pytest.raises(NonSymmetric, match="expected finite entries"):
+            eigenvalues_stack(stack, [2, 2])
+
+    def test_asymmetric_finite_matrix_reported_as_such(self):
+        m = np.array([[0.0, 1.0], [0.5, 0.0]])
+        with pytest.raises(NonSymmetric, match="not exactly symmetric"):
+            sg.eigenvalues(m)
+        with pytest.raises(NonSymmetric, match="not exactly symmetric"):
+            eigenvalues_stack(np.stack([np.eye(2), m]), [2, 2])
+
     def test_sweep_cap_raises(self, monkeypatch):
         import sgspectra.eigen as eigen_mod
         monkeypatch.setattr(eigen_mod, "_MAX_SWEEPS", 0)

@@ -16,6 +16,7 @@ import math
 import random
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +162,32 @@ class TestTol:
         assert check_vertex_deletion_laplacian(sg.generate("cycle", 4), 0, tol).tol == tol
         res = run_campaign(CampaignConfig(theorems=("T2.1",), samples=2, tol=tol))
         assert [r.tol for r in res.reports] == [tol, tol]
+
+    # numpy scalars of every width, and values a float holds only as inf
+    @pytest.mark.parametrize("tol", [np.float16(0.01), np.float32(1e-6), np.float32(math.inf),
+                                     np.float64(1e-6), np.longdouble(1e-6), 0, math.inf],
+                             ids=["float16", "float32", "float32-inf", "float64", "longdouble", "0", "inf"])
+    def test_real_tol_of_any_precision_accepted_without_warning(self, tol):
+        # pytest turns warnings into errors: an overflow in a range test fails here
+        c4 = sg.generate("cycle", 4)
+        assert CHECKERS["T2.1"](c4, 0, tol).holds
+        assert check_chain([0.0], [1.0], [2.0], tol)[0]
+        cfg = CampaignConfig(tol=tol)
+        cfg.validate()
+        assert cfg.tol == float(tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, True, "x", 10**400, Fraction(10**400),
+                                     np.longdouble("1e400"), np.float32(math.nan), -10**400],
+                             ids=["nan", "negative", "bool", "str", "huge-int", "huge-fraction",
+                                  "huge-longdouble", "float32-nan", "huge-negative"])
+    def test_tol_beyond_float_range_or_not_real_rejected(self, tol):
+        # float(np.longdouble("1e400")) is inf: only a tol that is itself infinite passes as inf
+        calls = [lambda: CHECKERS["T2.1"](sg.generate("cycle", 4), 0, tol),
+                 lambda: check_chain([0.0], [1.0], [2.0], tol),
+                 lambda: CampaignConfig(tol=tol).validate()]
+        for call in calls:
+            with pytest.raises(ConfigInvalid, match="tol must be"):
+                call()
 
     @pytest.mark.parametrize("theorem", CHECK_IDS)
     def test_wrong_argument_count_raises_arg_mismatch(self, theorem):
@@ -1101,6 +1128,18 @@ class TestJsonWriter:
     def test_string_after_the_first_list_item_is_written_in_place(self, monkeypatch):
         # lists no join takes: each item, strings included, is written by the writer itself
         docs = [[1, "a"], [None, "b", 2.5], {"k": [{"x": 1}, "c"]}, [[], "d", True, -0.0]]
+        expected = [json.dumps(doc, indent=2) for doc in docs]
+
+        def dumps(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(verify, "json", types.SimpleNamespace(dumps=dumps))
+        assert [verify._json_text(doc) for doc in docs] == expected
+
+    def test_list_led_by_a_string_is_written_item_by_item(self, monkeypatch):
+        # only lists of finite floats are joined in one step; a list of strings,
+        # or one with any other item after its first string, is written in place
+        docs = [["a", "é\n"], ["a", 1, None], {"links": ["upper", ["x"], 2.5]}, ("t", "u")]
         expected = [json.dumps(doc, indent=2) for doc in docs]
 
         def dumps(*args, **kwargs):
