@@ -27,7 +27,9 @@ solved once and gets a copy of its spectrum; nothing is kept between calls.
 An entry -0.0 is read as 0.0.  The campaign and the checkers write their
 stacks with matrices.assemble; eigenvalues is the front end for one array: it
 widens it to float64 and solves it as a stack of one.  It raises NonSymmetric
-unless its matrix is real, square, exactly symmetric and finite.
+unless its matrix is real, square, exactly symmetric and finite, with order
+times largest |entry| at most 2^510, inside which no value the solver forms
+overflows (see _PEAK).
 
 charpoly_spectrum_oracle takes a completely different route, at any order:
 characteristic-polynomial coefficients by the Faddeev-LeVerrier recurrence in
@@ -58,6 +60,15 @@ from .graphs import _family_order
 
 _DEFLATE = 1e-15
 _MAX_SWEEPS = 64
+# order * max |entry| <= 2^510 bounds the 2-norm of a matrix, and so of each
+# step's trailing block, by 2^510: a squared column norm stays below 2^1020 and
+# a reflector's |u|^2 below 2^1022.  A column whose |u|^2 is below 2^-511 gets
+# beta = 0, so beta * norm, which bounds the step's largest product, stays
+# below 2^1022; leaving such a column, whose entries are below 2^-256, as it is
+# moves no eigenvalue by more than 2^-255 a column, far under the deflation
+# threshold.
+_PEAK = 2.0**510
+_TINY = 2.0**-511
 
 
 def _square(m) -> np.ndarray:
@@ -78,18 +89,19 @@ def _square(m) -> np.ndarray:
 
 
 def _exact_entries(m) -> np.ndarray:
-    """m as a real square matrix whose entries convert exactly to rationals:
-    an integer array as it is, any other as float64."""
+    """m as a real square matrix with finite entries, which convert exactly to
+    rationals: an integer array as it is, any other as float64."""
     m = _square(m)
-    return m if np.issubdtype(m.dtype, np.integer) else m.astype(np.float64)
+    m = m if np.issubdtype(m.dtype, np.integer) else m.astype(np.float64)
+    if not np.isfinite(m).all():
+        raise NonSymmetric("expected finite entries")
+    return m
 
 
 def _check_symmetric(a: np.ndarray) -> None:
-    """Raise NonSymmetric unless a, one matrix or a stack of them, has finite
-    entries and is exactly symmetric.  Finiteness is tested first, so that a
-    NaN, which equals nothing, is reported as what it is."""
-    if not np.isfinite(a).all():
-        raise NonSymmetric("expected finite entries")
+    """Raise NonSymmetric unless a, one matrix or a stack of them, is exactly
+    symmetric.  Its callers test finiteness first, so that a NaN, which equals
+    nothing, is reported as what it is."""
     if not (a == a.swapaxes(-1, -2)).all():
         raise NonSymmetric("matrix is not exactly symmetric")
 
@@ -134,10 +146,10 @@ def _tridiagonalize(a: np.ndarray, orders: list[int]) -> None:
         c = np.copysign(np.sqrt(np.vecdot(x, x)), x0)  # -alpha
         x0 += c
         u = x.copy()
-        # a zero column gets beta = 0: its update is +-0.0, which changes no
-        # entry, and its stored -alpha is a zero in place of a zero or of a
-        # value too small to square, which QL deflates alike
-        beta = np.array([2.0 / v if v else 0.0 for v in np.vecdot(u, u).tolist()])
+        # a column with |u|^2 below _TINY, zero included, gets beta = 0: its
+        # update is +-0.0, which changes no entry, and its stored -alpha stands
+        # in for a column below 2^-256, which QL deflates as it would a zero
+        beta = np.array([2.0 / v if v >= _TINY else 0.0 for v in np.vecdot(u, u).tolist()])
         b = s[:, k + 1:, k + 1:]
         p = beta[:, None] * np.matvec(b, u)
         w = p - (0.5 * beta * np.vecdot(u, p))[:, None] * u
@@ -226,16 +238,22 @@ def eigenvalues_stack(a: np.ndarray, orders: list[int]) -> list[np.ndarray]:
     copy of that slot's spectrum.  The order is part of that key because a
     padded slot of order n and one of order n + 1 with a zero first row and
     column have equal bytes.  a may be overwritten.  Raises NonSymmetric
-    unless each matrix is exactly symmetric with finite entries.
+    unless each matrix is exactly symmetric with finite entries, and its order
+    times its largest |entry| is at most 2^510.
     """
     first: dict = {}  # (order, bytes) -> index of the first such slot
     source = [first.setdefault(key, i) for i, key in enumerate(zip(orders, map(np.ndarray.tobytes, a)))]
     slots = sorted((i for i, j in enumerate(source) if i == j), key=orders.__getitem__, reverse=True)
     a = a[slots]
+    kept = [orders[i] for i in slots]
+    peaks = np.abs(a).max(axis=(1, 2), initial=0.0).tolist()  # NaN where a slot has one
+    if not all(p * n <= _PEAK for p, n in zip(peaks, kept)):
+        if not np.isfinite(a).all():
+            raise NonSymmetric("expected finite entries")
+        raise NonSymmetric("expected order * max |entry| <= 2**510")
     _check_symmetric(a)
     a += 0.0  # -0.0 + 0.0 is 0.0; _tridiagonalize relies on having no -0.0
     top = a.shape[1]
-    kept = [orders[i] for i in slots]
     _tridiagonalize(a, kept)
     spectra = [None] * len(orders)
     for i, n, d, e in zip(slots, kept, np.diagonal(a, 0, 1, 2).tolist(), np.diagonal(a, -1, 1, 2).tolist()):
@@ -247,7 +265,7 @@ def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
     Raises NonSymmetric unless m is a real, exactly symmetric square matrix
-    with finite entries.
+    with finite entries, the largest in magnitude at most 2^510 / order.
     """
     m = _square(m)
     return eigenvalues_stack(np.array(m, dtype=np.float64)[None], [len(m)])[0]
@@ -320,8 +338,6 @@ def characteristic_polynomial(m) -> list[Fraction]:
     """
     m = _exact_entries(m)
     n = m.shape[0]
-    if not np.isfinite(m).all():
-        raise NonSymmetric("expected finite entries")
     a = [[Fraction(x) for x in row] for row in m.tolist()]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: outputs and the exit-code contract."""
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from sgspectra.cli import _campaign_config, build_parser, main
 from sgspectra.fileio import parse_sg, to_sg_text
 from sgspectra.graphs import _SIGN_TOKENS
 from sgspectra import cli
-from sgspectra.verify import ARG_KINDS, CHECK_IDS, CHECKERS, CampaignConfig, report_to_dict
+from sgspectra.verify import _CSV_FIELDS, ARG_KINDS, CHECK_IDS, CHECKERS, CampaignConfig, report_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +57,21 @@ class TestSpectrum:
         assert main(["spectrum", str(f)]) == 0
         assert capsys.readouterr().out.strip() == "0 0 0"
 
-    def test_dump_matrix(self, k2n_file, capsys):
+    def test_dump_matrix(self, k2n_file, tmp_path, capsys):
         assert main(["spectrum", k2n_file, "--matrix", "adjacency", "--dump-matrix"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "2"
         assert out[1] == "0 -1"
         assert out[3] == "-1 1"  # ascending adjacency spectrum
+        # every matrix kind: the matrix, then its spectrum
+        g = sg.generate("path", 4, [1, -1, 1])
+        f = tmp_path / "p4.sg"
+        f.write_text(to_sg_text(g))
+        for matrix, build in (("adjacency", sg.adjacency), ("laplacian", sg.laplacian),
+                              ("net", sg.net_laplacian), ("normalized", sg.normalized_net_laplacian)):
+            assert main(["spectrum", str(f), "--matrix", matrix, "--dump-matrix"]) == 0
+            m = build(g)
+            assert capsys.readouterr().out == sg.format_matrix(m) + sg.format_spectrum(sg.eigenvalues(m)) + "\n"
 
     def test_malformed_sign_token_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.sg"
@@ -217,6 +228,9 @@ def test_check_every_id(theorem, tmp_path, capsys, monkeypatch):
     assert report["theorem"] == theorem
     expected = 3 if not report["hypothesis_met"] else (0 if report["holds"] else 4)
     assert code == expected
+    # a pair check names the contracted graph, and B4 sets its bound flags
+    assert ("contracted_graph" in report["surgery"]) == (kind == "pair")
+    assert bool(report["info"]) == (theorem == "B4")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
@@ -243,9 +257,12 @@ class TestSurgery:
         expected, _ = sg.delete_vertex(sg.generate("cycle", 4), 0)
         assert parse_sg(out.read_text()) == expected
 
-    def test_stdout_when_no_out(self, k2n_file, capsys):
+    def test_stdout_when_no_out(self, k2n_file, c4_file, capsys):
         assert main(["surgery", k2n_file, "delete-edge", "--edge", "0,1"]) == 0
         assert capsys.readouterr().out == "n 2\n"
+        # the closing edge of C4, given as (3, 0), leaves the path
+        assert main(["surgery", c4_file, "delete-edge", "--edge", "3,0"]) == 0
+        assert capsys.readouterr().out == to_sg_text(sg.generate("path", 4))
 
     def test_contract_conflict_exit_5(self, tmp_path, capsys):
         f = tmp_path / "g.sg"
@@ -278,6 +295,9 @@ class TestSurgery:
         assert main(["surgery", str(f), "delete-vertex", "--vertex", "3"]) == 0
         expected, _ = sg.delete_vertex(g, 3)
         assert parse_sg(capsys.readouterr().out) == expected
+        # an edge whose shared neighbours agree in sign; the larger end's others move
+        assert main(["surgery", str(f), "contract", "--pair", "0,6"]) == 0
+        assert parse_sg(capsys.readouterr().out) == sg.contract(g, 0, 6)[0]
 
 
 class TestInfo:
@@ -315,11 +335,13 @@ class TestInfo:
         assert "negative degree range: 1..1" in out
 
     def test_unbalanced_and_disconnected(self, tmp_path, capsys):
-        f = tmp_path / "u.sg"
-        f.write_text(to_sg_text(sg.build_graph(5, [(0, 1, -1), (1, 2, 1), (0, 2, 1), (3, 4, 1)])))
-        assert main(["info", str(f)]) == 0
-        block = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert (block["balanced"], block["connected"]) == (False, False)
+        # an unbalanced triangle plus another edge, or plus an isolated vertex
+        for n, rest in ((5, [(3, 4, 1)]), (4, [])):
+            f = tmp_path / "u.sg"
+            f.write_text(to_sg_text(sg.build_graph(n, [(0, 1, -1), (1, 2, 1), (0, 2, 1), *rest])))
+            assert main(["info", str(f)]) == 0
+            block = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert (block["balanced"], block["connected"]) == (False, False)
 
     def test_empty_graph_has_no_negative_degree_range(self, tmp_path, capsys):
         f = tmp_path / "e.sg"
@@ -344,6 +366,14 @@ class TestCampaignCommand:
         assert len(doc["reports"]) == 10
         assert all(s["fails"] == 0 for s in doc["summary"])
         assert "total:" in capsys.readouterr().out
+        for flags in (
+            # ids whose solver stacks repeat matrices (cycles, trees) or mix two matrix kinds
+            ["--theorems", "C2.5,C2.8,C2.9,L3.1,C3.7,T3.2", "--samples", "3"],
+            # the ids whose gates stop most samples, at the orders where they do
+            ["--theorems", "C2.2,C3.7,T2.7", "--n-min", "8", "--n-max", "24", "--samples", "50"],
+        ):
+            assert main(["campaign", *flags, "--out", str(out)]) == 0
+            assert capsys.readouterr().out.endswith(" violations=0\n")
 
     def test_identical_files_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -352,13 +382,27 @@ class TestCampaignCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_csv_format(self, tmp_path):
+    def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         main(["campaign", "--theorems", "B4", "--samples", "3", "--out", str(out),
               "--format", "csv"])
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("theorem,")
         assert len(lines) == 4
+        # skip notes with commas and surgery cells with quotes, among long edge
+        # strings and spectra: the file is the library's text, and reads back
+        # as the header and 13 fields a row, one row per report
+        assert main(["campaign", "--theorems", "T2.7,T4.3,B4", "--n-min", "32", "--n-max", "36",
+                     "--samples", "3", "--format", "csv", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        cfg = CampaignConfig(theorems=("T2.7", "T4.3", "B4"), n_min=32, n_max=36, samples=3)
+        assert text == sg.campaign_to_csv(sg.run_campaign(cfg))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == list(_CSV_FIELDS)
+        assert len(rows) == 10 and all(len(row) == 13 for row in rows)
+        assert any("," in row[-2] or "," in row[-1] for row in rows[1:])
+        assert any('"' in row[7] for row in rows[1:])
 
     def test_samples_zero_exit_2(self):
         assert main(["campaign", "--samples", "0"]) == 2

@@ -5,6 +5,7 @@ import random
 import struct
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,8 @@ class TestEigenvalues:
             sg.eigenvalues(m)
         with pytest.raises(NonSymmetric, match="expected finite entries"):
             sg.charpoly_spectrum_oracle(m)
+        with pytest.raises(NonSymmetric, match="expected finite entries"):
+            characteristic_polynomial(m)
         stack = np.zeros((2, 2, 2))
         stack[1] = m
         with pytest.raises(NonSymmetric, match="expected finite entries"):
@@ -75,6 +78,50 @@ class TestEigenvalues:
             sg.eigenvalues(m)
         with pytest.raises(NonSymmetric, match="not exactly symmetric"):
             eigenvalues_stack(np.stack([np.eye(2), m]), [2, 2])
+
+    @pytest.mark.parametrize("m", [np.full((3, 3), 1e200), np.full((2, 2), 1e308), np.full((3, 3), 1e308),
+                                   np.full((4, 4), math.nextafter(2.0**508, math.inf))],
+                             ids=["1e200", "1e308-order-2", "1e308", "one-ulp-above-the-bound"])
+    def test_entries_that_could_overflow_are_rejected(self, m):
+        # order * max |entry| above 2^510: a squared column norm could overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonSymmetric, match=r"order \* max \|entry\| <= 2\*\*510"):
+                sg.eigenvalues(m)
+            stack = np.zeros((2, 4, 4))
+            stack[1, 4 - len(m):, 4 - len(m):] = m
+            with pytest.raises(NonSymmetric, match="2\\*\\*510"):
+                eigenvalues_stack(stack, [4, len(m)])
+
+    def test_the_oracle_takes_entries_beyond_the_bound(self):
+        assert sg.charpoly_spectrum_oracle(np.full((3, 3), 1e200)).tolist() == [0.0, 0.0, 3e200]
+
+    @pytest.mark.parametrize("m", [
+        np.full((4, 4), 2.0**508),
+        2.0**504 * random_int_symmetric(random.Random(1), 64, span=1),
+        np.full((3, 3), 1e-160),
+        1e-160 * random_int_symmetric(random.Random(2), 64),
+        np.array([[100.0, 3e-154, 0.0], [3e-154, 100.0, 1e-170], [0.0, 1e-170, -100.0]]),
+    ], ids=["at-the-bound", "at-the-bound-order-64", "1e-160", "1e-160-order-64", "tiny-column"])
+    def test_extreme_entries_within_the_bound_match_lapack(self, m):
+        # a column too small to reflect without overflow is left as it is; it
+        # moves no eigenvalue by more than 2^-255 per such column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = sg.eigenvalues(m)
+        ref = np.linalg.eigvalsh(m)
+        scale = np.abs(ref).max()
+        # below scale 1 the solver's deflation threshold is the absolute 1e-15
+        assert np.abs(w - ref).max() <= (1e-14 * scale if scale > 1.0 else 1e-15)
+
+    def test_the_bound_holds_per_slot(self):
+        # an order-2 slot at its own bound, padded into an order-4 stack
+        small, large = np.full((2, 2), 2.0**509), np.full((4, 4), 2.0**508)
+        stack = np.zeros((2, 4, 4))
+        stack[0, 2:, 2:], stack[1] = small, large
+        got = eigenvalues_stack(stack, [2, 4])
+        assert [w.tolist() for w in got] == [sg.eigenvalues(small).tolist(), sg.eigenvalues(large).tolist()]
+        assert got[0].tolist() == [0.0, 2.0**510]
 
     def test_sweep_cap_raises(self, monkeypatch):
         import sgspectra.eigen as eigen_mod

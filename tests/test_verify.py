@@ -8,6 +8,7 @@ import ast
 import csv
 import dataclasses
 import enum
+import functools
 import inspect
 import io
 import itertools
@@ -1501,6 +1502,76 @@ class TestExhaustiveSweep:
                 checked += 1
         assert counts == _SWEEP[n]
         assert checked > 2 * len(counts)
+
+
+# Slacks of equivalent inputs may differ by the solver's rounding, since it is
+# not bit-equivariant: a permuted, negated or switched matrix can give other
+# last bits.  On the inputs below the largest move is 2.1e-15 times the scale
+# (1.2e-14 absolute).
+_EQUIVARIANT_SLACK = 16e-15
+
+
+@functools.cache
+def _invariance_graphs():
+    """Seeded samples: 200 of the 729 signed graphs of order 4, and 40 random
+    graphs of order 5..10 (sized by run time, not by outcome); then
+    the circulant complete co-regular signings of K_5 and K_6, which C3.7's
+    hypothesis needs."""
+    rng = random.Random(23)
+    return rng.sample(_all_signed_graphs(4), 200) + [
+        sg.random_signed_graph(rng.randint(5, 10), rng.choice((0.3, 0.6, 0.9)), 0.5, rng.randrange(10**6))
+        for _ in range(40)] + [
+        _circulant_complete(n, {d for d in range(1, n // 2 + 1) if k >> (d - 1) & 1})
+        for n in (5, 6) for k in range(1 << n // 2)]
+
+
+def _assert_invariant(theorem, image, image_theorem=None):
+    """Run theorem on every invariance input (g, *x), and image_theorem (theorem
+    when None) on its image (h, *map(vertex, x)), where h, vertex = image(g).
+    Each pair of reports agrees on hypothesis and verdict, and their worst
+    slacks agree within _EQUIVARIANT_SLACK times the spectra's scale."""
+    rec = verify.CHECKS[theorem]
+    inputs, images = [], []
+    for g in _invariance_graphs():
+        h, vertex = image(g)
+        for x in rec.kind.pool(g):
+            inputs.append((g, *x))
+            images.append((h, *map(vertex, x)))
+    reports = verify._run(rec, inputs, None)
+    assert any(r.hypothesis_met for r in reports)
+    for r, q in zip(reports, verify._run(verify.CHECKS[image_theorem or theorem], images, None)):
+        assert (r.hypothesis_met, r.holds) == (q.hypothesis_met, q.holds), (r, q)
+        scale = max([1.0] + [abs(x) for w in r.spectra.values() for x in w])
+        assert r.worst_slack == q.worst_slack or (
+            abs(r.worst_slack - q.worst_slack) <= _EQUIVARIANT_SLACK * scale), (r, q)
+
+
+class TestInvariance:
+    """Relabelling, negation and switching leave verdicts as they are: a wrong
+    vertex map in a surgery, or a stage that reads labels, would not."""
+
+    @pytest.mark.parametrize("theorem", [rec.id for rec in verify._TABLE if rec.build is None])
+    def test_relabelling(self, theorem):
+        rng = random.Random(theorem)
+
+        def relabel(g):
+            perm = rng.sample(range(g.n), g.n)
+            return sg.build_graph(g.n, [(perm[u], perm[v], s) for u, v, s in g.edges]), perm.__getitem__
+
+        _assert_invariant(theorem, relabel)
+
+    @pytest.mark.parametrize("theorem, image", [("T3.3", "T3.2"), ("C3.6", "C3.5")])
+    def test_negation(self, theorem, image):
+        # N(-g) = -N(g): T3.3 on (g, e) is T3.2 on (-g, e), C3.6 on (g, v) is C3.5 on (-g, v)
+        _assert_invariant(theorem, lambda g: (sg.SignedGraph(g.n, [(u, v, -s) for u, v, s in g.edges]),
+                                              lambda v: v), image)
+
+    @pytest.mark.parametrize("theorem", ["T2.1", "C2.2", "L2.3", "T2.7"])
+    def test_switching(self, theorem):
+        # switching is a signed diagonal similarity of the Laplacian
+        rng = random.Random(theorem)
+        _assert_invariant(theorem, lambda g: (sg.apply_switching(g, [rng.choice((1, -1)) for _ in range(g.n)]),
+                                              lambda v: v))
 
 
 def _circulant_complete(n, distances):
